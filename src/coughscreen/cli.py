@@ -107,7 +107,7 @@ def _cmd_features(args) -> int:
         for c in coughers:
             for rec in c.recordings:
                 vec = extract(rec.waveform)
-                writer.writerow([rec.id, c.id] + [repr(v) for v in vec])
+                writer.writerow([rec.id, c.id] + [repr(v) for v in vec.tolist()])
     finally:
         if args.out:
             out.close()

@@ -148,6 +148,35 @@ class GBDTModel:
     eval_metric: str = "AUC"  # recorded metadata; no early stopping exists
 
 
+def _best_split(X, t, total, rows, feats):
+    """The split of ``rows`` with the largest SSE gain over the sampled features.
+
+    Returns (feature, threshold, left rows, right rows), or None when no split
+    gains more than 1e-12. Every feature is searched at once: column c of the
+    (n, F) block holds feature feats[c] of the rows, sorted stably so that ties
+    keep row order. The pick is the first feature with the largest gain, as a
+    strict-> scan over feats would make it.
+    """
+    n = rows.size
+    block = X[np.ix_(rows, feats)]
+    order = np.argsort(block, axis=0, kind="stable")
+    sv = np.take_along_axis(block, order, axis=0)
+    left_sum = np.cumsum(t[order], axis=0)[:-1]
+    i = np.arange(1, n)[:, None]  # candidate split: left = first i sorted rows
+    # gain = parent SSE - (left SSE + right SSE); the cross terms reduce to
+    # sum_L^2/n_L + sum_R^2/n_R - total^2/n
+    score = left_sum ** 2 / i + (total - left_sum) ** 2 / (n - i)
+    score = np.where(sv[:-1] < sv[1:], score, -np.inf)
+    split = np.argmax(score, axis=0)
+    gains = score[split, np.arange(feats.size)] - total * total / n
+    c = int(np.argmax(gains))
+    if not gains[c] > 1e-12:
+        return None
+    j = int(split[c])
+    return (int(feats[c]), float(0.5 * (sv[j, c] + sv[j + 1, c])),
+            rows[order[: j + 1, c]], rows[order[j + 1:, c]])
+
+
 def _fit_tree(X, targets, rows, feats, depth, l2) -> TreeNode:
     node = TreeNode(value=float(targets[rows].sum() / (rows.size + l2)))
     if depth <= 0 or rows.size < 2:
@@ -155,35 +184,15 @@ def _fit_tree(X, targets, rows, feats, depth, l2) -> TreeNode:
     t = targets[rows]
     total = t.sum()
     sse_parent = float(np.sum(t * t) - total * total / rows.size)
-    best_gain = 1e-12
-    best = None
-    for f in feats:
-        v = X[rows, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        cum = np.cumsum(t[order])
-        n = rows.size
-        i = np.arange(1, n)  # candidate split: left = first i sorted rows
-        valid = sv[:-1] < sv[1:]
-        if not valid.any():
-            continue
-        left_sum = cum[:-1]
-        # gain = parent SSE - (left SSE + right SSE); the cross terms reduce to
-        # sum_L^2/n_L + sum_R^2/n_R - total^2/n
-        score = left_sum ** 2 / i + (total - left_sum) ** 2 / (n - i)
-        score = np.where(valid, score, -np.inf)
-        j = int(np.argmax(score))
-        gain = float(score[j]) - total * total / n
-        if gain > best_gain:
-            best_gain = gain
-            best = (f, 0.5 * (sv[j] + sv[j + 1]), order[: j + 1], order[j + 1:])
-    if best is None or sse_parent <= 0:
+    if sse_parent <= 0:
         return node
-    f, thr, left_idx, right_idx = best
-    node.feature = int(f)
-    node.threshold = float(thr)
-    node.left = _fit_tree(X, targets, rows[left_idx], feats, depth - 1, l2)
-    node.right = _fit_tree(X, targets, rows[right_idx], feats, depth - 1, l2)
+    # the search's (n, F) arrays are freed before the children are grown
+    split = _best_split(X, t, total, rows, feats)
+    if split is None:
+        return node
+    node.feature, node.threshold, left_rows, right_rows = split
+    node.left = _fit_tree(X, targets, left_rows, feats, depth - 1, l2)
+    node.right = _fit_tree(X, targets, right_rows, feats, depth - 1, l2)
     return node
 
 
@@ -244,14 +253,32 @@ def fit_gbdt(X, y, params: dict, seed: int = 0) -> GBDTModel:
                      feature_dim=d, seed=seed)
 
 
-def predict_proba_gbdt(model: GBDTModel, X) -> np.ndarray:
+def staged_proba_gbdt(model: GBDTModel, X, stages) -> np.ndarray:
+    """Probabilities of the first k trees for each k in ``stages``, one row per k.
+
+    Boosting is forward-stagewise and draws its per-tree randomness in order,
+    so row s is bit-identical to ``predict_proba_gbdt`` of a separate fit with
+    ``iterations=stages[s]`` and the same data, params and seed.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise ValueError(f"model expects {model.feature_dim} features, got {X.shape}")
+    stages = [int(k) for k in stages]
+    if any(k < 0 or k > len(model.trees) for k in stages):
+        raise ValueError(f"stages must lie in [0, {len(model.trees)}], got {stages}")
+    out = np.empty((len(stages), X.shape[0]))
     scores = np.full(X.shape[0], model.base_score)
-    for tree in model.trees:
-        scores += model.eta * _predict_tree(tree, X)
-    return expit(scores)
+    for k in range(max(stages, default=0) + 1):
+        if k:
+            scores += model.eta * _predict_tree(model.trees[k - 1], X)
+        hits = [s for s, stage in enumerate(stages) if stage == k]
+        if hits:
+            out[hits] = expit(scores)
+    return out
+
+
+def predict_proba_gbdt(model: GBDTModel, X) -> np.ndarray:
+    return staged_proba_gbdt(model, X, [len(model.trees)])[0]
 
 
 # ---------------------------------------------------------------------------

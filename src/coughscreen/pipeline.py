@@ -207,6 +207,23 @@ class FoldResult:
         return cls(**kwargs)
 
 
+def _fit_groups(family: str, candidates: list) -> list:
+    """Candidates that share one inner fit, as (params to fit, member indices).
+
+    GBDT candidates equal but for ``iterations`` share one fit at their
+    largest ``iterations``, scored per member as a prefix of its trees; every
+    other candidate is a group of its own. Groups and members keep grid order.
+    """
+    if family != "GBDT":
+        return [(cand, [ci]) for ci, cand in enumerate(candidates)]
+    groups = {}
+    for ci, cand in enumerate(candidates):
+        key = tuple(sorted((k, v) for k, v in cand.items() if k != "iterations"))
+        groups.setdefault(key, []).append(ci)
+    return [(max((candidates[ci] for ci in members), key=lambda c: int(c["iterations"])),
+             members) for members in groups.values()]
+
+
 def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
              cfg: RunConfig) -> FoldResult:
     """Execute steps (1)-(7) of the protocol for one outer fold."""
@@ -225,36 +242,45 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
     seed_inner = model_seed(cfg.seed, fold_plan.fold, 0)
     seed_final = model_seed(cfg.seed, fold_plan.fold, 1)
 
-    # Inner grid search; out-of-fold probabilities are cached per candidate so
-    # the winning candidate's OOF scores are reused for the calibrator.
+    # Inner grid search. An inner fold's scaler does not depend on the
+    # candidate, so each fold is scaled once and shared by every candidate.
     candidates = cfg.candidates(family)
-    inner_folds = []
+    groups = _fit_groups(family, candidates)
+    oof = np.full((len(candidates), tuning_rows.size), np.nan)
+    uars = np.empty((len(candidates), fold_plan.inner.k))
     for j in range(fold_plan.inner.k):
         val_c = fold_plan.inner.fold_members(j)
         train_c = sorted(set(tuning_c) - set(val_c))
         assert_cougher_disjoint(inner_train=train_c, inner_val=val_c, test=test_c,
                                 calib=calib_c)
-        inner_folds.append((_rows_for(table, train_c), _rows_for(table, val_c)))
-
-    tuning_pos = {row: i for i, row in enumerate(tuning_rows)}
-    best_idx, best_uar, best_oof = -1, -math.inf, None
-    for ci, cand in enumerate(candidates):
-        oof = np.full(tuning_rows.size, np.nan)
-        uars = []
-        for train_rows, val_rows in inner_folds:
-            scaler = fit_scaler(X_all[train_rows], fitted_on=f"fold{fold_plan.fold}/inner",
-                                passthrough_cols=scaler_passthrough)
-            model = models.fit_model(family, cand, apply_scaler(scaler, X_all[train_rows]),
-                                     y_all[train_rows], seed=seed_inner)
-            probs = models.predict_model(model, apply_scaler(scaler, X_all[val_rows]))
-            _, j_stat = calibration.youden_threshold(probs, y_all[val_rows])
-            uars.append((1.0 + j_stat) / 2.0)
-            for row, p in zip(val_rows, probs):
-                oof[tuning_pos[row]] = p
-        mean_uar = float(np.mean(uars))
-        if mean_uar > best_uar:
-            best_idx, best_uar, best_oof = ci, mean_uar, oof
-    best_params = dict(candidates[best_idx])
+        train_rows, val_rows = _rows_for(table, train_c), _rows_for(table, val_c)
+        oof_pos = np.searchsorted(tuning_rows, val_rows)
+        if not np.array_equal(tuning_rows[np.minimum(oof_pos, tuning_rows.size - 1)],
+                              val_rows):
+            raise LeakageError(f"fold {fold_plan.fold}: inner validation rows outside "
+                               "the tuning pool")
+        scaler = fit_scaler(X_all[train_rows], fitted_on=f"fold{fold_plan.fold}/inner",
+                            passthrough_cols=scaler_passthrough)
+        X_train = apply_scaler(scaler, X_all[train_rows])
+        X_val = apply_scaler(scaler, X_all[val_rows])
+        for fit_params, members in groups:
+            model = models.fit_model(family, fit_params, X_train, y_all[train_rows],
+                                     seed=seed_inner)
+            if family == "GBDT":
+                stages = [candidates[ci]["iterations"] for ci in members]
+                member_probs = models.staged_proba_gbdt(model, X_val, stages)
+            else:
+                member_probs = [models.predict_model(model, X_val)]
+            for ci, probs in zip(members, member_probs):
+                _, j_stat = calibration.youden_threshold(probs, y_all[val_rows])
+                uars[ci, j] = (1.0 + j_stat) / 2.0
+                oof[ci, oof_pos] = probs
+    # the first candidate in grid order with the largest mean inner UAR wins;
+    # its out-of-fold probabilities fit the calibrator
+    mean_uars = [float(np.mean(u)) for u in uars]
+    best_idx = int(np.argmax(mean_uars))
+    best_params, best_uar = dict(candidates[best_idx]), mean_uars[best_idx]
+    best_oof = oof[best_idx].copy()
     if np.isnan(best_oof).any():
         raise RuntimeError("out-of-fold probabilities missing for some tuning rows")
 

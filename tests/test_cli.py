@@ -7,6 +7,8 @@ import pytest
 
 from conftest import tiny_experiment_doc
 from coughscreen import cli
+from coughscreen.data import load_manifest
+from coughscreen.features import extract
 
 
 def run_cli(args):
@@ -28,6 +30,12 @@ class TestSynthAndFeatures:
         assert rows[0][:2] == ["recording_id", "cougher_id"]
         assert len(rows[0]) == 2 + 261
         assert len(rows) > 1
+        # every cell is a plain float literal that reads back to the extracted value
+        waveforms = {rec.id: rec.waveform for c in load_manifest(ds / "manifest.csv")
+                     for rec in c.recordings}
+        assert sorted(r[0] for r in rows[1:]) == sorted(waveforms)
+        for row in rows[1:]:
+            assert [float(cell) for cell in row[2:]] == extract(waveforms[row[0]]).tolist()
 
     def test_features_missing_manifest_exit_3(self, tmp_path):
         assert run_cli(["features", str(tmp_path / "nope.csv")]) == 3

@@ -113,6 +113,54 @@ def stump_oracle(x, residuals):
     return best_thr, best_gain
 
 
+def reference_fit_tree(X, targets, rows, feats, depth, l2):
+    """The per-feature split search: argsort each sampled feature in turn and
+    keep the first strictly larger gain. The oracle for ``models._fit_tree``."""
+    node = models.TreeNode(value=float(targets[rows].sum() / (rows.size + l2)))
+    if depth <= 0 or rows.size < 2:
+        return node
+    t = targets[rows]
+    total = t.sum()
+    sse_parent = float(np.sum(t * t) - total * total / rows.size)
+    best_gain = 1e-12
+    best = None
+    for f in feats:
+        v = X[rows, f]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        cum = np.cumsum(t[order])
+        n = rows.size
+        i = np.arange(1, n)
+        valid = sv[:-1] < sv[1:]
+        if not valid.any():
+            continue
+        left_sum = cum[:-1]
+        score = left_sum ** 2 / i + (total - left_sum) ** 2 / (n - i)
+        score = np.where(valid, score, -np.inf)
+        j = int(np.argmax(score))
+        gain = float(score[j]) - total * total / n
+        if gain > best_gain:
+            best_gain = gain
+            best = (f, 0.5 * (sv[j] + sv[j + 1]), order[: j + 1], order[j + 1:])
+    if best is None or sse_parent <= 0:
+        return node
+    f, thr, left_idx, right_idx = best
+    node.feature = int(f)
+    node.threshold = float(thr)
+    node.left = reference_fit_tree(X, targets, rows[left_idx], feats, depth - 1, l2)
+    node.right = reference_fit_tree(X, targets, rows[right_idx], feats, depth - 1, l2)
+    return node
+
+
+def tied_matrix(rng, n, d):
+    """Columns of few distinct values, a constant column and duplicated rows."""
+    X = rng.integers(0, 4, size=(n, d)).astype(float)
+    X[:, 1] = rng.standard_normal(n)
+    X[:, -1] = 2.5
+    X[n // 2:] = X[: n - n // 2]
+    return X
+
+
 def gbdt_params(**overrides):
     base = dict(depth=4, iterations=20, learning_rate=0.1, l2_leaf_reg=1.0,
                 subsample=1.0, rsm=1.0, class_weights=None)
@@ -209,6 +257,82 @@ class TestGBDT:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             models.fit_gbdt(np.ones((5, 2)), np.zeros(5), gbdt_params(), seed=0)
+
+
+class TestSplitSearchOracle:
+    """The whole-matrix split search grows exactly the trees of the per-feature loop."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_single_tree_matches(self, depth, tied):
+        rng = np.random.default_rng(100 + depth)
+        X = tied_matrix(rng, 90, 7) if tied else rng.standard_normal((90, 7))
+        targets = rng.standard_normal(90)
+        rows = np.sort(rng.choice(90, size=70, replace=False))
+        feats = np.array([0, 1, 3, 6])
+        got = models._fit_tree(X, targets, rows, feats, depth, 1.0)
+        want = reference_fit_tree(X, targets, rows, feats, depth, 1.0)
+        assert models._tree_to_dict(got) == models._tree_to_dict(want)
+
+    @pytest.mark.parametrize("X", [np.array([[0.0, 1.0], [1.0, 1.0]]),
+                                   np.array([[3.0, 3.0], [3.0, 3.0]])])
+    def test_two_rows(self, X):
+        targets = np.array([-0.5, 0.7])
+        rows, feats = np.arange(2), np.arange(2)
+        got = models._fit_tree(X, targets, rows, feats, 3, 0.0)
+        assert (models._tree_to_dict(got)
+                == models._tree_to_dict(reference_fit_tree(X, targets, rows, feats, 3, 0.0)))
+
+    def test_zero_targets_stay_a_leaf(self):
+        X = np.random.default_rng(11).standard_normal((20, 3))
+        tree = models._fit_tree(X, np.zeros(20), np.arange(20), np.arange(3), 4, 1.0)
+        assert tree.feature == -1 and tree.value == 0.0
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("subsample,rsm", [(1.0, 1.0), (0.7, 0.6), (0.5, 1.0)])
+    def test_boosted_ensembles_match(self, monkeypatch, depth, subsample, rsm):
+        rng = np.random.default_rng(depth)
+        X = tied_matrix(rng, 80, 6)
+        y = (rng.random(80) < expit(X[:, 1] + 0.5 * X[:, 0] - 1.0)).astype(float)
+        params = gbdt_params(depth=depth, iterations=4, subsample=subsample, rsm=rsm,
+                             class_weights="balanced")
+        got = models.fit_gbdt(X, y, params, seed=depth)
+        monkeypatch.setattr(models, "_fit_tree", reference_fit_tree)
+        want = models.fit_gbdt(X, y, params, seed=depth)
+        assert ([models._tree_to_dict(t) for t in got.trees]
+                == [models._tree_to_dict(t) for t in want.trees])
+
+
+class TestStagedPrediction:
+    def test_prefixes_equal_separate_fits(self):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((70, 5))
+        y = (rng.random(70) < expit(X[:, 0])).astype(float)
+        X_new = rng.standard_normal((30, 5))
+        params = gbdt_params(depth=3, iterations=5, subsample=0.8, rsm=0.6)
+        stages = [0, 1, 3, 5]
+        staged = models.staged_proba_gbdt(models.fit_gbdt(X, y, params, seed=4), X_new,
+                                          stages)
+        assert staged.shape == (4, 30)
+        for k, probs in zip(stages, staged):
+            separate = models.fit_gbdt(X, y, dict(params, iterations=k), seed=4)
+            np.testing.assert_array_equal(probs, models.predict_proba_gbdt(separate, X_new))
+
+    def test_stages_keep_request_order(self):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((40, 3))
+        y = (rng.random(40) < 0.5).astype(float)
+        m = models.fit_gbdt(X, y, gbdt_params(iterations=3), seed=0)
+        fwd = models.staged_proba_gbdt(m, X, [1, 3])
+        np.testing.assert_array_equal(models.staged_proba_gbdt(m, X, [3, 1, 3]),
+                                      fwd[[1, 0, 1]])
+
+    @pytest.mark.parametrize("stages", [[-1], [4]])
+    def test_stage_out_of_range_rejected(self, stages):
+        X = np.arange(10, dtype=float)[:, None]
+        m = models.fit_gbdt(X, (X[:, 0] > 4).astype(float), gbdt_params(iterations=3), seed=0)
+        with pytest.raises(ValueError):
+            models.staged_proba_gbdt(m, X, stages)
 
 
 class TestGrids:

@@ -151,6 +151,64 @@ class TestGbdtPath:
             assert r.best_params["iterations"] == 15
 
 
+def gbdt_candidate(iterations, learning_rate=0.3):
+    return {"depth": 3, "iterations": iterations, "learning_rate": learning_rate,
+            "l2_leaf_reg": 3.0, "subsample": 0.8, "rsm": 0.8, "class_weights": "balanced"}
+
+
+class TestStagedGridSearch:
+    """Candidates differing only in iterations share one fit per inner fold."""
+
+    def run(self, table, grid):
+        cfg = pipeline.RunConfig(seed=17, grid=grid, k_outer=4, k_inner=3, calib_frac=0.2)
+        return pipeline.run_nested(table, "GBDT", "fused", cfg)[0]
+
+    def test_matches_best_single_candidate_runs(self, table):
+        grid = tuple(gbdt_candidate(it) for it in (1, 3, 2))
+        staged = self.run(table, grid)
+        singles = [self.run(table, (c,)) for c in grid]
+        for fold, got in enumerate(staged):
+            uars = [runs[fold].best_inner_uar for runs in singles]
+            want = singles[uars.index(max(uars))][fold]  # ties go to the earlier candidate
+            assert got.best_inner_uar == want.best_inner_uar
+            assert got.best_params == want.best_params
+            np.testing.assert_array_equal(got.oof_probs, want.oof_probs)
+            np.testing.assert_array_equal(got.test_wf_cal, want.test_wf_cal)
+
+    def test_tie_goes_to_earlier_candidate(self, table):
+        # a zero learning rate scores every candidate 0.5 on every inner fold
+        grid = tuple(gbdt_candidate(it, learning_rate=0.0) for it in (2, 3, 1))
+        for r in self.run(table, grid):
+            assert r.best_inner_uar == 0.5
+            assert r.best_params == grid[0]
+
+    def test_tie_across_groups_goes_to_earlier_candidate(self, table):
+        # candidate 1 is candidate 2 plus a key the booster ignores: it is a
+        # group of its own, scored after candidate 2, and must win their tie
+        grid = (gbdt_candidate(1), dict(gbdt_candidate(2), eval_metric="AUC"),
+                gbdt_candidate(2))
+        winners = [r.best_params for r in self.run(table, grid)]
+        assert grid[1] in winners
+        assert grid[2] not in winners
+
+    def test_one_fit_per_group_and_inner_fold(self, table, monkeypatch):
+        fitted = []
+        fit_gbdt = pipeline.models.fit_gbdt
+
+        def counting_fit(X, y, params, seed=0):
+            fitted.append(params["iterations"])
+            return fit_gbdt(X, y, params, seed=seed)
+
+        monkeypatch.setattr(pipeline.models, "fit_gbdt", counting_fit)
+        grid = tuple(gbdt_candidate(it) for it in (1, 3, 2)) + (gbdt_candidate(2, 0.1),)
+        results = self.run(table, grid)
+        # per outer fold: on each of the 3 inner folds, one fit per group at its
+        # largest iterations; then the final fit of the winner
+        assert len(fitted) == 4 * (3 * 2 + 1)
+        for f, r in enumerate(results):
+            assert fitted[7 * f: 7 * f + 7] == [3, 2] * 3 + [r.best_params["iterations"]]
+
+
 class TestFoldResultSerialization:
     def test_roundtrip_through_dict(self, results_and_plan):
         results, _ = results_and_plan
