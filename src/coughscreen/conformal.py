@@ -50,46 +50,24 @@ def fit_quantile(calib_p_pos, calib_labels, alpha: float) -> float:
     return float(scores[k - 1])
 
 
-@dataclass(frozen=True)
-class PredictionSet:
-    labels: frozenset
-    alpha: float
-    p_pos: float
+def prediction_sets(p_pos, qhat: float) -> np.ndarray:
+    """Label sets at quantile qhat as an (n, 2) bool membership matrix.
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.labels) == 1
-
-    @property
-    def is_ambiguous(self) -> bool:
-        return len(self.labels) == 2
-
-
-def predict_set(p_pos: float, qhat: float, alpha: float = math.nan) -> PredictionSet:
-    """Label set at quantile qhat: include y iff p_y >= 1 - qhat."""
-    members = set()
-    if p_pos >= 1.0 - qhat:
-        members.add(1)
-    if 1.0 - p_pos >= 1.0 - qhat:
-        members.add(0)
-    return PredictionSet(labels=frozenset(members), alpha=alpha, p_pos=float(p_pos))
+    Column y says whether label y is in the set: p_y >= 1 - qhat.
+    """
+    p_pos = np.asarray(p_pos, dtype=np.float64)
+    return np.stack([1.0 - p_pos >= 1.0 - qhat, p_pos >= 1.0 - qhat], axis=-1)
 
 
 @dataclass
 class ConformalCalibrator:
-    """Sorted calibration scores plus the quantile for each requested alpha."""
+    """The conformal quantile for each requested alpha."""
 
-    sorted_scores: np.ndarray
     quantiles: dict = field(default_factory=dict)
     level: str = COUGHER_LEVEL
 
-    def prediction_sets(self, p_pos, alpha: float) -> list:
-        q = self.quantiles[alpha]
-        return [predict_set(p, q, alpha) for p in np.asarray(p_pos, dtype=np.float64)]
+    def prediction_sets(self, p_pos, alpha: float) -> np.ndarray:
+        return prediction_sets(p_pos, self.quantiles[alpha])
 
 
 def fit_conformal(calib_p_pos, calib_labels, alphas, level: str = COUGHER_LEVEL) -> ConformalCalibrator:
@@ -97,18 +75,20 @@ def fit_conformal(calib_p_pos, calib_labels, alphas, level: str = COUGHER_LEVEL)
         raise ValueError(f"conformal calibration is only valid at the "
                          f"{COUGHER_LEVEL!r} level, got {level!r}: waveform-level "
                          "examples from one cougher are not exchangeable")
-    scores = np.sort(nonconformity(calib_p_pos, calib_labels))
     quantiles = {float(a): fit_quantile(calib_p_pos, calib_labels, a) for a in alphas}
-    return ConformalCalibrator(sorted_scores=scores, quantiles=quantiles, level=level)
+    return ConformalCalibrator(quantiles=quantiles, level=level)
 
 
 def evaluate_sets(sets, labels) -> dict:
-    """Coverage, mean set size, singleton rate, and empty-set rate."""
-    labels = np.asarray(labels)
-    if len(sets) != labels.size or labels.size == 0:
+    """Coverage, mean set size, singleton rate, and empty-set rate.
+
+    ``sets`` is the (n, 2) membership matrix of ``prediction_sets``.
+    """
+    sets, labels = np.asarray(sets, dtype=bool), np.asarray(labels, dtype=int)
+    if sets.shape != (labels.size, 2) or labels.size == 0:
         raise ValueError("sets and labels must be nonempty and aligned")
-    covered = np.array([int(y) in s.labels for s, y in zip(sets, labels)])
-    sizes = np.array([s.size for s in sets])
+    covered = sets[np.arange(labels.size), labels]
+    sizes = sets.sum(axis=1)
     return {
         "coverage": float(covered.mean()),
         "mean_size": float(sizes.mean()),
@@ -120,18 +100,19 @@ def evaluate_sets(sets, labels) -> dict:
 def selective_metrics(point_preds, sets, labels) -> dict:
     """Selective (reject-option) evaluation treating singletons as accepted.
 
+    ``sets`` is the (n, 2) membership matrix of ``prediction_sets``.
     Returns overall point accuracy, accuracy conditional on singleton and
     on ambiguous (two-label) sets, and the fraction of correct point
     predictions returned as singletons. Conditional accuracies are NaN
     sentinels when their condition never occurs.
     """
     point_preds = np.asarray(point_preds)
-    labels = np.asarray(labels)
-    if not (len(sets) == labels.size == point_preds.size) or labels.size == 0:
+    sets, labels = np.asarray(sets, dtype=bool), np.asarray(labels)
+    if sets.shape != (labels.size, 2) or point_preds.size != labels.size or labels.size == 0:
         raise ValueError("point_preds, sets, and labels must be nonempty and aligned")
     correct = point_preds == labels
-    singleton = np.array([s.is_singleton for s in sets])
-    ambiguous = np.array([s.is_ambiguous for s in sets])
+    sizes = sets.sum(axis=1)
+    singleton, ambiguous = sizes == 1, sizes == 2
 
     def _cond(mask):
         return float(correct[mask].mean()) if mask.any() else math.nan

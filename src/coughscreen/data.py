@@ -114,10 +114,6 @@ class ClinicalRecord:
         return cls(**kwargs)
 
 
-def encode_clinical(record: ClinicalRecord) -> np.ndarray:
-    return record.to_vector()
-
-
 @dataclass(frozen=True)
 class CoughRecording:
     id: str

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+import os
 import platform
 import sys
 import time
@@ -20,6 +22,14 @@ from .synth import SyntheticConfig, generate_synthetic
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 _SYNTH_KEYS = {"n_coughers", "prevalence", "coughs_mean", "coughs_std", "coughs_min",
@@ -48,40 +58,56 @@ class ExperimentConfig:
         if (self.manifest is None) == (self.synthetic is None):
             raise ConfigError("exactly one data source is required: "
                               "'manifest' or 'synthetic'")
+        for name in ("manifest", "audio_root"):
+            if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
+                raise ConfigError(f"{name} must be a path")
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ConfigError("out must be a path")
         if self.family not in FAMILIES + ("both",):
             raise ConfigError(f"family must be LR, GBDT, or both, got {self.family!r}")
         if self.feature_mode not in FEATURE_MODES + ("both",):
             raise ConfigError(f"feature_mode must be audio, fused, or both, "
                               f"got {self.feature_mode!r}")
+        if not isinstance(self.alphas, (list, tuple)) or not all(map(_is_real, self.alphas)):
+            raise ConfigError(f"alphas must be a list of numbers, got {self.alphas!r}")
         for a in self.alphas:
             if not 0.0 < float(a) < 1.0:
                 raise ConfigError(f"alpha {a} outside (0, 1)")
-        if not 0.0 < self.calib_frac <= 0.5:
-            raise ConfigError("calib_frac must lie in (0, 0.5]")
-        if self.ece_bins < 1:
-            raise ConfigError("ece_bins must be >= 1")
-        if self.k_outer < 2 or self.k_inner < 2:
-            raise ConfigError("k_outer and k_inner must be >= 2")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        if not _is_real(self.calib_frac) or not 0.0 < self.calib_frac <= 0.5:
+            raise ConfigError("calib_frac must be a number in (0, 0.5]")
+        for name, low in (("ece_bins", 1), ("seed", 0), ("k_outer", 2), ("k_inner", 2),
+                          ("jobs", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.scale_binary_clinical, bool):
+            raise ConfigError("scale_binary_clinical must be true or false")
         if self.synthetic is not None:
+            if not isinstance(self.synthetic, dict):
+                raise ConfigError("synthetic must be an object of generator settings")
             unknown = set(self.synthetic) - _SYNTH_KEYS
             if unknown:
                 raise ConfigError(f"unknown synthetic config keys: {sorted(unknown)}")
-        for fam in self.grids:
+            self.synthetic_config()
+        if not isinstance(self.grids, dict):
+            raise ConfigError("grids must map a family to its candidate list")
+        for fam, grid in self.grids.items():
             if fam not in FAMILIES:
                 raise ConfigError(f"grid override for unknown family {fam!r}")
+            if not isinstance(grid, (list, tuple)) or not all(isinstance(c, dict) for c in grid):
+                raise ConfigError(f"grid for {fam} must be a list of parameter objects")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("the config must be a JSON object")
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**doc)
-        if isinstance(cfg.alphas, list):
-            cfg.alphas = tuple(float(a) for a in cfg.alphas)
         cfg.validate()
+        cfg.alphas = tuple(float(a) for a in cfg.alphas)
         return cfg
 
     def families(self) -> tuple:
@@ -95,7 +121,7 @@ class ExperimentConfig:
         doc.setdefault("seed", self.seed)
         try:
             return SyntheticConfig(**doc)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def run_config(self, family: str) -> RunConfig:

@@ -13,7 +13,6 @@ silence maps to a finite vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -161,57 +160,51 @@ def chroma(spectra: MagnitudeSpectra, n_bins: int = N_CHROMA) -> np.ndarray:
     return np.divide(energy, peak, out=np.zeros_like(energy), where=peak > 0)
 
 
-@dataclass(frozen=True)
-class SummaryFunctionals:
-    mean: float
-    std: float
-    skew: float
-    kurt: float
-    p10: float
-    p25: float
-    p50: float
-    p75: float
-    p90: float
+def summarize(trajectories) -> np.ndarray:
+    """Distributional summary of feature trajectories, one row per column.
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mean, self.std, self.skew, self.kurt,
-                         self.p10, self.p25, self.p50, self.p75, self.p90])
-
-
-def summarize(trajectory) -> SummaryFunctionals:
-    """Distributional summary of one feature trajectory.
-
-    std uses the L-1 denominator (0 when L = 1). Skewness is the
-    bias-corrected third moment ratio sqrt(L(L-1))/(L-2) * m3/m2^1.5 and
-    kurtosis is (L+1)L/((L-1)^3 (L-2)(L-3)) * sum((x-mu)^4)/s^4 minus the
+    Takes an (L, F) matrix of F trajectories of length L and returns (F, 9);
+    a 1-D (L,) trajectory gives (9,). The 9 functionals are, in order, mean,
+    std, skew, kurt, p10, p25, p50, p75, p90. std uses the L-1 denominator
+    (0 when L = 1). Skewness is the bias-corrected third moment ratio
+    sqrt(L(L-1))/(L-2) * m3/m2^1.5 and kurtosis is
+    (L+1)L/((L-1)^3 (L-2)(L-3)) * sum((x-mu)^4)/s^4 minus the
     3(L-1)^2/((L-2)(L-3)) correction, with s the L-1 standard deviation.
     Both are defined as 0 on constant or too-short trajectories (skew needs
     L >= 3, kurtosis L >= 4). Percentiles interpolate linearly between
     order statistics.
     """
-    x = np.asarray(trajectory, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("trajectory must be a nonempty 1-D sequence")
-    n = x.size
-    mu = float(x.mean())
-    dev = x - mu
-    std = float(np.sqrt(np.sum(dev ** 2) / (n - 1))) if n > 1 else 0.0
+    x = np.asarray(trajectories, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] == 0:
+        raise ValueError("trajectories must be a nonempty (L,) or (L, F) array")
+    if x.ndim == 1:
+        return summarize(x[:, None])[0]
+    n = x.shape[0]
+    # one contiguous row per trajectory, so every sum runs along a row in the
+    # same order as on a lone 1-D trajectory
+    rows = np.ascontiguousarray(x.T)
+    mu = rows.mean(axis=1)
+    dev = rows - mu[:, None]
+    ss = np.sum(dev ** 2, axis=1)
+    std = np.sqrt(ss / (n - 1)) if n > 1 else np.zeros_like(mu)
+    varying = std > 0
 
-    skew = 0.0
-    if n >= 3 and std > 0:
-        m2 = np.mean(dev ** 2)
-        m3 = np.mean(dev ** 3)
-        skew = float(np.sqrt(n * (n - 1)) / (n - 2) * m3 / m2 ** 1.5)
+    skew = np.zeros_like(mu)
+    if n >= 3:
+        m2, m3 = ss[varying] / n, np.mean(dev[varying] ** 3, axis=1)
+        # scalar powers go through libm; numpy's SIMD power can differ by an ulp
+        m2_15 = np.array([m ** 1.5 for m in m2.tolist()])
+        skew[varying] = np.sqrt(n * (n - 1)) / (n - 2) * m3 / m2_15
 
-    kurt = 0.0
-    if n >= 4 and std > 0:
+    kurt = np.zeros_like(mu)
+    if n >= 4:
         lead = (n + 1) * n / ((n - 1) ** 3 * (n - 2) * (n - 3))
-        kurt = float(lead * np.sum(dev ** 4) / std ** 4
-                     - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3)))
+        std4 = np.array([s ** 4 for s in std[varying].tolist()])
+        kurt[varying] = (lead * np.sum(dev[varying] ** 4, axis=1) / std4
+                         - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3)))
 
-    p10, p25, p50, p75, p90 = np.percentile(x, [10, 25, 50, 75, 90])
-    return SummaryFunctionals(mu, std, skew, kurt,
-                              float(p10), float(p25), float(p50), float(p75), float(p90))
+    pct = np.percentile(rows, [10, 25, 50, 75, 90], axis=1)
+    return np.column_stack([mu, std, skew, kurt, pct.T])
 
 
 def frame_features(spectra: MagnitudeSpectra) -> np.ndarray:
@@ -239,8 +232,6 @@ def extract(w: Waveform) -> np.ndarray:
                          f"got {w.sample_rate_hz} Hz (resample first)")
     padded = pad_to_duration(w)
     spectra = magnitude_spectrum(window_hamming(frame(padded)))
-    per_frame = frame_features(spectra)
-    vec = np.concatenate([summarize(per_frame[:, j]).as_array()
-                          for j in range(N_FRAME_FEATURES)])
+    vec = summarize(frame_features(spectra)).ravel()
     assert vec.shape == (VECTOR_LENGTH,)
     return vec

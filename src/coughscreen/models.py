@@ -145,7 +145,6 @@ class GBDTModel:
     base_score: float
     feature_dim: int
     seed: int = 0
-    eval_metric: str = "AUC"  # recorded metadata; no early stopping exists
 
 
 def _best_split(X, t, total, rows, feats):
@@ -364,7 +363,7 @@ def save_model(model, path, metadata: dict | None = None) -> None:
                    "subsample": model.subsample, "rsm": model.rsm,
                    "class_weights": model.class_weights,
                    "base_score": model.base_score, "feature_dim": model.feature_dim,
-                   "seed": model.seed, "eval_metric": model.eval_metric}
+                   "seed": model.seed}
     else:
         raise TypeError(f"cannot serialize {type(model)!r}")
     doc = {"format": _FORMAT, "version": _VERSION, "metadata": metadata or {},
@@ -389,5 +388,5 @@ def load_model(path):
                          l2_leaf_reg=m["l2_leaf_reg"], subsample=m["subsample"],
                          rsm=m["rsm"], class_weights=m["class_weights"],
                          base_score=m["base_score"], feature_dim=m["feature_dim"],
-                         seed=m.get("seed", 0), eval_metric=m.get("eval_metric", "AUC"))
+                         seed=m.get("seed", 0))
     raise ValueError(f"{path}: unknown family {m['family']!r}")

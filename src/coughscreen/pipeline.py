@@ -117,6 +117,21 @@ def _cougher_level(table, rows, probs):
     return ids, agg, labels
 
 
+def json_clean(obj):
+    """``obj`` with containers made JSON-native and NaN/inf floats made None."""
+    if isinstance(obj, dict):
+        return {str(k): json_clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_clean(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return json_clean(obj.tolist())
+    if isinstance(obj, np.generic):
+        return json_clean(obj.item())
+    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
+        return None
+    return obj
+
+
 @dataclass
 class FoldResult:
     fold: int
@@ -155,23 +170,8 @@ class FoldResult:
     audit: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and math.isnan(v):
-                return None
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, np.generic):
-                return v.item()
-            if isinstance(v, dict):
-                return {str(k): clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            return v
-
-        doc = {k: v for k, v in self.__dict__.items()}
-        doc["waveform"] = asdict(self.waveform)
-        doc["cougher"] = asdict(self.cougher)
-        return clean(doc)
+        return json_clean(dict(self.__dict__, waveform=asdict(self.waveform),
+                               cougher=asdict(self.cougher)))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FoldResult":
@@ -319,10 +319,7 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
         ev["qhat"] = conf.quantiles[float(alpha)]
         conf_out[float(alpha)] = ev
         sel_out[float(alpha)] = conformal.selective_metrics(point_preds, sets, cg_labels)
-        sets_out[float(alpha)] = {
-            "has_pos": np.array([1 in s.labels for s in sets]),
-            "has_neg": np.array([0 in s.labels for s in sets]),
-        }
+        sets_out[float(alpha)] = {"has_pos": sets[:, 1], "has_neg": sets[:, 0]}
 
     audit = {
         "boundaries_disjoint": True,

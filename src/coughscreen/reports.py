@@ -23,6 +23,7 @@ import numpy as np
 
 from . import calibration
 from .metrics import pr_curve, roc_curve
+from .pipeline import FoldResult, json_clean
 from .splits import NestedPlan, export_plan_csv
 
 CLASSIFICATION_METRICS = ["threshold", "roc_auc", "pr_auc", "uar", "sensitivity",
@@ -163,20 +164,6 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _json_clean(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _json_clean(obj.tolist())
-    if isinstance(obj, np.generic):
-        return _json_clean(obj.item())
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return None
-    return obj
-
-
 def fold_row_header(alphas) -> list:
     cols = ["family", "feature_mode", "fold", "best_params", "tau_w", "tau_s"]
     for tag in ("wf", "cg"):
@@ -282,7 +269,7 @@ def selective_table(report: RunReport, mode: str) -> list:
 def _block_json(block) -> dict:
     return {
         "folds": [r.to_dict() for r in block["folds"]],
-        "aggregates": _json_clean(block["aggregates"]),
+        "aggregates": json_clean(block["aggregates"]),
     }
 
 
@@ -296,7 +283,7 @@ def write_report(report: RunReport, outdir) -> list:
     written = []
 
     doc = {
-        "config": _json_clean(report.config),
+        "config": json_clean(report.config),
         "alphas": [float(a) for a in report.alphas],
         "blocks": {f"{fam}|{mode}": _block_json(block)
                    for (fam, mode), block in sorted(report.blocks.items())},
@@ -307,7 +294,7 @@ def write_report(report: RunReport, outdir) -> list:
 
     meta = {"environment": report.environment, "wall_clock_s": report.wall_clock_s}
     meta_path = os.path.join(outdir, "meta.json")
-    _atomic_write(meta_path, json.dumps(_json_clean(meta), indent=1, sort_keys=True) + "\n")
+    _atomic_write(meta_path, json.dumps(json_clean(meta), indent=1, sort_keys=True) + "\n")
 
     plan_path = os.path.join(outdir, "fold_plan.csv")
     export_plan_csv(report.plan, plan_path)
@@ -336,14 +323,21 @@ def write_report(report: RunReport, outdir) -> list:
     return written
 
 
-def _pooled_probs(folds, level: str, stage: str):
-    probs = np.concatenate([
-        (r.test_wf_raw if stage == "raw" else r.test_wf_cal) if level == "waveform"
-        else (r.test_cg_raw if stage == "raw" else r.test_cg_cal)
-        for r in folds])
-    labels = np.concatenate([r.test_wf_labels if level == "waveform" else r.test_cg_labels
-                             for r in folds])
-    return probs, labels
+def _test_probs(r, level: str, stage: str = "cal"):
+    """One fold's test (probabilities, labels) at a level, raw or isotonic-calibrated."""
+    tag = "wf" if level == "waveform" else "cg"
+    return getattr(r, f"test_{tag}_{stage}"), getattr(r, f"test_{tag}_labels")
+
+
+def _pooled_probs(folds, level: str, stage: str = "cal"):
+    pairs = [_test_probs(r, level, stage) for r in folds]
+    return np.concatenate([p for p, _ in pairs]), np.concatenate([y for _, y in pairs])
+
+
+def _curve_sources(folds, level: str) -> list:
+    """(fold number or "pooled", probs, labels): each fold's calibrated test set, then all."""
+    return ([(r.fold, *_test_probs(r, level)) for r in folds]
+            + [("pooled", *_pooled_probs(folds, level))])
 
 
 def _write_reliability(folds, fam, mode, outdir, n_bins) -> list:
@@ -365,18 +359,11 @@ def _write_reliability(folds, fam, mode, outdir, n_bins) -> list:
 def _write_curves(folds, fam, mode, outdir) -> str:
     rows = [["kind", "level", "fold", "x", "y"]]
     for level in LEVELS:
-        for r in folds:
-            probs = r.test_wf_cal if level == "waveform" else r.test_cg_cal
-            labels = r.test_wf_labels if level == "waveform" else r.test_cg_labels
+        for tag, probs, labels in _curve_sources(folds, level):
             for kind, fn in (("roc", roc_curve), ("pr", pr_curve)):
                 curve = fn(probs, labels)
-                for x, y in zip(curve.xs, curve.ys):
-                    rows.append([kind, level, r.fold, repr(float(x)), repr(float(y))])
-        probs, labels = _pooled_probs(folds, level, "cal")
-        for kind, fn in (("roc", roc_curve), ("pr", pr_curve)):
-            curve = fn(probs, labels)
-            for x, y in zip(curve.xs, curve.ys):
-                rows.append([kind, level, "pooled", repr(float(x)), repr(float(y))])
+                rows += [[kind, level, tag, repr(float(x)), repr(float(y))]
+                         for x, y in zip(curve.xs, curve.ys)]
     path = os.path.join(outdir, f"curves_{fam}_{mode}.csv")
     _atomic_write(path, _csv_text(rows))
     return path
@@ -384,8 +371,6 @@ def _write_curves(folds, fam, mode, outdir) -> str:
 
 def load_report(path) -> RunReport:
     """Rebuild a RunReport from report.json (fold plan not reconstructed)."""
-    from .pipeline import FoldResult
-
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     blocks = {}
@@ -465,6 +450,13 @@ def svg_line_plot(series, title: str, xlabel: str, ylabel: str,
     return "\n".join(out) + "\n"
 
 
+def _series(tag, xs, ys, fold_color: str, pooled_color: str) -> tuple:
+    """A thin line per fold and a thick one for the pooled test sets."""
+    if tag == "pooled":
+        return ("pooled", xs, ys, pooled_color, 2.5)
+    return (f"fold {tag}", xs, ys, fold_color, 1)
+
+
 def emit_plots(report: RunReport, outdir) -> list:
     """Per-fold plus pooled ROC, PR, and reliability diagrams, and coverage vs alpha."""
     os.makedirs(outdir, exist_ok=True)
@@ -473,36 +465,25 @@ def emit_plots(report: RunReport, outdir) -> list:
     for (fam, mode), block in sorted(report.blocks.items()):
         folds = block["folds"]
         for level in LEVELS:
+            sources = _curve_sources(folds, level)
             for kind, fn, xlab, ylab in (("roc", roc_curve, "false positive rate",
                                           "true positive rate"),
                                          ("pr", pr_curve, "recall", "precision")):
                 series = []
-                for r in folds:
-                    probs = r.test_wf_cal if level == "waveform" else r.test_cg_cal
-                    labels = r.test_wf_labels if level == "waveform" else r.test_cg_labels
+                for tag, probs, labels in sources:
                     curve = fn(probs, labels)
-                    series.append((f"fold {r.fold}", curve.xs, curve.ys, "#9ecae1", 1))
-                probs, labels = _pooled_probs(folds, level, "cal")
-                curve = fn(probs, labels)
-                series.append(("pooled", curve.xs, curve.ys, "#08519c", 2.5))
+                    series.append(_series(tag, curve.xs, curve.ys, "#9ecae1", "#08519c"))
                 path = os.path.join(outdir, f"{kind}_{fam}_{mode}_{level}.svg")
                 _atomic_write(path, svg_line_plot(
                     series, f"{kind.upper()} {fam} {mode} ({level})", xlab, ylab,
                     xlim=(0, 1), ylim=(0, 1)))
                 written.append(path)
             series = []
-            for r in folds:
-                probs = r.test_wf_cal if level == "waveform" else r.test_cg_cal
-                labels = r.test_wf_labels if level == "waveform" else r.test_cg_labels
-                bins = [(c, conf, acc) for c, conf, acc, n in
+            for tag, probs, labels in sources:
+                bins = [(conf, acc) for _, conf, acc, n in
                         calibration.reliability_bins(probs, labels, n_bins) if n > 0]
-                series.append((f"fold {r.fold}", [b[1] for b in bins],
-                               [b[2] for b in bins], "#a1d99b", 1))
-            probs, labels = _pooled_probs(folds, level, "cal")
-            bins = [(c, conf, acc) for c, conf, acc, n in
-                    calibration.reliability_bins(probs, labels, n_bins) if n > 0]
-            series.append(("pooled", [b[1] for b in bins], [b[2] for b in bins],
-                           "#006d2c", 2.5))
+                series.append(_series(tag, [b[0] for b in bins], [b[1] for b in bins],
+                                      "#a1d99b", "#006d2c"))
             series.append(("ideal", [0.0, 1.0], [0.0, 1.0], "#999999", 1))
             path = os.path.join(outdir, f"reliability_{fam}_{mode}_{level}.svg")
             _atomic_write(path, svg_line_plot(

@@ -16,6 +16,7 @@ bytes).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,12 @@ class SyntheticConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            integral = name in ("n_coughers", "coughs_min", "coughs_max", "seed")
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                raise TypeError(f"{name} must be {'an integer' if integral else 'a number'}, "
+                                f"got {value!r}")
         if self.n_coughers < 1:
             raise ValueError("n_coughers must be >= 1")
         if not 0.0 < self.prevalence < 1.0:

@@ -51,7 +51,7 @@ def test_c01_feature_fidelity():
         for _ in range(1000):
             n = int(rng.integers(4, 65))
             x = rng.standard_normal(n) * rng.uniform(0.1, 100)
-            got = features.summarize(x).as_array()
+            got = features.summarize(x)
             np.testing.assert_allclose(got, summarize_oracle(x),
                                        rtol=1e-10, atol=1e-10)
 
@@ -165,7 +165,7 @@ def test_c05_conformal_validity():
                 y = (rng.random(99 + 40) < 0.3).astype(int)
                 p = np.where(y == 1, rng.beta(4, 2, y.size), rng.beta(2, 4, y.size))
                 qhat = conformal.fit_quantile(p[:99], y[:99], alpha)
-                sets = [conformal.predict_set(pi, qhat, alpha) for pi in p[99:]]
+                sets = conformal.prediction_sets(p[99:], qhat)
                 out = conformal.evaluate_sets(sets, y[99:])
                 coverages.append(out["coverage"])
             margin = 3 * math.sqrt(alpha * (1 - alpha) / 500)
@@ -177,9 +177,8 @@ def test_c05_conformal_validity():
         assert all(a <= b for a, b in zip(qs, qs[1:]))
         probe = rng.uniform(0, 1, 50)
         for tight, loose in zip((0.2, 0.1, 0.05), (0.1, 0.05, 0.01)):
-            for s_t, s_l in zip(cal.prediction_sets(probe, tight),
-                                cal.prediction_sets(probe, loose)):
-                assert s_t.labels <= s_l.labels
+            assert np.all(cal.prediction_sets(probe, tight)
+                          <= cal.prediction_sets(probe, loose))
 
 
 def test_c06_leakage_audit(tmp_path):

@@ -81,6 +81,23 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps({"synthetic": {}, "bogus": 1}))
         assert run_cli(["run", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("override", [
+        {"calib_frac": "0.2"},
+        {"synthetic": {"n_coughers": "x"}},
+        {"alphas": 0.1},
+        {"alphas": ["x"]},
+        {"seed": "7"},
+        {"k_outer": 2.5},
+    ], ids=["calib_frac-str", "n_coughers-str", "alphas-scalar", "alphas-str", "seed-str",
+            "k_outer-float"])
+    def test_config_type_error_exit_2(self, tmp_path, capsys, override):
+        out = tmp_path / "exp"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(tiny_experiment_doc(out, **override)))
+        assert run_cli(["run", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_from_manifest_source(self, tmp_path):
         ds = tmp_path / "ds"
         assert run_cli(["synth", "--out", str(ds), "--coughers", "16",

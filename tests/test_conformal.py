@@ -59,23 +59,30 @@ class TestQuantile:
         assert all(qs[i] <= qs[i + 1] for i in range(len(qs) - 1))
 
 
+def label_set(p_pos, qhat):
+    """The labels of the prediction set of one probability."""
+    return {y for y in (0, 1) if conformal.prediction_sets(p_pos, qhat)[y]}
+
+
+def scalar_rule_sets(p_pos, qhat):
+    """Membership one probability at a time with Python floats: y in the set iff p_y >= 1 - qhat."""
+    return np.array([[1.0 - p >= 1.0 - qhat, p >= 1.0 - qhat] for p in map(float, p_pos)],
+                    dtype=bool).reshape(-1, 2)
+
+
 class TestPredictionSet:
     def test_confident_positive(self):
-        s = conformal.predict_set(0.95, 0.2)
-        assert s.labels == frozenset({1})
+        assert label_set(0.95, 0.2) == {1}
 
     def test_both_labels(self):
-        s = conformal.predict_set(0.5, 0.6)
-        assert s.labels == frozenset({0, 1})
+        assert label_set(0.5, 0.6) == {0, 1}
 
     def test_empty_set(self):
-        s = conformal.predict_set(0.5, 0.3)
-        assert s.labels == frozenset()
-        assert s.size == 0
+        assert label_set(0.5, 0.3) == set()
+        assert conformal.prediction_sets([0.5], 0.3).sum() == 0
 
     def test_boundary_inclusive(self):
-        s = conformal.predict_set(0.8, 0.2)
-        assert 1 in s.labels
+        assert 1 in label_set(0.8, 0.2)
 
     def test_nested_across_alpha(self):
         rng = np.random.default_rng(5)
@@ -86,15 +93,42 @@ class TestPredictionSet:
         strict = cal.prediction_sets(probe, 0.2)
         mid = cal.prediction_sets(probe, 0.1)
         loose = cal.prediction_sets(probe, 0.05)
-        for s, m, l in zip(strict, mid, loose):
-            assert s.labels <= m.labels <= l.labels
+        assert np.all(strict <= mid) and np.all(mid <= loose)
 
     def test_membership_reproducible(self):
         for p_pos in np.linspace(0, 1, 21):
             for qhat in np.linspace(0, 1, 21):
-                a = conformal.predict_set(p_pos, qhat)
-                b = conformal.predict_set(p_pos, qhat)
-                assert a.labels == b.labels
+                a = conformal.prediction_sets(p_pos, qhat)
+                b = conformal.prediction_sets(p_pos, qhat)
+                np.testing.assert_array_equal(a, b)
+
+    def test_matrix_matches_scalar_rule(self):
+        rng = np.random.default_rng(11)
+        p = np.concatenate([rng.uniform(0, 1, 200), np.linspace(0, 1, 21)])
+        for qhat in [*rng.uniform(0, 1, 20), *np.linspace(0, 1, 21)]:
+            got = conformal.prediction_sets(p, qhat)
+            assert got.shape == (p.size, 2) and got.dtype == bool
+            np.testing.assert_array_equal(got, scalar_rule_sets(p, qhat))
+
+    def test_boundary_qhat_one_and_empty_sets(self):
+        for qhat in (0.2, 0.05, 0.3, 0.5, 0.731):
+            p = np.array([1.0 - qhat, qhat])  # p_1 = 1 - qhat, then p_0 = 1 - qhat
+            got = conformal.prediction_sets(p, qhat)
+            np.testing.assert_array_equal(got, scalar_rule_sets(p, qhat))
+            assert got[0, 1] and got[1, 0]  # the boundary is inclusive
+        assert conformal.prediction_sets([0.0, 1e-12, 0.3, 0.5, 0.999, 1.0], 1.0).all()
+        empty = conformal.prediction_sets([0.3, 0.5, 0.6], 0.25)
+        np.testing.assert_array_equal(empty, np.zeros((3, 2), dtype=bool))
+        np.testing.assert_array_equal(empty, scalar_rule_sets([0.3, 0.5, 0.6], 0.25))
+
+    def test_calibrator_uses_its_alpha_quantile(self):
+        rng = np.random.default_rng(12)
+        cal = conformal.fit_conformal(rng.uniform(0, 1, 60), (rng.random(60) < 0.4).astype(int),
+                                      alphas=(0.1, 0.2))
+        probe = rng.uniform(0, 1, 30)
+        for alpha in (0.1, 0.2):
+            np.testing.assert_array_equal(cal.prediction_sets(probe, alpha),
+                                          scalar_rule_sets(probe, cal.quantiles[alpha]))
 
 
 class TestLevelGuard:
@@ -110,7 +144,7 @@ class TestLevelGuard:
 
 class TestEvaluateSets:
     def test_all_full_sets(self):
-        sets = [conformal.predict_set(0.5, 1.0) for _ in range(4)]
+        sets = conformal.prediction_sets(np.full(4, 0.5), 1.0)
         out = conformal.evaluate_sets(sets, [0, 1, 0, 1])
         assert out["coverage"] == 1.0
         assert out["mean_size"] == 2.0
@@ -118,7 +152,7 @@ class TestEvaluateSets:
         assert out["empty_rate"] == 0.0
 
     def test_empty_sets_count_as_misses(self):
-        sets = [conformal.predict_set(0.5, 0.1) for _ in range(3)]
+        sets = conformal.prediction_sets(np.full(3, 0.5), 0.1)
         out = conformal.evaluate_sets(sets, [1, 0, 1])
         assert out["coverage"] == 0.0
         assert out["empty_rate"] == 1.0
@@ -126,7 +160,7 @@ class TestEvaluateSets:
 
 class TestSelective:
     def test_all_singletons_all_correct(self):
-        sets = [conformal.predict_set(0.9, 0.2), conformal.predict_set(0.1, 0.2)]
+        sets = conformal.prediction_sets([0.9, 0.1], 0.2)
         out = conformal.selective_metrics([1, 0], sets, [1, 0])
         assert out["accuracy"] == 1.0
         assert out["accuracy_singleton"] == 1.0
@@ -134,13 +168,14 @@ class TestSelective:
         assert math.isnan(out["accuracy_ambiguous"])
 
     def test_no_singletons(self):
-        sets = [conformal.predict_set(0.5, 1.0) for _ in range(4)]
+        sets = conformal.prediction_sets(np.full(4, 0.5), 1.0)
         out = conformal.selective_metrics([1, 1, 0, 0], sets, [1, 0, 0, 1])
         assert math.isnan(out["accuracy_singleton"])
         assert out["p_singleton_given_correct"] == 0.0
 
     def test_pooling_counts(self):
-        sets = [conformal.predict_set(0.9, 0.2), conformal.predict_set(0.5, 1.0)]
+        sets = np.vstack([conformal.prediction_sets([0.9], 0.2),
+                          conformal.prediction_sets([0.5], 1.0)])
         out = conformal.selective_metrics([1, 1], sets, [1, 0])
         assert out["n_correct_singleton"] == 1
         assert out["n_correct_ambiguous"] == 0
@@ -160,7 +195,6 @@ class TestMarginalCoverage:
                 qhat = conformal.fit_quantile(p_cal, y_cal, alpha)
                 y_new = int(rng.random() < 30 / 99)
                 p_new = rng.beta(4, 2) if y_new else rng.beta(2, 4)
-                s = conformal.predict_set(p_new, qhat, alpha)
-                hits.append(int(y_new in s.labels))
+                hits.append(int(conformal.prediction_sets(p_new, qhat)[y_new]))
             margin = 3 * math.sqrt(alpha * (1 - alpha) / 500)
             assert abs(np.mean(hits) - (1 - alpha)) <= margin

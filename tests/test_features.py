@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coughscreen import dsp, features
+from coughscreen import dsp, features, synth
 
 
 def make_spectra(rows, sample_rate=16000, n_fft=2048):
@@ -214,25 +214,59 @@ def summarize_oracle(x):
     return [mu, std, skew, kurt] + pcts
 
 
+def reference_summarize(trajectory):
+    """The per-column functionals, one scalar at a time: the bit-level reference."""
+    x = np.asarray(trajectory, dtype=np.float64)
+    n = x.size
+    mu = float(x.mean())
+    dev = x - mu
+    std = float(np.sqrt(np.sum(dev ** 2) / (n - 1))) if n > 1 else 0.0
+    skew = 0.0
+    if n >= 3 and std > 0:
+        m2 = np.mean(dev ** 2)
+        m3 = np.mean(dev ** 3)
+        skew = float(np.sqrt(n * (n - 1)) / (n - 2) * m3 / m2 ** 1.5)
+    kurt = 0.0
+    if n >= 4 and std > 0:
+        lead = (n + 1) * n / ((n - 1) ** 3 * (n - 2) * (n - 3))
+        kurt = float(lead * np.sum(dev ** 4) / std ** 4
+                     - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3)))
+    p10, p25, p50, p75, p90 = np.percentile(x, [10, 25, 50, 75, 90])
+    return np.array([mu, std, skew, kurt, float(p10), float(p25), float(p50), float(p75),
+                     float(p90)])
+
+
+def reference_extract(w):
+    spectra = dsp.magnitude_spectrum(dsp.window_hamming(dsp.frame(dsp.pad_to_duration(w))))
+    per_frame = features.frame_features(spectra)
+    return np.concatenate([reference_summarize(per_frame[:, j])
+                           for j in range(features.N_FRAME_FEATURES)])
+
+
+def functionals(x):
+    """summarize of one trajectory, by functional name."""
+    return dict(zip(features.FUNCTIONAL_NAMES, features.summarize(x)))
+
+
 class TestSummarize:
     def test_constant_trajectory(self):
-        s = features.summarize([5.0, 5.0, 5.0, 5.0])
-        assert (s.mean, s.std, s.skew, s.kurt) == (5.0, 0.0, 0.0, 0.0)
-        assert (s.p10, s.p25, s.p50, s.p75, s.p90) == (5.0,) * 5
+        s = functionals([5.0, 5.0, 5.0, 5.0])
+        assert (s["mean"], s["std"], s["skew"], s["kurt"]) == (5.0, 0.0, 0.0, 0.0)
+        assert (s["p10"], s["p25"], s["p50"], s["p75"], s["p90"]) == (5.0,) * 5
 
     def test_symmetric_sequence(self):
-        s = features.summarize([1, 2, 3, 4, 5])
-        assert s.mean == pytest.approx(3.0)
-        assert s.std == pytest.approx(np.sqrt(2.5))
-        assert s.skew == pytest.approx(0.0, abs=1e-12)
-        assert s.p50 == pytest.approx(3.0)
+        s = functionals([1, 2, 3, 4, 5])
+        assert s["mean"] == pytest.approx(3.0)
+        assert s["std"] == pytest.approx(np.sqrt(2.5))
+        assert s["skew"] == pytest.approx(0.0, abs=1e-12)
+        assert s["p50"] == pytest.approx(3.0)
 
     def test_kurtosis_hand_evaluated(self):
         # direct substitution with L=5: lead = 30/384, sum dev^4 = 34, s^4 = 6.25
         lead = 30 / (4 ** 3 * 3 * 2)
         expected = lead * 34 / 6.25 - 3 * 16 / 6
         assert expected == pytest.approx(-7.575)
-        assert features.summarize([1, 2, 3, 4, 5]).kurt == pytest.approx(expected)
+        assert functionals([1, 2, 3, 4, 5])["kurt"] == pytest.approx(expected)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -243,23 +277,23 @@ class TestSummarize:
         for _ in range(1000):
             n = int(rng.integers(4, 65))
             x = rng.standard_normal(n) * rng.uniform(0.5, 10)
-            got = features.summarize(x).as_array()
+            got = features.summarize(x)
             np.testing.assert_allclose(got, summarize_oracle(x), rtol=1e-10, atol=1e-10)
 
     def test_short_trajectory_guards(self):
-        two = features.summarize([1.0, 3.0])
-        assert (two.skew, two.kurt) == (0.0, 0.0)
-        assert two.std == pytest.approx(np.sqrt(2.0))
-        three = features.summarize([1.0, 2.0, 4.0])
-        assert three.skew != 0.0
-        assert three.kurt == 0.0
+        two = functionals([1.0, 3.0])
+        assert (two["skew"], two["kurt"]) == (0.0, 0.0)
+        assert two["std"] == pytest.approx(np.sqrt(2.0))
+        three = functionals([1.0, 2.0, 4.0])
+        assert three["skew"] != 0.0
+        assert three["kurt"] == 0.0
 
     def test_percentile_monotonicity(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
             x = rng.standard_normal(int(rng.integers(1, 50)))
-            s = features.summarize(x)
-            assert s.p10 <= s.p25 <= s.p50 <= s.p75 <= s.p90
+            s = functionals(x)
+            assert s["p10"] <= s["p25"] <= s["p50"] <= s["p75"] <= s["p90"]
 
 
 class TestExtract:
@@ -286,10 +320,8 @@ class TestExtract:
         spectra = dsp.magnitude_spectrum(dsp.window_hamming(dsp.frame(w)))
         per_frame = features.frame_features(spectra)
         perm = rng.permutation(per_frame.shape[0])
-        direct = np.concatenate([features.summarize(per_frame[:, j]).as_array()
-                                 for j in range(29)])
-        shuffled = np.concatenate([features.summarize(per_frame[perm, j]).as_array()
-                                   for j in range(29)])
+        direct = features.summarize(per_frame).ravel()
+        shuffled = features.summarize(per_frame[perm]).ravel()
         np.testing.assert_allclose(direct, shuffled, rtol=1e-9, atol=1e-9)
 
     def test_wrong_sample_rate_rejected(self):
@@ -330,3 +362,19 @@ class TestExtract:
         assert features.spectral_bandwidth(make_spectra(single))[0] == pytest.approx(0.0)
         double = one_hot_row([10, 500], [1.0, 1.0])
         assert features.spectral_bandwidth(make_spectra(double))[0] > 0
+
+    def test_synthetic_recordings_bit_identical_to_per_column_reference(self):
+        cfg = synth.SyntheticConfig(n_coughers=4, prevalence=0.5, coughs_mean=3,
+                                    coughs_std=0.5, coughs_min=3, coughs_max=4, seed=3)
+        for c in synth.generate_synthetic(cfg):
+            for rec in c.recordings:
+                assert (features.extract(rec.waveform).tobytes()
+                        == reference_extract(rec.waveform).tobytes())
+
+    @pytest.mark.parametrize("n_samples", [8000, 4800, 16000, 8001])
+    @pytest.mark.parametrize("silent", [False, True])
+    def test_edge_clips_bit_identical_to_per_column_reference(self, n_samples, silent):
+        rng = np.random.default_rng(n_samples)
+        w = dsp.Waveform(np.zeros(n_samples) if silent
+                         else rng.uniform(-0.8, 0.8, n_samples), 16000)
+        assert features.extract(w).tobytes() == reference_extract(w).tobytes()
