@@ -64,7 +64,8 @@ _RANGES = {
 
 
 class ManifestError(ValueError):
-    """Raised for malformed manifests or inconsistent rows."""
+    """Raised for malformed manifests, inconsistent rows, or a cohort too small
+    for the fold plan."""
 
 
 @dataclass(frozen=True)

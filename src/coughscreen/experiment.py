@@ -12,11 +12,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy
 
-from . import __version__
-from .data import load_manifest
+from . import __version__, models
+from .data import ManifestError, load_manifest
 from .pipeline import (DEFAULT_ALPHAS, FAMILIES, FEATURE_MODES, RunConfig,
                        build_feature_table, run_nested)
 from .reports import RunReport, aggregate_folds, emit_plots, write_report
+from .splits import build_nested_plan
 from .synth import SyntheticConfig, generate_synthetic
 
 
@@ -30,6 +31,40 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _class_weight(v) -> bool:
+    return v is None or v == "balanced"
+
+
+# grid candidate key -> (check, what it must be); LR needs only C
+_GRID_RULES = {
+    "LR": {"C": (lambda v: _is_real(v) and v > 0, "a number > 0"),
+           "class_weight": (_class_weight, 'null or "balanced"'),
+           "solver": (lambda v: v in models.LR_SOLVERS, f"one of {models.LR_SOLVERS}")},
+    "GBDT": {"depth": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+             "iterations": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+             "learning_rate": (lambda v: _is_real(v) and v > 0, "a number > 0"),
+             "l2_leaf_reg": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+             "subsample": (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
+             "rsm": (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
+             "class_weights": (_class_weight, 'null or "balanced"')},
+}
+_GRID_REQUIRED = {"LR": {"C"}, "GBDT": set(_GRID_RULES["GBDT"])}
+
+
+def _check_candidate(family: str, cand: dict) -> None:
+    rules = _GRID_RULES[family]
+    unknown = set(cand) - set(rules)
+    missing = _GRID_REQUIRED[family] - set(cand)
+    if unknown:
+        raise ConfigError(f"{family} grid candidate {cand!r}: unknown keys {sorted(unknown)}")
+    if missing:
+        raise ConfigError(f"{family} grid candidate {cand!r}: missing keys {sorted(missing)}")
+    for key, value in cand.items():
+        check, want = rules[key]
+        if not check(value):
+            raise ConfigError(f"{family} grid candidate {cand!r}: {key} must be {want}")
 
 
 _SYNTH_KEYS = {"n_coughers", "prevalence", "coughs_mean", "coughs_std", "coughs_min",
@@ -96,6 +131,8 @@ class ExperimentConfig:
                 raise ConfigError(f"grid override for unknown family {fam!r}")
             if not isinstance(grid, (list, tuple)) or not all(isinstance(c, dict) for c in grid):
                 raise ConfigError(f"grid for {fam} must be a list of parameter objects")
+            for cand in grid:
+                _check_candidate(fam, cand)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -160,11 +197,21 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True,
     else:
         say("generating synthetic dataset")
         coughers = generate_synthetic(cfg.synthetic_config())
+    # the fold plan needs only cougher ids, labels and recording counts, so a
+    # cohort too small for the fold counts fails here, before any extraction
+    by_id = {c.id: c for c in coughers}
+    ids = sorted(by_id)
+    try:
+        plan = build_nested_plan(ids, [by_id[c].tb_label for c in ids],
+                                 [len(by_id[c].recordings) for c in ids],
+                                 cfg.k_outer, cfg.k_inner, cfg.calib_frac, cfg.seed)
+    except ValueError as exc:
+        raise ManifestError(f"the cohort of {len(ids)} coughers cannot fill the "
+                            f"{cfg.k_outer}x{cfg.k_inner} fold plan: {exc}") from exc
     say(f"extracting features for {sum(len(c.recordings) for c in coughers)} recordings")
     table = build_feature_table(coughers)
 
     blocks = {}
-    plan = None
     for family in cfg.families():
         run_cfg = cfg.run_config(family)
         for mode in cfg.feature_modes():

@@ -4,8 +4,11 @@ Logistic regression maximizes the penalized log-likelihood
 
     sum_i w_i [y_i log p_i + (1 - y_i) log(1 - p_i)] - ||theta_1..d||^2 / (2C)
 
-with the intercept unregularized, driven by a quasi-Newton (L-BFGS)
-optimizer with the objective and analytic gradient defined here.
+with the intercept unregularized. The fit drives SciPy's compiled L-BFGS-B
+routine (``setulb``; Zhu et al., 1997, ACM TOMS Algorithm 778) directly with
+the objective and analytic gradient defined here: the model has no bounds, so
+the loop skips the ``scipy.optimize.minimize`` wrapper and its function cache,
+with SciPy's own settings and stopping rules and therefore the same iterates.
 
 The booster builds an additive scorer F_t = F_{t-1} + eta * h_t where each
 h_t is a depth-limited regression tree least-squares fit to the negative
@@ -23,11 +26,17 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 from scipy.special import expit
 
 LR_MAX_ITER = 10000
 LR_GRAD_TOL = 1e-6
+# scipy.optimize.minimize's L-BFGS-B defaults: memory, line-search steps and
+# function evaluations; factr is its ftol (1e-15 here) in units of machine eps
+_LBFGS_MEMORY = 10
+_LBFGS_MAX_LS = 20
+_LBFGS_MAX_EVALS = 15000
+_LBFGS_FACTR = 1e-15 / np.finfo(float).eps
 
 LR_C_GRID = [1e-4, 5e-4, 1e-3, 1e-2, 5e-2, 1e-1]
 LR_SOLVERS = ["lbfgs"]
@@ -77,7 +86,6 @@ class LRModel:
     theta: np.ndarray  # intercept first, then d coefficients
     C: float
     class_weight: object
-    solver_tag: str = "lbfgs"
     converged: bool = True
     n_iter: int = 0
 
@@ -100,16 +108,43 @@ def lr_objective(theta, X, y, C, sample_weight):
 
 
 def fit_lr(X, y, C, class_weight=None, max_iter=LR_MAX_ITER, grad_tol=LR_GRAD_TOL) -> LRModel:
+    """Minimize ``lr_objective`` from theta = 0 by unbounded L-BFGS-B.
+
+    The routine asks for (f, g) at its current point (task 3) and reports each
+    new iterate (task 1); the loop stops it as ``minimize`` does, after
+    ``max_iter`` iterations (504) or more than 15,000 evaluations (502).
+    Task 4 means convergence: a projected gradient <= ``grad_tol`` or a
+    relative decrease of f <= 1e-15. Any other end (a cap, or an abnormal
+    line search, task 8) leaves ``converged`` False.
+    """
     if C <= 0:
         raise ValueError("C must be positive")
     X, y = _validate_xy(X, y)
     w = class_sample_weights(y, class_weight)
-    theta0 = np.zeros(X.shape[1] + 1)
-    res = minimize(lr_objective, theta0, args=(X, y, C, w), jac=True,
-                   method="L-BFGS-B",
-                   options={"maxiter": max_iter, "gtol": grad_tol, "ftol": 1e-15})
-    return LRModel(theta=res.x, C=C, class_weight=class_weight,
-                   converged=bool(res.success), n_iter=int(res.nit))
+    n, m = X.shape[1] + 1, _LBFGS_MEMORY
+    theta, f, g = np.zeros(n), np.array(0.0), np.zeros(n)
+    nbd, bound = np.zeros(n, np.int32), np.zeros(n)  # nbd 0: no bound on any variable
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    n_iter = n_eval = 0
+    while True:
+        _lbfgsb.setulb(m, theta, bound, bound, nbd, f, g, _LBFGS_FACTR, grad_tol, wa,
+                       iwa, task, lsave, isave, dsave, _LBFGS_MAX_LS, ln_task)
+        if task[0] == 3:
+            f, g = lr_objective(theta, X, y, C, w)
+            n_eval += 1
+        elif task[0] == 1:
+            n_iter += 1
+            if n_iter >= max_iter:
+                task[:] = 5, 504
+            elif n_eval > _LBFGS_MAX_EVALS:
+                task[:] = 5, 502
+        else:
+            break
+    return LRModel(theta=theta, C=C, class_weight=class_weight,
+                   converged=bool(task[0] == 4), n_iter=n_iter)
 
 
 def predict_proba_lr(model: LRModel, X) -> np.ndarray:
@@ -353,9 +388,8 @@ def _tree_from_dict(obj: dict) -> TreeNode:
 def save_model(model, path, metadata: dict | None = None) -> None:
     if isinstance(model, LRModel):
         payload = {"family": "LR", "theta": model.theta.tolist(), "C": model.C,
-                   "class_weight": model.class_weight, "solver_tag": model.solver_tag,
-                   "converged": model.converged, "n_iter": model.n_iter,
-                   "feature_dim": model.feature_dim}
+                   "class_weight": model.class_weight, "converged": model.converged,
+                   "n_iter": model.n_iter, "feature_dim": model.feature_dim}
     elif isinstance(model, GBDTModel):
         payload = {"family": "GBDT", "trees": [_tree_to_dict(t) for t in model.trees],
                    "eta": model.eta, "iterations": model.iterations,
@@ -380,8 +414,8 @@ def load_model(path):
     m = doc["model"]
     if m["family"] == "LR":
         return LRModel(theta=np.asarray(m["theta"]), C=m["C"],
-                       class_weight=m["class_weight"], solver_tag=m["solver_tag"],
-                       converged=m["converged"], n_iter=m["n_iter"])
+                       class_weight=m["class_weight"], converged=m["converged"],
+                       n_iter=m["n_iter"])
     if m["family"] == "GBDT":
         return GBDTModel(trees=[_tree_from_dict(t) for t in m["trees"]],
                          eta=m["eta"], iterations=m["iterations"], depth=m["depth"],

@@ -22,6 +22,7 @@ aborts the run with ``LeakageError``.
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -32,6 +33,8 @@ from . import calibration, conformal, metrics, models
 from .data import BINARY_CLINICAL_INDICES, N_AUDIO_FEATURES, apply_scaler, fit_scaler, fuse
 from .features import extract
 from .splits import LeakageError, NestedPlan, assert_cougher_disjoint, build_nested_plan, model_seed
+
+log = logging.getLogger(__name__)
 
 FAMILIES = ("LR", "GBDT")
 FEATURE_MODES = ("audio", "fused")
@@ -241,6 +244,13 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
     test_rows = _rows_for(table, test_c)
     seed_inner = model_seed(cfg.seed, fold_plan.fold, 0)
     seed_final = model_seed(cfg.seed, fold_plan.fold, 1)
+    unconverged = []  # C of each LR fit of this fold that stopped unconverged
+
+    def fit(params, X, y, seed):
+        model = models.fit_model(family, params, X, y, seed=seed)
+        if isinstance(model, models.LRModel) and not model.converged:
+            unconverged.append(model.C)
+        return model
 
     # Inner grid search. An inner fold's scaler does not depend on the
     # candidate, so each fold is scaled once and shared by every candidate.
@@ -264,8 +274,7 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
         X_train = apply_scaler(scaler, X_all[train_rows])
         X_val = apply_scaler(scaler, X_all[val_rows])
         for fit_params, members in groups:
-            model = models.fit_model(family, fit_params, X_train, y_all[train_rows],
-                                     seed=seed_inner)
+            model = fit(fit_params, X_train, y_all[train_rows], seed_inner)
             if family == "GBDT":
                 stages = [candidates[ci]["iterations"] for ci in members]
                 member_probs = models.staged_proba_gbdt(model, X_val, stages)
@@ -288,9 +297,12 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
 
     scaler_final = fit_scaler(X_all[tuning_rows], fitted_on=f"fold{fold_plan.fold}/tuning",
                               passthrough_cols=scaler_passthrough)
-    model_final = models.fit_model(family, best_params,
-                                   apply_scaler(scaler_final, X_all[tuning_rows]),
-                                   y_all[tuning_rows], seed=seed_final)
+    model_final = fit(best_params, apply_scaler(scaler_final, X_all[tuning_rows]),
+                      y_all[tuning_rows], seed_final)
+    if unconverged:
+        log.warning("outer fold %d (%s): %d of %d LR fits did not converge, at C = %s",
+                    fold_plan.fold, feature_mode, len(unconverged),
+                    len(groups) * fold_plan.inner.k + 1, ", ".join(map(repr, sorted(set(unconverged)))))
 
     # Calibration subset: thresholds and conformal quantiles.
     calib_raw = models.predict_model(model_final, apply_scaler(scaler_final, X_all[calib_rows]))

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import tiny_experiment_doc
+from conftest import TINY_GBDT_GRID, tiny_experiment_doc
 from coughscreen import cli
 from coughscreen.data import load_manifest
 from coughscreen.features import extract
@@ -88,14 +88,50 @@ class TestRunCommand:
         {"alphas": ["x"]},
         {"seed": "7"},
         {"k_outer": 2.5},
+        {"grids": {"LR": [{"class_weight": "balanced"}]}},
+        {"grids": {"LR": [{"C": 0}]}},
+        {"grids": {"LR": [{"C": "0.05"}]}},
+        {"grids": {"LR": [{"C": 0.05, "class_weight": "auto"}]}},
+        {"grids": {"LR": [{"C": 0.05, "solver": "newton"}]}},
+        {"grids": {"LR": [{"C": 0.05, "penalty": "l1"}]}},
+        {"grids": {"GBDT": [{k: v for k, v in TINY_GBDT_GRID[0].items() if k != "rsm"}]}},
+        {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], depth=2.5)]}},
+        {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], iterations=0)]}},
+        {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], learning_rate=0)]}},
+        {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], l2_leaf_reg=-1.0)]}},
+        {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], subsample=0)]}},
+        {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], rsm=1.5)]}},
+        {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], class_weights="auto")]}},
+        {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], eval_metric="AUC")]}},
     ], ids=["calib_frac-str", "n_coughers-str", "alphas-scalar", "alphas-str", "seed-str",
-            "k_outer-float"])
+            "k_outer-float", "lr-no-C", "lr-C-zero", "lr-C-str", "lr-class_weight",
+            "lr-solver", "lr-unknown-key", "gbdt-no-rsm", "gbdt-depth-float",
+            "gbdt-iterations-zero", "gbdt-learning_rate-zero", "gbdt-l2-negative",
+            "gbdt-subsample-zero", "gbdt-rsm-above-1", "gbdt-class_weights",
+            "gbdt-unknown-key"])
     def test_config_type_error_exit_2(self, tmp_path, capsys, override):
         out = tmp_path / "exp"
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(tiny_experiment_doc(out, **override)))
         assert run_cli(["run", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, reason", [
+        ({"synthetic": {"n_coughers": 12, "prevalence": 0.3, "coughs_mean": 4,
+                        "coughs_std": 1, "coughs_min": 3, "coughs_max": 6}},
+         "class 1 has only 2 coughers for k=4"),
+        ({"calib_frac": 0.01}, "absent from the calibration or tuning part"),
+        ({"k_inner": 9}, "class 1 has only 6 coughers for k=9"),
+    ], ids=["outer-folds", "calibration-carve-out", "inner-folds"])
+    def test_cohort_too_small_exit_3(self, tmp_path, capsys, override, reason):
+        out = tmp_path / "exp"
+        cfg_path = tmp_path / "small.json"
+        cfg_path.write_text(json.dumps(tiny_experiment_doc(out, **override)))
+        assert run_cli(["run", "--config", str(cfg_path)]) == 3
+        captured = capsys.readouterr()
+        assert "data error" in captured.err and reason in captured.err
+        assert "extracting features" not in captured.out
         assert not out.exists()
 
     def test_run_from_manifest_source(self, tmp_path):

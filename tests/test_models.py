@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from coughscreen import models
@@ -94,6 +97,56 @@ class TestLogisticRegression:
         m = models.LRModel(theta=np.zeros(4), C=1.0, class_weight=None)
         with pytest.raises(ValueError):
             models.predict_proba_lr(m, np.ones((2, 5)))
+
+
+def reference_fit_lr(X, y, C, class_weight=None, max_iter=models.LR_MAX_ITER):
+    """The ``scipy.optimize.minimize`` L-BFGS-B fit: the oracle for
+    ``models.fit_lr``. Returns (theta, n_iter, converged)."""
+    X, y = models._validate_xy(X, y)
+    w = models.class_sample_weights(y, class_weight)
+    res = minimize(models.lr_objective, np.zeros(X.shape[1] + 1), args=(X, y, C, w),
+                   jac=True, method="L-BFGS-B",
+                   options={"maxiter": max_iter, "gtol": models.LR_GRAD_TOL, "ftol": 1e-15})
+    return res.x, int(res.nit), bool(res.success)
+
+
+def lr_problem(seed, n, d, log10_scale=0.0):
+    """Features with column scales 10**U(-s, s) and labels that depend on them."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = (rng.random(n) < expit(X[:, 0] + 0.5 * X[:, 1] - 0.8)).astype(int)
+    y[:2] = 0, 1
+    return X * 10.0 ** rng.uniform(-log10_scale, log10_scale, size=d), y
+
+
+class TestLBFGSOracle:
+    """``fit_lr`` drives SciPy's L-BFGS-B routine itself: it must reproduce
+    ``minimize`` bit for bit, for every C in the grid and both class weights."""
+
+    @pytest.mark.parametrize("seed, n, d, log10_scale, max_iter", [
+        (0, 80, 6, 0.0, models.LR_MAX_ITER),
+        (1, 30, 60, 0.0, models.LR_MAX_ITER),
+        # columns scaled over 8 and 6 decades: some line searches take more
+        # than 10 steps, so a changed line-search limit shows
+        (0, 80, 6, 4.0, models.LR_MAX_ITER),
+        (1, 30, 60, 3.0, models.LR_MAX_ITER),
+        (2, 50, 10, 2.0, 1),
+        (3, 50, 10, 0.0, 3),
+    ], ids=["n>d", "n<d", "n>d-badly-scaled", "n<d-badly-scaled", "max_iter=1",
+            "max_iter=3"])
+    def test_matches_minimize(self, seed, n, d, log10_scale, max_iter):
+        X, y = lr_problem(seed, n, d, log10_scale)
+        for C in models.LR_C_GRID:
+            for cw in models.CLASS_WEIGHT_GRID:
+                theta, n_iter, converged = reference_fit_lr(X, y, C, cw, max_iter)
+                m = models.fit_lr(X, y, C, cw, max_iter=max_iter)
+                why = (f"fit_lr left minimize's iterates at C={C}, class_weight={cw}: "
+                       f"n_iter {m.n_iter} vs {n_iter}, converged {m.converged} vs "
+                       f"{converged}; SciPy's private setulb interface may have changed")
+                assert np.array_equal(m.theta, theta), why
+                assert (m.n_iter, m.converged) == (n_iter, converged), why
+                if max_iter < models.LR_MAX_ITER:
+                    assert m.converged is False and m.n_iter == max_iter, why
 
 
 def stump_oracle(x, residuals):
@@ -366,6 +419,18 @@ class TestSerialization:
         back = models.load_model(path)
         np.testing.assert_allclose(models.predict_proba_lr(back, X),
                                    models.predict_proba_lr(m, X), atol=1e-15)
+        assert (back.converged, back.n_iter) == (m.converged, m.n_iter)
+
+    def test_lr_file_with_solver_tag_loads(self, tmp_path):
+        # older LR files carry a "solver_tag" key, which is ignored
+        m = models.LRModel(theta=np.array([0.5, -1.0]), C=0.05, class_weight=None)
+        path = tmp_path / "lr.json"
+        models.save_model(m, path)
+        doc = json.loads(path.read_text())
+        assert "solver_tag" not in doc["model"]
+        doc["model"]["solver_tag"] = "lbfgs"
+        path.write_text(json.dumps(doc))
+        np.testing.assert_array_equal(models.load_model(path).theta, m.theta)
 
     def test_gbdt_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,24 @@ class TestStagedGridSearch:
         assert len(fitted) == 4 * (3 * 2 + 1)
         for f, r in enumerate(results):
             assert fitted[7 * f: 7 * f + 7] == [3, 2] * 3 + [r.best_params["iterations"]]
+
+
+class TestConvergenceWarning:
+    def test_one_warning_per_fold_with_unconverged_fits(self, table, monkeypatch, caplog):
+        fit_lr = pipeline.models.fit_lr
+
+        def capped_fit_lr(X, y, C, class_weight=None):
+            # the C = 0.01 fits stop after one iteration; the C = 0.05 fits converge
+            return fit_lr(X, y, C, class_weight, max_iter=1 if C == 0.01 else 10000)
+
+        monkeypatch.setattr(pipeline.models, "fit_lr", capped_fit_lr)
+        cfg = pipeline.RunConfig(seed=42, grid=LR_GRID, k_outer=4, k_inner=3, calib_frac=0.2)
+        with caplog.at_level(logging.WARNING, logger="coughscreen.pipeline"):
+            results, _ = pipeline.run_nested(table, "LR", "audio", cfg)
+        # per outer fold: 2 candidates x 3 inner folds, then the winner's final fit
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"outer fold {r.fold} (audio): {3 + (r.best_params['C'] == 0.01)} of 7 LR fits "
+            "did not converge, at C = 0.01" for r in results]
 
 
 class TestFoldResultSerialization:
