@@ -79,8 +79,9 @@ def brier(probs, labels) -> float:
 def ece(probs, labels, n_bins: int = DEFAULT_ECE_BINS) -> float:
     """Expected calibration error over equal-width probability bins.
 
-    Weighted absolute gap between mean confidence and empirical accuracy
-    per bin; empty bins contribute nothing.
+    Gap between mean confidence and empirical accuracy in each bin of
+    ``reliability_bins``, weighted by the bin's share of the samples;
+    empty bins contribute nothing.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
@@ -88,15 +89,11 @@ def ece(probs, labels, n_bins: int = DEFAULT_ECE_BINS) -> float:
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape or probs.size == 0:
         raise ValueError("probs and labels must be nonempty and aligned")
-    bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
     total = 0.0
-    for b in range(n_bins):
-        mask = bins == b
-        n_b = int(mask.sum())
-        if n_b == 0:
-            continue
-        total += n_b / probs.size * abs(labels[mask].mean() - probs[mask].mean())
-    return float(total)
+    for _, conf, acc, count in reliability_bins(probs, labels, n_bins):
+        if count:
+            total += count / probs.size * abs(acc - conf)
+    return total
 
 
 def youden_threshold(probs, labels):

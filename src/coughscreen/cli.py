@@ -21,7 +21,8 @@ import sys
 
 from .data import ManifestError, load_manifest
 from .experiment import ConfigError, ExperimentConfig, run_experiment
-from .features import VECTOR_COLUMN_NAMES, extract
+from .features import VECTOR_COLUMN_NAMES
+from .pipeline import build_feature_table
 from .reports import emit_plots, load_report
 from .splits import LeakageError, audit_plan_rows, load_plan_csv
 from .synth import SyntheticConfig, export_dataset, generate_synthetic
@@ -98,22 +99,19 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    coughers = load_manifest(args.manifest, args.audio_root)
+    table = build_feature_table(load_manifest(args.manifest, args.audio_root))
     header = ["recording_id", "cougher_id"] + VECTOR_COLUMN_NAMES
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for c in coughers:
-            for rec in c.recordings:
-                vec = extract(rec.waveform)
-                writer.writerow([rec.id, c.id] + [repr(v) for v in vec.tolist()])
+        for rid, cid, vec in zip(table.recording_ids, table.cougher_ids.tolist(), table.audio):
+            writer.writerow([rid, cid] + [repr(v) for v in vec.tolist()])
     finally:
         if args.out:
             out.close()
     if args.out:
-        print(f"wrote features for {sum(len(c.recordings) for c in coughers)} "
-              f"recordings to {args.out}")
+        print(f"wrote features for {len(table.recording_ids)} recordings to {args.out}")
     return EXIT_OK
 
 

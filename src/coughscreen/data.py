@@ -121,10 +121,6 @@ class CoughRecording:
     cougher_id: str
     waveform: dsp.Waveform
 
-    @property
-    def duration_s(self) -> float:
-        return self.waveform.duration_s
-
 
 @dataclass(frozen=True)
 class Cougher:

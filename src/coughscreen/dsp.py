@@ -1,9 +1,10 @@
 """Waveform ingestion and short-time spectral analysis.
 
 Turns a cough recording into overlapping Hamming-windowed frames and
-one-sided FFT magnitude spectra. The fixed operating point is 16 kHz
-audio, 32 ms windows with a 16 ms hop, and a 2048-point FFT; a 0.5 s
-recording analyzed with centered framing yields 32 frames.
+one-sided FFT magnitude spectra. The analysis geometry is fixed: 16 kHz
+audio, centered 512-sample (32 ms) frames with a 256-sample (16 ms) hop,
+and a 2048-point FFT, so a 0.5 s recording yields 32 frames of 1025
+magnitudes.
 
 All functions here are pure: they never mutate their inputs and are safe
 to call concurrently across recordings.
@@ -19,10 +20,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import resample_poly
 
 TARGET_SAMPLE_RATE_HZ = 16000
-WINDOW_MS = 32.0
-HOP_MS = 16.0
+WINDOW_SAMPLES = 512
+HOP_SAMPLES = 256
 N_FFT = 2048
 MIN_DURATION_S = 0.5
+
+# frequency of each of the N_FFT // 2 + 1 one-sided bins
+BIN_FREQS_HZ = np.arange(N_FFT // 2 + 1) * (TARGET_SAMPLE_RATE_HZ / N_FFT)
+# symmetric Hamming window 0.54 - 0.46 cos(2*pi*i/(W-1))
+HAMMING_TAPER = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(WINDOW_SAMPLES)
+                                     / (WINDOW_SAMPLES - 1))
+BIN_FREQS_HZ.setflags(write=False)
+HAMMING_TAPER.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -41,45 +50,6 @@ class Waveform:
             raise ValueError("waveform contains non-finite samples")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample rate must be positive")
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
-
-@dataclass
-class FrameMatrix:
-    """L x W frame stack; ``windowed`` records whether the taper was applied."""
-
-    frames: np.ndarray
-    hop_samples: int
-    windowed: bool
-    sample_rate_hz: int
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def window_samples(self) -> int:
-        return self.frames.shape[1]
-
-
-@dataclass
-class MagnitudeSpectra:
-    """One-sided FFT magnitudes, one row per frame."""
-
-    X: np.ndarray
-    bin_freqs: np.ndarray
-    n_fft: int
-
-    @property
-    def n_frames(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def sample_rate_hz(self) -> int:
-        return int(round(2 * self.bin_freqs[-1]))
 
 
 def read_wav(path) -> Waveform:
@@ -136,49 +106,19 @@ def pad_to_duration(w: Waveform, seconds: float = MIN_DURATION_S) -> Waveform:
     return Waveform(out, w.sample_rate_hz)
 
 
-def frame(w: Waveform, win_ms: float = WINDOW_MS, hop_ms: float = HOP_MS,
-          centered: bool = True) -> FrameMatrix:
-    """Slice a waveform into overlapping frames.
+def frame(samples: np.ndarray) -> np.ndarray:
+    """Slice a 16 kHz signal into centered frames: an (L, 512) read-only view.
 
-    With ``centered=True`` the signal is symmetrically zero-padded by half
-    a window so frame n is centered on sample n*hop, giving
-    L = 1 + floor(len/hop) frames. With ``centered=False`` only full
-    windows are taken: L = 1 + floor((len - W)/hop).
+    The signal is symmetrically zero-padded by half a window, so frame n is
+    centered on sample 256*n and L = 1 + len // 256.
     """
-    win = int(round(w.sample_rate_hz * win_ms / 1000.0))
-    hop = int(round(w.sample_rate_hz * hop_ms / 1000.0))
-    if not (win > hop > 0):
-        raise ValueError(f"need window > hop > 0, got window={win}, hop={hop} samples")
-    x = w.samples
-    if centered:
-        x = np.pad(x, win // 2)
-    elif x.size < win:
-        raise ValueError(f"signal of {x.size} samples is shorter than the {win}-sample window")
-    frames = sliding_window_view(x, win)[::hop].copy()
-    return FrameMatrix(frames, hop, windowed=False, sample_rate_hz=w.sample_rate_hz)
+    padded = np.pad(samples, WINDOW_SAMPLES // 2)
+    return sliding_window_view(padded, WINDOW_SAMPLES)[::HOP_SAMPLES]
 
 
-def hamming_taper(n: int) -> np.ndarray:
-    """Symmetric Hamming window 0.54 - 0.46 cos(2*pi*i/(n-1))."""
-    if n == 1:
-        return np.ones(1)
-    i = np.arange(n)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * i / (n - 1))
+def magnitude_spectrum(frames: np.ndarray) -> np.ndarray:
+    """(L, 1025) one-sided FFT magnitudes of the Hamming-tapered (L, 512) frames.
 
-
-def window_hamming(fm: FrameMatrix) -> FrameMatrix:
-    """Apply the Hamming taper to every frame. Double-windowing is an error."""
-    if fm.windowed:
-        raise ValueError("frames are already windowed")
-    taper = hamming_taper(fm.window_samples)
-    return FrameMatrix(fm.frames * taper, fm.hop_samples, windowed=True,
-                       sample_rate_hz=fm.sample_rate_hz)
-
-
-def magnitude_spectrum(fm: FrameMatrix, n_fft: int = N_FFT) -> MagnitudeSpectra:
-    """One-sided FFT magnitude per frame (frames zero-padded to ``n_fft``)."""
-    if fm.window_samples > n_fft:
-        raise ValueError(f"window of {fm.window_samples} samples exceeds n_fft={n_fft}")
-    X = np.abs(np.fft.rfft(fm.frames, n=n_fft, axis=1))
-    bin_freqs = np.arange(n_fft // 2 + 1) * (fm.sample_rate_hz / n_fft)
-    return MagnitudeSpectra(X, bin_freqs, n_fft)
+    Each tapered frame is zero-padded to 2048 points.
+    """
+    return np.abs(np.fft.rfft(frames * HAMMING_TAPER, n=N_FFT, axis=1))

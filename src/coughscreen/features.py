@@ -4,7 +4,9 @@ Each frame is described by 29 values: 4 spectral shape statistics
 (centroid, bandwidth, 85% roll-off, flatness), 13 MFCCs, and 12 chroma
 energies. Each of the 29 trajectories is then compressed into 9
 functionals (mean, std, skewness, kurtosis, and the 10/25/50/75/90th
-percentiles), producing a fixed 261-value vector per recording.
+percentiles), producing a fixed 261-value vector per recording. Every
+descriptor takes ``X``, the (L, 1025) magnitude spectra of
+``dsp.magnitude_spectrum``, and returns one value (or row) per frame.
 
 Conventions for degenerate frames (all-zero spectrum): centroid,
 bandwidth, roll-off, flatness, and chroma are all defined as 0 so that
@@ -13,20 +15,11 @@ silence maps to a finite vector.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from scipy.fft import dct
 
-from .dsp import (
-    MagnitudeSpectra,
-    TARGET_SAMPLE_RATE_HZ,
-    Waveform,
-    frame,
-    magnitude_spectrum,
-    pad_to_duration,
-    window_hamming,
-)
+from .dsp import (BIN_FREQS_HZ, TARGET_SAMPLE_RATE_HZ, Waveform, frame, magnitude_spectrum,
+                  pad_to_duration)
 
 N_MFCC = 13
 N_CHROMA = 12
@@ -52,39 +45,33 @@ N_FRAME_FEATURES = len(FRAME_FEATURE_NAMES)
 VECTOR_LENGTH = len(VECTOR_COLUMN_NAMES)
 
 
-def spectral_centroid(spectra: MagnitudeSpectra) -> np.ndarray:
+def spectral_centroid(X: np.ndarray) -> np.ndarray:
     """Magnitude-weighted mean frequency per frame; 0 for all-zero frames."""
-    total = spectra.X.sum(axis=1)
-    weighted = spectra.X @ spectra.bin_freqs
+    total = X.sum(axis=1)
+    weighted = X @ BIN_FREQS_HZ
     return np.divide(weighted, total, out=np.zeros_like(total), where=total > 0)
 
 
-def spectral_bandwidth(spectra: MagnitudeSpectra, p: int = BANDWIDTH_ORDER) -> np.ndarray:
-    """p-th order magnitude-weighted spread around the centroid (unnormalized)."""
-    centroid = spectral_centroid(spectra)
-    dev = np.abs(spectra.bin_freqs[None, :] - centroid[:, None]) ** p
-    return (spectra.X * dev).sum(axis=1) ** (1.0 / p)
+def spectral_bandwidth(X: np.ndarray) -> np.ndarray:
+    """Second-order magnitude-weighted spread around the centroid (unnormalized)."""
+    dev = np.abs(BIN_FREQS_HZ[None, :] - spectral_centroid(X)[:, None]) ** BANDWIDTH_ORDER
+    return (X * dev).sum(axis=1) ** (1.0 / BANDWIDTH_ORDER)
 
 
-def spectral_rolloff(spectra: MagnitudeSpectra,
-                     fraction: float = ROLLOFF_FRACTION) -> np.ndarray:
-    """Lowest bin frequency where cumulative energy reaches ``fraction`` of total."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("rolloff fraction must lie in (0, 1)")
-    energy = spectra.X ** 2
-    cum = np.cumsum(energy, axis=1)
-    threshold = fraction * cum[:, -1:]
-    idx = np.argmax(cum >= threshold, axis=1)
-    return spectra.bin_freqs[idx]
+def spectral_rolloff(X: np.ndarray) -> np.ndarray:
+    """Lowest bin frequency where cumulative energy reaches 85% of the total."""
+    cum = np.cumsum(X ** 2, axis=1)
+    idx = np.argmax(cum >= ROLLOFF_FRACTION * cum[:, -1:], axis=1)
+    return BIN_FREQS_HZ[idx]
 
 
-def spectral_flatness(spectra: MagnitudeSpectra) -> np.ndarray:
+def spectral_flatness(X: np.ndarray) -> np.ndarray:
     """Geometric over arithmetic mean of the floored power spectrum, in [0, 1].
 
     All-zero frames return 0 by convention (a silent frame is treated as
     maximally non-noise-like rather than flat).
     """
-    power = spectra.X ** 2
+    power = X ** 2
     nonzero = power.sum(axis=1) > 0
     floored = np.maximum(power, FLATNESS_FLOOR)
     gmean = np.exp(np.mean(np.log(floored), axis=1))
@@ -108,54 +95,50 @@ def _mel_to_hz(m):
     return np.where(log_region, 1000.0 * np.exp(np.log(6.4) * (m - 15.0) / 27.0), f)
 
 
-@lru_cache(maxsize=8)
-def mel_filterbank(sample_rate_hz: int, n_fft: int, n_filters: int = N_MEL_FILTERS,
-                   fmin_hz: float = MEL_FMIN_HZ, fmax_hz: float = MEL_FMAX_HZ) -> np.ndarray:
-    """Triangular unit-peak mel filters evaluated at the FFT bin frequencies.
+def _mel_filterbank() -> np.ndarray:
+    """(40, 1025) triangular unit-peak mel filters evaluated at the bin frequencies.
 
-    Returns an (n_filters, n_fft//2 + 1) weight matrix. Edge frequencies are
-    n_filters + 2 points equally spaced on the mel scale between fmin and fmax.
+    Edge frequencies are 42 points equally spaced on the mel scale between
+    0 and 8000 Hz; filter m rises from edge m to edge m+1 and falls to m+2.
     """
-    bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate_hz / n_fft)
-    mel_edges = np.linspace(_hz_to_mel(fmin_hz), _hz_to_mel(fmax_hz), n_filters + 2)
-    hz_edges = _mel_to_hz(mel_edges)
-    fb = np.zeros((n_filters, bin_freqs.size))
-    for m in range(n_filters):
-        lo, mid, hi = hz_edges[m], hz_edges[m + 1], hz_edges[m + 2]
-        rising = (bin_freqs - lo) / (mid - lo)
-        falling = (hi - bin_freqs) / (hi - mid)
-        fb[m] = np.maximum(0.0, np.minimum(rising, falling))
-    return fb
+    mel_edges = np.linspace(_hz_to_mel(MEL_FMIN_HZ), _hz_to_mel(MEL_FMAX_HZ), N_MEL_FILTERS + 2)
+    hz_edges = _mel_to_hz(mel_edges)[:, None]
+    lo, mid, hi = hz_edges[:-2], hz_edges[1:-1], hz_edges[2:]
+    rising = (BIN_FREQS_HZ - lo) / (mid - lo)
+    falling = (hi - BIN_FREQS_HZ) / (hi - mid)
+    return np.maximum(0.0, np.minimum(rising, falling))
 
 
-def mfcc(spectra: MagnitudeSpectra, n_mfcc: int = N_MFCC) -> np.ndarray:
-    """Mel-frequency cepstral coefficients per frame.
-
-    Power spectrum -> mel filterbank energies -> floored log -> orthonormal
-    DCT-II, keeping the first ``n_mfcc`` coefficients (DC included).
-    """
-    fb = mel_filterbank(spectra.sample_rate_hz, spectra.n_fft)
-    mel_energy = (spectra.X ** 2) @ fb.T
-    log_energy = np.log(np.maximum(mel_energy, LOG_FLOOR))
-    return dct(log_energy, type=2, norm="ortho", axis=1)[:, :n_mfcc]
-
-
-@lru_cache(maxsize=8)
-def _chroma_folding(sample_rate_hz: int, n_fft: int, n_bins: int) -> np.ndarray:
-    """(n_fft//2 + 1, n_bins) indicator matrix folding FFT bins into pitch classes."""
-    bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate_hz / n_fft)
-    fold = np.zeros((bin_freqs.size, n_bins))
-    audible = bin_freqs > CHROMA_MIN_HZ
-    semitones = np.rint(12.0 * np.log2(bin_freqs[audible] / CHROMA_REF_HZ)).astype(int)
-    classes = (semitones + 9) % n_bins  # A440 is pitch class 9 when C is 0
+def _chroma_fold() -> np.ndarray:
+    """(1025, 12) indicator matrix folding FFT bins into pitch classes."""
+    fold = np.zeros((BIN_FREQS_HZ.size, N_CHROMA))
+    audible = BIN_FREQS_HZ > CHROMA_MIN_HZ
+    semitones = np.rint(12.0 * np.log2(BIN_FREQS_HZ[audible] / CHROMA_REF_HZ)).astype(int)
+    classes = (semitones + 9) % N_CHROMA  # A440 is pitch class 9 when C is 0
     fold[np.flatnonzero(audible), classes] = 1.0
     return fold
 
 
-def chroma(spectra: MagnitudeSpectra, n_bins: int = N_CHROMA) -> np.ndarray:
-    """Pitch-class energy profile per frame, max-normalized to [0, 1]."""
-    fold = _chroma_folding(spectra.sample_rate_hz, spectra.n_fft, n_bins)
-    energy = (spectra.X ** 2) @ fold
+MEL_FILTERBANK = _mel_filterbank()
+CHROMA_FOLD = _chroma_fold()
+MEL_FILTERBANK.setflags(write=False)
+CHROMA_FOLD.setflags(write=False)
+
+
+def mfcc(X: np.ndarray) -> np.ndarray:
+    """13 mel-frequency cepstral coefficients per frame.
+
+    Power spectrum -> mel filterbank energies -> floored log -> orthonormal
+    DCT-II, keeping the first 13 coefficients (DC included).
+    """
+    mel_energy = (X ** 2) @ MEL_FILTERBANK.T
+    log_energy = np.log(np.maximum(mel_energy, LOG_FLOOR))
+    return dct(log_energy, type=2, norm="ortho", axis=1)[:, :N_MFCC]
+
+
+def chroma(X: np.ndarray) -> np.ndarray:
+    """12-class pitch energy profile per frame, max-normalized to [0, 1]."""
+    energy = (X ** 2) @ CHROMA_FOLD
     peak = energy.max(axis=1, keepdims=True)
     return np.divide(energy, peak, out=np.zeros_like(energy), where=peak > 0)
 
@@ -207,15 +190,11 @@ def summarize(trajectories) -> np.ndarray:
     return np.column_stack([mu, std, skew, kurt, pct.T])
 
 
-def frame_features(spectra: MagnitudeSpectra) -> np.ndarray:
-    """All 29 per-frame descriptors, columns in the documented order."""
-    cols = [
-        spectral_centroid(spectra),
-        spectral_bandwidth(spectra),
-        spectral_rolloff(spectra),
-        spectral_flatness(spectra),
-    ]
-    out = np.column_stack(cols + [mfcc(spectra), chroma(spectra)])
+def frame_features(X: np.ndarray) -> np.ndarray:
+    """All 29 per-frame descriptors of (L, 1025) spectra, columns in the documented order."""
+    cols = [spectral_centroid(X), spectral_bandwidth(X), spectral_rolloff(X),
+            spectral_flatness(X)]
+    out = np.column_stack(cols + [mfcc(X), chroma(X)])
     assert out.shape[1] == N_FRAME_FEATURES
     return out
 
@@ -230,8 +209,7 @@ def extract(w: Waveform) -> np.ndarray:
     if w.sample_rate_hz != TARGET_SAMPLE_RATE_HZ:
         raise ValueError(f"extract expects {TARGET_SAMPLE_RATE_HZ} Hz audio, "
                          f"got {w.sample_rate_hz} Hz (resample first)")
-    padded = pad_to_duration(w)
-    spectra = magnitude_spectrum(window_hamming(frame(padded)))
-    vec = summarize(frame_features(spectra)).ravel()
+    X = magnitude_spectrum(frame(pad_to_duration(w).samples))
+    vec = summarize(frame_features(X)).ravel()
     assert vec.shape == (VECTOR_LENGTH,)
     return vec

@@ -370,19 +370,17 @@ def _run_fold_star(args):
     return run_fold(*args)
 
 
-def run_nested(dataset, family: str, feature_mode: str, cfg: RunConfig,
+def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConfig,
                jobs: int = 1, plan: NestedPlan | None = None):
-    """Run the full nested protocol; returns (fold_results, plan).
+    """Run the full nested protocol on a feature table; returns (fold_results, plan).
 
-    ``dataset`` is either a list of coughers or an already-built
-    FeatureTable. Outer folds are independent and can fan out over a
-    process pool; numerical results do not depend on ``jobs``.
+    Outer folds are independent and can fan out over a process pool;
+    numerical results do not depend on ``jobs``.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if feature_mode not in FEATURE_MODES:
         raise ValueError(f"feature_mode must be one of {FEATURE_MODES}, got {feature_mode!r}")
-    table = dataset if isinstance(dataset, FeatureTable) else build_feature_table(dataset)
     if plan is None:
         ids = table.all_coughers
         plan = build_nested_plan(ids, [table.cougher_label[c] for c in ids],

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calibration
+from .conformal import evaluate_sets
 from .metrics import pr_curve, roc_curve
 from .pipeline import FoldResult, json_clean
 from .splits import NestedPlan, export_plan_csv
@@ -96,20 +97,11 @@ def aggregate_folds(fold_results, alphas) -> dict:
 
 
 def _pooled_conformal(fold_results, alpha: float) -> dict:
-    covered = sizes = n = 0
-    singletons = empties = 0
-    for r in fold_results:
-        labels = np.asarray(r.test_cg_labels)
-        has_pos = np.asarray(r.test_sets[alpha]["has_pos"])
-        has_neg = np.asarray(r.test_sets[alpha]["has_neg"])
-        covered += int(np.sum(np.where(labels == 1, has_pos, has_neg)))
-        size = has_pos.astype(int) + has_neg.astype(int)
-        sizes += int(size.sum())
-        singletons += int(np.sum(size == 1))
-        empties += int(np.sum(size == 0))
-        n += labels.size
-    return {"coverage": covered / n, "mean_size": sizes / n,
-            "singleton_rate": singletons / n, "empty_rate": empties / n, "n": n}
+    sets = np.concatenate([np.column_stack([r.test_sets[alpha]["has_neg"],
+                                            r.test_sets[alpha]["has_pos"]])
+                           for r in fold_results])
+    labels = np.concatenate([r.test_cg_labels for r in fold_results])
+    return {**evaluate_sets(sets, labels), "n": int(labels.size)}
 
 
 def _pooled_selective(fold_results, alpha: float) -> dict:

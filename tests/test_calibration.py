@@ -140,6 +140,27 @@ class TestEce:
     def test_prob_one_lands_in_last_bin(self):
         assert calibration.ece([1.0], [1]) == pytest.approx(0.0)
 
+    def test_equals_per_bin_loop_reference(self):
+        # the per-bin loop ECE was computed with before it read reliability_bins
+        def reference_ece(probs, labels, n_bins):
+            probs, labels = np.asarray(probs, float), np.asarray(labels, float)
+            bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
+            total = 0.0
+            for b in range(n_bins):
+                mask = bins == b
+                if mask.any():
+                    total += (int(mask.sum()) / probs.size
+                              * abs(labels[mask].mean() - probs[mask].mean()))
+            return float(total)
+
+        rng = np.random.default_rng(0)
+        for n_bins in (1, 3, 10, 15):
+            for n in (1, 2, 7, 50, 333):
+                probs = np.round(rng.uniform(0, 1, n), int(rng.integers(1, 4)))
+                labels = rng.integers(0, 2, n)
+                assert (calibration.ece(probs, labels, n_bins)
+                        == reference_ece(probs, labels, n_bins))
+
 
 def youden_scan_oracle(probs, labels):
     """Evaluate J over every threshold interval by brute force."""

@@ -116,6 +116,24 @@ class TestSelfConsistency:
                     mean_s = row[j].split(" ± ")[0]
                     assert float(mean_s) == pytest.approx(np.mean(vals), abs=5.1e-3)
 
+    def test_pooled_conformal_counts_every_test_cougher(self, tiny_run):
+        report, _ = tiny_run
+        for block in report.blocks.values():
+            for alpha, agg in block["aggregates"]["conformal"].items():
+                covered = sizes = singletons = empties = n = 0
+                for r in block["folds"]:
+                    s = r.test_sets[alpha]
+                    for y, pos, neg in zip(r.test_cg_labels, s["has_pos"], s["has_neg"]):
+                        covered += bool(pos if y == 1 else neg)
+                        size = int(bool(pos)) + int(bool(neg))
+                        sizes += size
+                        singletons += size == 1
+                        empties += size == 0
+                        n += 1
+                assert agg["pooled"] == {"coverage": covered / n, "mean_size": sizes / n,
+                                         "singleton_rate": singletons / n,
+                                         "empty_rate": empties / n, "n": n}
+
 
 class TestPlots:
     def test_svgs_well_formed(self, tiny_run, tmp_path):
