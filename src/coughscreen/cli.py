@@ -25,7 +25,7 @@ from .features import VECTOR_COLUMN_NAMES
 from .pipeline import build_feature_table
 from .reports import emit_plots, load_report
 from .splits import LeakageError, audit_plan_rows, load_plan_csv
-from .synth import SyntheticConfig, export_dataset, generate_synthetic
+from .synth import SyntheticConfig, cohort_shape, export_dataset, iter_synthetic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,10 +91,10 @@ def _cmd_synth(args) -> int:
                           signal_strength_audio=args.signal_audio,
                           signal_strength_clinical=args.signal_clinical,
                           seed=args.seed)
-    coughers = generate_synthetic(cfg)
-    manifest = export_dataset(coughers, args.out)
-    n_rec = sum(len(c.recordings) for c in coughers)
-    print(f"wrote {len(coughers)} coughers / {n_rec} recordings to {manifest}")
+    manifest = export_dataset(iter_synthetic(cfg), args.out)
+    shape = cohort_shape(cfg)
+    print(f"wrote {len(shape)} coughers / {sum(n for _, _, n in shape)} recordings "
+          f"to {manifest}")
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import wave
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -64,8 +65,8 @@ _RANGES = {
 
 
 class ManifestError(ValueError):
-    """Raised for malformed manifests, inconsistent rows, or a cohort too small
-    for the fold plan."""
+    """Raised for malformed manifests, inconsistent rows, undecodable audio, or a
+    cohort too small for the fold plan."""
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,30 @@ class ClinicalRecord:
 
 @dataclass(frozen=True)
 class CoughRecording:
+    """One cough: its waveform in memory, or the WAV file it is decoded from on use."""
+
     id: str
     cougher_id: str
-    waveform: dsp.Waveform
+    waveform: dsp.Waveform | None = None
+    wav_path: Path | None = None
+
+    def __post_init__(self):
+        if (self.waveform is None) == (self.wav_path is None):
+            raise ValueError(f"recording {self.id} needs exactly one of a waveform "
+                             f"and a WAV path")
+
+    def audio(self) -> dsp.Waveform:
+        """The waveform; a WAV file is decoded and resampled to 16 kHz on each call.
+
+        A file that is not a mono 16-bit PCM WAV with at least one sample, or
+        whose rate is below 16 kHz, raises ``ManifestError`` naming it.
+        """
+        if self.waveform is not None:
+            return self.waveform
+        try:
+            return dsp.resample(dsp.read_wav(self.wav_path), dsp.TARGET_SAMPLE_RATE_HZ)
+        except (wave.Error, EOFError, ValueError) as exc:
+            raise ManifestError(f"cannot decode audio file {self.wav_path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -161,13 +183,13 @@ def _parse_row(row: dict, line_no: int) -> dict:
 
 
 def load_manifest(manifest_path, audio_root=None) -> list:
-    """Assemble coughers from a manifest CSV, ingesting and validating audio.
+    """Assemble coughers from a manifest CSV, validating every row.
 
-    Every referenced WAV must exist and parse; audio is resampled to
-    16 kHz and tail-padded to 0.5 s at ingestion. Rows sharing a
-    cougher_id must agree on the label and clinical values. Coughers and
-    their recordings are returned sorted by id, so results never depend
-    on manifest row order.
+    Every referenced WAV must exist; it is decoded only when the recording's
+    audio is read (``CoughRecording.audio``), so loading holds no waveform.
+    Rows sharing a cougher_id must agree on the label and clinical values.
+    Coughers and their recordings are returned sorted by id, so results never
+    depend on manifest row order.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -206,9 +228,7 @@ def load_manifest(manifest_path, audio_root=None) -> list:
             wav_path = root / r["wav_path"]
             if not wav_path.exists():
                 raise ManifestError(f"audio file not found: {wav_path}")
-            w = dsp.pad_to_duration(dsp.resample(dsp.read_wav(wav_path),
-                                                 dsp.TARGET_SAMPLE_RATE_HZ))
-            recordings.append(CoughRecording(r["recording_id"], cid, w))
+            recordings.append(CoughRecording(r["recording_id"], cid, wav_path=wav_path))
         coughers.append(Cougher(cid, group[0]["tb_label"], group[0]["clinical"],
                                 tuple(recordings)))
     log.info("loaded %d coughers, %d recordings, %d TB+",

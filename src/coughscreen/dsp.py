@@ -12,18 +12,18 @@ to call concurrently across recordings.
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 TARGET_SAMPLE_RATE_HZ = 16000
 WINDOW_SAMPLES = 512
 HOP_SAMPLES = 256
 N_FFT = 2048
-MIN_DURATION_S = 0.5
 
 # frequency of each of the N_FFT // 2 + 1 one-sided bins
 BIN_FREQS_HZ = np.arange(N_FFT // 2 + 1) * (TARGET_SAMPLE_RATE_HZ / N_FFT)
@@ -79,11 +79,22 @@ def write_wav(path, w: Waveform) -> None:
         fh.writeframes(pcm.tobytes())
 
 
+@functools.lru_cache(maxsize=8)  # a few source rates per cohort; an odd rate's filter is large
+def _antialias_fir(max_rate: int) -> np.ndarray:
+    """The low-pass FIR that ``resample_poly`` designs for a reduced up/down pair
+    with max(up, down) = max_rate."""
+    h = firwin(2 * 10 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    h.setflags(write=False)
+    return h
+
+
 def resample(w: Waveform, target_hz: int) -> Waveform:
     """Band-limited polyphase resampling (anti-aliasing before decimation).
 
     Pass-through is bit-exact when ``target_hz`` equals the source rate.
     Upsampling is rejected: the pipeline only ever moves down to 16 kHz.
+    The output is byte-equal to ``resample_poly``'s default Kaiser design,
+    whose filter is cached per rate ratio.
     """
     if target_hz <= 0:
         raise ValueError("target rate must be positive")
@@ -92,33 +103,25 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
     if target_hz == w.sample_rate_hz:
         return w
     g = np.gcd(target_hz, w.sample_rate_hz)
-    out = resample_poly(w.samples, target_hz // g, w.sample_rate_hz // g)
+    up, down = target_hz // g, w.sample_rate_hz // g
+    out = resample_poly(w.samples, up, down, window=_antialias_fir(max(up, down)))
     return Waveform(out, target_hz)
 
 
-def pad_to_duration(w: Waveform, seconds: float = MIN_DURATION_S) -> Waveform:
-    """Zero-pad the tail so the signal lasts at least ``seconds``."""
-    need = int(round(seconds * w.sample_rate_hz))
-    if w.samples.size >= need:
-        return w
-    out = np.zeros(need, dtype=np.float64)
-    out[: w.samples.size] = w.samples
-    return Waveform(out, w.sample_rate_hz)
-
-
 def frame(samples: np.ndarray) -> np.ndarray:
-    """Slice a 16 kHz signal into centered frames: an (L, 512) read-only view.
+    """Slice 16 kHz signals into centered frames: (..., n) -> an (..., L, 512) read-only view.
 
-    The signal is symmetrically zero-padded by half a window, so frame n is
-    centered on sample 256*n and L = 1 + len // 256.
+    Each signal is symmetrically zero-padded by half a window, so frame l is
+    centered on sample 256*l and L = 1 + n // 256.
     """
-    padded = np.pad(samples, WINDOW_SAMPLES // 2)
-    return sliding_window_view(padded, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    half = WINDOW_SAMPLES // 2
+    padded = np.pad(samples, [(0, 0)] * (samples.ndim - 1) + [(half, half)])
+    return sliding_window_view(padded, WINDOW_SAMPLES, axis=-1)[..., ::HOP_SAMPLES, :]
 
 
 def magnitude_spectrum(frames: np.ndarray) -> np.ndarray:
-    """(L, 1025) one-sided FFT magnitudes of the Hamming-tapered (L, 512) frames.
+    """(..., L, 1025) one-sided FFT magnitudes of the Hamming-tapered (..., L, 512) frames.
 
     Each tapered frame is zero-padded to 2048 points.
     """
-    return np.abs(np.fft.rfft(frames * HAMMING_TAPER, n=N_FFT, axis=1))
+    return np.abs(np.fft.rfft(frames * HAMMING_TAPER, n=N_FFT, axis=-1))

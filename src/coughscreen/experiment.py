@@ -18,7 +18,7 @@ from .pipeline import (DEFAULT_ALPHAS, FAMILIES, FEATURE_MODES, RunConfig,
                        build_feature_table, run_nested)
 from .reports import RunReport, aggregate_folds, emit_plots, write_report
 from .splits import build_nested_plan
-from .synth import SyntheticConfig, generate_synthetic
+from .synth import SyntheticConfig, cohort_shape, iter_synthetic
 
 
 class ConfigError(ValueError):
@@ -194,21 +194,23 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True,
     if cfg.manifest is not None:
         say(f"loading manifest {cfg.manifest}")
         coughers = load_manifest(cfg.manifest, cfg.audio_root)
+        shape = [(c.id, c.tb_label, len(c.recordings)) for c in coughers]
     else:
         say("generating synthetic dataset")
-        coughers = generate_synthetic(cfg.synthetic_config())
+        synthetic = cfg.synthetic_config()
+        shape = cohort_shape(synthetic)
+        coughers = iter_synthetic(synthetic)
     # the fold plan needs only cougher ids, labels and recording counts, so a
-    # cohort too small for the fold counts fails here, before any extraction
-    by_id = {c.id: c for c in coughers}
-    ids = sorted(by_id)
+    # cohort too small for the fold counts fails here, before any audio is
+    # generated or decoded
+    ids, labels, counts = zip(*sorted(shape))
     try:
-        plan = build_nested_plan(ids, [by_id[c].tb_label for c in ids],
-                                 [len(by_id[c].recordings) for c in ids],
+        plan = build_nested_plan(list(ids), list(labels), list(counts),
                                  cfg.k_outer, cfg.k_inner, cfg.calib_frac, cfg.seed)
     except ValueError as exc:
         raise ManifestError(f"the cohort of {len(ids)} coughers cannot fill the "
                             f"{cfg.k_outer}x{cfg.k_inner} fold plan: {exc}") from exc
-    say(f"extracting features for {sum(len(c.recordings) for c in coughers)} recordings")
+    say(f"extracting features for {sum(counts)} recordings")
     table = build_feature_table(coughers)
 
     blocks = {}

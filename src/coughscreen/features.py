@@ -5,8 +5,11 @@ Each frame is described by 29 values: 4 spectral shape statistics
 energies. Each of the 29 trajectories is then compressed into 9
 functionals (mean, std, skewness, kurtosis, and the 10/25/50/75/90th
 percentiles), producing a fixed 261-value vector per recording. Every
-descriptor takes ``X``, the (L, 1025) magnitude spectra of
-``dsp.magnitude_spectrum``, and returns one value (or row) per frame.
+descriptor takes (..., L, 1025) spectra from ``dsp.magnitude_spectrum``,
+the magnitudes ``X`` or the power ``P = X ** 2``, and returns one value (or
+row) per frame. ``extract_batch`` analyses a stack of equal-length clips;
+``extract_all`` streams any number of recordings through it in batches of
+a bounded number of frames.
 
 Conventions for degenerate frames (all-zero spectrum): centroid,
 bandwidth, roll-off, flatness, and chroma are all defined as 0 so that
@@ -18,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import dct
 
-from .dsp import (BIN_FREQS_HZ, TARGET_SAMPLE_RATE_HZ, Waveform, frame, magnitude_spectrum,
-                  pad_to_duration)
+from .dsp import (BIN_FREQS_HZ, HOP_SAMPLES, TARGET_SAMPLE_RATE_HZ, Waveform, frame,
+                  magnitude_spectrum)
 
 N_MFCC = 13
 N_CHROMA = 12
@@ -32,6 +35,10 @@ FLATNESS_FLOOR = 1e-10
 LOG_FLOOR = 1e-10
 CHROMA_MIN_HZ = 27.5
 CHROMA_REF_HZ = 440.0  # reference A4; pitch class C has index 0
+MIN_SAMPLES = TARGET_SAMPLE_RATE_HZ // 2  # clips are tail-padded to 0.5 s
+# A batch of clips is extracted once it reaches this many frames (four 0.5 s
+# clips). It bounds the waveforms and the (N, L, 1025) spectra held at once.
+BATCH_FRAMES = 128
 
 FRAME_FEATURE_NAMES = (
     ["centroid", "bandwidth", "rolloff85", "flatness"]
@@ -47,35 +54,34 @@ VECTOR_LENGTH = len(VECTOR_COLUMN_NAMES)
 
 def spectral_centroid(X: np.ndarray) -> np.ndarray:
     """Magnitude-weighted mean frequency per frame; 0 for all-zero frames."""
-    total = X.sum(axis=1)
+    total = X.sum(axis=-1)
     weighted = X @ BIN_FREQS_HZ
     return np.divide(weighted, total, out=np.zeros_like(total), where=total > 0)
 
 
 def spectral_bandwidth(X: np.ndarray) -> np.ndarray:
     """Second-order magnitude-weighted spread around the centroid (unnormalized)."""
-    dev = np.abs(BIN_FREQS_HZ[None, :] - spectral_centroid(X)[:, None]) ** BANDWIDTH_ORDER
-    return (X * dev).sum(axis=1) ** (1.0 / BANDWIDTH_ORDER)
+    dev = np.abs(BIN_FREQS_HZ - spectral_centroid(X)[..., None]) ** BANDWIDTH_ORDER
+    return (X * dev).sum(axis=-1) ** (1.0 / BANDWIDTH_ORDER)
 
 
-def spectral_rolloff(X: np.ndarray) -> np.ndarray:
+def spectral_rolloff(P: np.ndarray) -> np.ndarray:
     """Lowest bin frequency where cumulative energy reaches 85% of the total."""
-    cum = np.cumsum(X ** 2, axis=1)
-    idx = np.argmax(cum >= ROLLOFF_FRACTION * cum[:, -1:], axis=1)
+    cum = np.cumsum(P, axis=-1)
+    idx = np.argmax(cum >= ROLLOFF_FRACTION * cum[..., -1:], axis=-1)
     return BIN_FREQS_HZ[idx]
 
 
-def spectral_flatness(X: np.ndarray) -> np.ndarray:
+def spectral_flatness(P: np.ndarray) -> np.ndarray:
     """Geometric over arithmetic mean of the floored power spectrum, in [0, 1].
 
     All-zero frames return 0 by convention (a silent frame is treated as
     maximally non-noise-like rather than flat).
     """
-    power = X ** 2
-    nonzero = power.sum(axis=1) > 0
-    floored = np.maximum(power, FLATNESS_FLOOR)
-    gmean = np.exp(np.mean(np.log(floored), axis=1))
-    amean = np.mean(floored, axis=1)
+    nonzero = P.sum(axis=-1) > 0
+    floored = np.maximum(P, FLATNESS_FLOOR)
+    gmean = np.exp(np.mean(np.log(floored), axis=-1))
+    amean = np.mean(floored, axis=-1)
     return np.where(nonzero, gmean / amean, 0.0)
 
 
@@ -125,32 +131,34 @@ MEL_FILTERBANK.setflags(write=False)
 CHROMA_FOLD.setflags(write=False)
 
 
-def mfcc(X: np.ndarray) -> np.ndarray:
+def mfcc(P: np.ndarray) -> np.ndarray:
     """13 mel-frequency cepstral coefficients per frame.
 
     Power spectrum -> mel filterbank energies -> floored log -> orthonormal
     DCT-II, keeping the first 13 coefficients (DC included).
     """
-    mel_energy = (X ** 2) @ MEL_FILTERBANK.T
+    # on (N, L, 1025) spectra matmul makes one (L, 1025) product per clip, so a
+    # clip's bytes do not depend on the batch it is in
+    mel_energy = P @ MEL_FILTERBANK.T
     log_energy = np.log(np.maximum(mel_energy, LOG_FLOOR))
-    return dct(log_energy, type=2, norm="ortho", axis=1)[:, :N_MFCC]
+    return dct(log_energy, type=2, norm="ortho", axis=-1)[..., :N_MFCC]
 
 
-def chroma(X: np.ndarray) -> np.ndarray:
+def chroma(P: np.ndarray) -> np.ndarray:
     """12-class pitch energy profile per frame, max-normalized to [0, 1]."""
-    energy = (X ** 2) @ CHROMA_FOLD
-    peak = energy.max(axis=1, keepdims=True)
+    energy = P @ CHROMA_FOLD
+    peak = energy.max(axis=-1, keepdims=True)
     return np.divide(energy, peak, out=np.zeros_like(energy), where=peak > 0)
 
 
 def summarize(trajectories) -> np.ndarray:
     """Distributional summary of feature trajectories, one row per column.
 
-    Takes an (L, F) matrix of F trajectories of length L and returns (F, 9);
-    a 1-D (L,) trajectory gives (9,). The 9 functionals are, in order, mean,
-    std, skew, kurt, p10, p25, p50, p75, p90. std uses the L-1 denominator
-    (0 when L = 1). Skewness is the bias-corrected third moment ratio
-    sqrt(L(L-1))/(L-2) * m3/m2^1.5 and kurtosis is
+    Takes (..., L, F) stacks of F trajectories of length L and returns
+    (..., F, 9); a 1-D (L,) trajectory gives (9,). The 9 functionals are, in
+    order, mean, std, skew, kurt, p10, p25, p50, p75, p90. std uses the L-1
+    denominator (0 when L = 1). Skewness is the bias-corrected third moment
+    ratio sqrt(L(L-1))/(L-2) * m3/m2^1.5 and kurtosis is
     (L+1)L/((L-1)^3 (L-2)(L-3)) * sum((x-mu)^4)/s^4 minus the
     3(L-1)^2/((L-2)(L-3)) correction, with s the L-1 standard deviation.
     Both are defined as 0 on constant or too-short trajectories (skew needs
@@ -158,23 +166,23 @@ def summarize(trajectories) -> np.ndarray:
     order statistics.
     """
     x = np.asarray(trajectories, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[0] == 0:
-        raise ValueError("trajectories must be a nonempty (L,) or (L, F) array")
     if x.ndim == 1:
         return summarize(x[:, None])[0]
-    n = x.shape[0]
+    if x.ndim == 0 or x.shape[-2] == 0:
+        raise ValueError("trajectories must be a nonempty (L,) or (..., L, F) array")
+    n = x.shape[-2]
     # one contiguous row per trajectory, so every sum runs along a row in the
     # same order as on a lone 1-D trajectory
-    rows = np.ascontiguousarray(x.T)
-    mu = rows.mean(axis=1)
-    dev = rows - mu[:, None]
-    ss = np.sum(dev ** 2, axis=1)
+    rows = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    mu = rows.mean(axis=-1)
+    dev = rows - mu[..., None]
+    ss = np.sum(dev ** 2, axis=-1)
     std = np.sqrt(ss / (n - 1)) if n > 1 else np.zeros_like(mu)
     varying = std > 0
 
     skew = np.zeros_like(mu)
     if n >= 3:
-        m2, m3 = ss[varying] / n, np.mean(dev[varying] ** 3, axis=1)
+        m2, m3 = ss[varying] / n, np.mean(dev[varying] ** 3, axis=-1)
         # scalar powers go through libm; numpy's SIMD power can differ by an ulp
         m2_15 = np.array([m ** 1.5 for m in m2.tolist()])
         skew[varying] = np.sqrt(n * (n - 1)) / (n - 2) * m3 / m2_15
@@ -183,33 +191,91 @@ def summarize(trajectories) -> np.ndarray:
     if n >= 4:
         lead = (n + 1) * n / ((n - 1) ** 3 * (n - 2) * (n - 3))
         std4 = np.array([s ** 4 for s in std[varying].tolist()])
-        kurt[varying] = (lead * np.sum(dev[varying] ** 4, axis=1) / std4
+        kurt[varying] = (lead * np.sum(dev[varying] ** 4, axis=-1) / std4
                          - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3)))
 
-    pct = np.percentile(rows, [10, 25, 50, 75, 90], axis=1)
-    return np.column_stack([mu, std, skew, kurt, pct.T])
+    pct = np.percentile(rows, [10, 25, 50, 75, 90], axis=-1)
+    return np.stack([mu, std, skew, kurt, *pct], axis=-1)
 
 
 def frame_features(X: np.ndarray) -> np.ndarray:
-    """All 29 per-frame descriptors of (L, 1025) spectra, columns in the documented order."""
-    cols = [spectral_centroid(X), spectral_bandwidth(X), spectral_rolloff(X),
-            spectral_flatness(X)]
-    out = np.column_stack(cols + [mfcc(X), chroma(X)])
-    assert out.shape[1] == N_FRAME_FEATURES
+    """All 29 per-frame descriptors of (..., L, 1025) magnitude spectra: (..., L, 29),
+    columns in the documented order."""
+    P = X ** 2
+    cols = [spectral_centroid(X), spectral_bandwidth(X), spectral_rolloff(P),
+            spectral_flatness(P)]
+    out = np.concatenate([np.stack(cols, axis=-1), mfcc(P), chroma(P)], axis=-1)
+    assert out.shape[-1] == N_FRAME_FEATURES
     return out
 
 
-def extract(w: Waveform) -> np.ndarray:
-    """Full 261-value feature vector for one 16 kHz recording.
+def _frame_count(n_samples: int) -> int:
+    """Frames ``extract_batch`` analyses in an n-sample clip, tail pad included."""
+    return 1 + max(n_samples, MIN_SAMPLES) // HOP_SAMPLES
 
-    Recordings shorter than 0.5 s are tail-padded with zeros first. The
-    layout is, for each of the 29 frame features in order, its 9
-    functionals in the order mean, std, skew, kurt, p10..p90.
+
+def extract_batch(samples) -> np.ndarray:
+    """Feature vectors of N equal-length 16 kHz clips: (N, n) samples -> (N, 261).
+
+    Clips shorter than 0.5 s are tail-padded with zeros first; this is the
+    one place the pipeline pads. Each row is byte-identical to the clip's
+    row in any other batch. The layout is, for each of the 29 frame features
+    in order, its 9 functionals in the order mean, std, skew, kurt, p10..p90.
     """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[1] == 0:
+        raise ValueError("extract_batch takes a nonempty (N, n) array of clips")
+    short = MIN_SAMPLES - samples.shape[1]
+    if short > 0:
+        samples = np.pad(samples, ((0, 0), (0, short)))
+    X = magnitude_spectrum(frame(samples))
+    return summarize(frame_features(X)).reshape(len(samples), VECTOR_LENGTH)
+
+
+def _samples_16k(w: Waveform) -> np.ndarray:
     if w.sample_rate_hz != TARGET_SAMPLE_RATE_HZ:
-        raise ValueError(f"extract expects {TARGET_SAMPLE_RATE_HZ} Hz audio, "
+        raise ValueError(f"extraction expects {TARGET_SAMPLE_RATE_HZ} Hz audio, "
                          f"got {w.sample_rate_hz} Hz (resample first)")
-    X = magnitude_spectrum(frame(pad_to_duration(w).samples))
-    vec = summarize(frame_features(X)).ravel()
-    assert vec.shape == (VECTOR_LENGTH,)
-    return vec
+    return w.samples
+
+
+def extract(w: Waveform) -> np.ndarray:
+    """Full 261-value feature vector for one 16 kHz recording (see ``extract_batch``)."""
+    return extract_batch(_samples_16k(w)[None, :])[0]
+
+
+def _extract_grouped(clips: list) -> np.ndarray:
+    """(len(clips), 261) rows of 1-D clips, one ``extract_batch`` call per frame count.
+
+    Clips with the same frame count are zero-extended to one length; the
+    extension only overwrites zeros that centered framing pads the tail with,
+    so no frame changes.
+    """
+    out = np.empty((len(clips), VECTOR_LENGTH))
+    groups: dict = {}
+    for i, s in enumerate(clips):
+        groups.setdefault(_frame_count(s.size), []).append(i)
+    for rows in groups.values():
+        block = np.zeros((len(rows), max(clips[i].size for i in rows)))
+        for r, i in enumerate(rows):
+            block[r, : clips[i].size] = clips[i]
+        out[rows] = extract_batch(block)
+    return out
+
+
+def extract_all(waveforms) -> np.ndarray:
+    """Feature vectors of an iterable of 16 kHz waveforms, (R, 261) in input order.
+
+    The waveforms are consumed in batches of about ``BATCH_FRAMES`` frames, so
+    at most one batch of them is held at a time however long the iterable is.
+    """
+    parts, batch, frames = [], [], 0
+    for w in waveforms:
+        batch.append(_samples_16k(w))
+        frames += _frame_count(batch[-1].size)
+        if frames >= BATCH_FRAMES:
+            parts.append(_extract_grouped(batch))
+            batch, frames = [], 0
+    if batch:
+        parts.append(_extract_grouped(batch))
+    return np.concatenate(parts) if parts else np.empty((0, VECTOR_LENGTH))

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import calibration, conformal, metrics, models
 from .data import BINARY_CLINICAL_INDICES, N_AUDIO_FEATURES, apply_scaler, fit_scaler, fuse
-from .features import extract
+from .features import extract_all
 from .splits import LeakageError, NestedPlan, assert_cougher_disjoint, build_nested_plan, model_seed
 
 log = logging.getLogger(__name__)
@@ -76,25 +76,33 @@ class FeatureTable:
 
 
 def build_feature_table(coughers) -> FeatureTable:
-    """Extract the 261-value audio vector and clinical encoding per recording."""
-    rec_ids, cids, labels, audio_rows, clinical_rows = [], [], [], [], []
-    cougher_label, rec_count = {}, {}
-    for c in sorted(coughers, key=lambda c: c.id):
-        cougher_label[c.id] = c.tb_label
-        rec_count[c.id] = len(c.recordings)
-        clin = c.clinical.to_vector()
-        for rec in sorted(c.recordings, key=lambda r: r.id):
-            rec_ids.append(rec.id)
-            cids.append(c.id)
-            labels.append(c.tb_label)
-            audio_rows.append(extract(rec.waveform))
-            clinical_rows.append(clin)
+    """Extract the 261-value audio vector and clinical encoding per recording.
+
+    ``coughers`` may be any iterable, a generator included. Recordings are
+    read and extracted in frame-bounded batches as they arrive
+    (``features.extract_all``), so no more than one batch of waveforms is
+    decoded at a time. Rows are ordered by cougher id, then recording id.
+    """
+    keys, clinical, cougher_label, rec_count = [], {}, {}, {}
+
+    def waveforms():
+        for c in coughers:
+            cougher_label[c.id] = c.tb_label
+            rec_count[c.id] = len(c.recordings)
+            clinical[c.id] = c.clinical.to_vector()
+            for rec in c.recordings:
+                keys.append((c.id, rec.id))
+                yield rec.audio()
+
+    audio = extract_all(waveforms())
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    cids = [keys[i][0] for i in order]
     return FeatureTable(
-        recording_ids=rec_ids,
+        recording_ids=[keys[i][1] for i in order],
         cougher_ids=np.asarray(cids),
-        labels=np.asarray(labels, dtype=int),
-        audio=np.vstack(audio_rows),
-        clinical=np.vstack(clinical_rows),
+        labels=np.asarray([cougher_label[c] for c in cids], dtype=int),
+        audio=audio[order],
+        clinical=np.vstack([clinical[c] for c in cids]),
         cougher_label=cougher_label,
         cougher_rec_count=rec_count,
     )

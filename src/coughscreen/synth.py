@@ -104,39 +104,63 @@ def _clinical(rng: np.random.Generator, label: int, s: float) -> ClinicalRecord:
     )
 
 
-def generate_synthetic(cfg: SyntheticConfig) -> list:
-    """Generate a synthetic cohort of coughers, deterministic under cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
+def _draw_shape(rng: np.random.Generator, cfg: SyntheticConfig) -> list:
+    """(cougher id, label, recording count) per cougher: the generator's first draws."""
     labels = (rng.random(cfg.n_coughers) < cfg.prevalence).astype(int)
     counts = np.clip(np.rint(rng.normal(cfg.coughs_mean, cfg.coughs_std, cfg.n_coughers)),
                      cfg.coughs_min, cfg.coughs_max).astype(int)
     width = len(str(cfg.n_coughers))
-    coughers = []
-    for i in range(cfg.n_coughers):
-        cid = f"c{i + 1:0{width}d}"
-        label = int(labels[i])
+    return [(f"c{i + 1:0{width}d}", int(labels[i]), int(counts[i]))
+            for i in range(cfg.n_coughers)]
+
+
+def cohort_shape(cfg: SyntheticConfig) -> list:
+    """(cougher id, label, recording count) of every cougher ``iter_synthetic`` yields,
+    in order, without generating any audio."""
+    return _draw_shape(np.random.default_rng(cfg.seed), cfg)
+
+
+def iter_synthetic(cfg: SyntheticConfig):
+    """Yield the synthetic cohort one cougher at a time, deterministic under cfg.seed.
+
+    Only the cougher being yielded holds waveforms, so a consumer that keeps
+    no cougher holds no more than one cougher's audio.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    for cid, label, count in _draw_shape(rng, cfg):
         cougher_tilt = rng.normal(0.0, 0.05)
         clinical = _clinical(rng, label, cfg.signal_strength_clinical)
         recordings = tuple(
             CoughRecording(f"{cid}_r{j + 1:02d}", cid,
                            _cough_audio(rng, label, cfg.signal_strength_audio, cougher_tilt))
-            for j in range(counts[i])
+            for j in range(count)
         )
-        coughers.append(Cougher(cid, label, clinical, recordings))
-    return coughers
+        yield Cougher(cid, label, clinical, recordings)
+
+
+def generate_synthetic(cfg: SyntheticConfig) -> list:
+    """Generate a synthetic cohort of coughers, deterministic under cfg.seed."""
+    return list(iter_synthetic(cfg))
 
 
 def export_dataset(coughers, outdir) -> Path:
-    """Write the cohort as WAV files plus a manifest; returns the manifest path."""
+    """Write the cohort as WAV files plus a manifest; returns the manifest path.
+
+    ``coughers`` may be a generator: each cougher's WAVs are written as it
+    arrives, and no cougher is kept.
+    """
     outdir = Path(outdir)
     audio_dir = outdir / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)
     wav_paths = {}
-    for c in coughers:
-        for rec in c.recordings:
-            rel = f"audio/{rec.id}.wav"
-            dsp.write_wav(outdir / rel, rec.waveform)
-            wav_paths[rec.id] = rel
+
+    def written():
+        for c in coughers:
+            for rec in c.recordings:
+                wav_paths[rec.id] = f"audio/{rec.id}.wav"
+                dsp.write_wav(outdir / wav_paths[rec.id], rec.audio())
+            yield c
+
     manifest = outdir / "manifest.csv"
-    write_manifest(coughers, manifest, wav_paths)
+    write_manifest(written(), manifest, wav_paths)
     return manifest

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import wave
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -31,7 +32,7 @@ class TestSynthAndFeatures:
         assert len(rows[0]) == 2 + 261
         assert len(rows) > 1
         # every cell is a plain float literal that reads back to the extracted value
-        waveforms = {rec.id: rec.waveform for c in load_manifest(ds / "manifest.csv")
+        waveforms = {rec.id: rec.audio() for c in load_manifest(ds / "manifest.csv")
                      for rec in c.recordings}
         assert sorted(r[0] for r in rows[1:]) == sorted(waveforms)
         for row in rows[1:]:
@@ -39,6 +40,48 @@ class TestSynthAndFeatures:
 
     def test_features_missing_manifest_exit_3(self, tmp_path):
         assert run_cli(["features", str(tmp_path / "nope.csv")]) == 3
+
+
+def write_malformed_wav(path, kind):
+    if kind == "not-riff":
+        path.write_bytes(b"not a RIFF file " * 64)
+        return
+    channels, width, frames, rate = {"stereo": (2, 2, 400, 16000),
+                                     "8-bit": (1, 1, 800, 16000),
+                                     "zero-frames": (1, 2, 0, 16000),
+                                     "8-khz": (1, 2, 800, 8000)}[kind]
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(channels)
+        fh.setsampwidth(width)
+        fh.setframerate(rate)
+        fh.writeframes(b"\x00" * (channels * width * frames))
+
+
+class TestMalformedAudio:
+    @pytest.mark.parametrize("command", ["features", "run"])
+    @pytest.mark.parametrize("kind", ["not-riff", "stereo", "8-bit", "zero-frames", "8-khz"])
+    def test_malformed_wav_exit_3_naming_the_file(self, tmp_path, capsys, command, kind):
+        ds = tmp_path / "ds"
+        assert run_cli(["synth", "--out", str(ds), "--coughers", "16",
+                        "--prevalence", "0.5", "--seed", "6",
+                        "--coughs-mean", "4", "--coughs-std", "1",
+                        "--coughs-min", "3", "--coughs-max", "5"]) == 0
+        bad = sorted((ds / "audio").glob("*.wav"))[5]
+        write_malformed_wav(bad, kind)
+        manifest = str(ds / "manifest.csv")
+        if command == "features":
+            args = ["features", manifest, "--out", str(tmp_path / "f.csv")]
+        else:
+            doc = tiny_experiment_doc(tmp_path / "exp", family="LR", feature_mode="audio",
+                                      k_outer=2, k_inner=2, calib_frac=0.25)
+            del doc["synthetic"]
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(doc))
+            args = ["run", "--config", str(cfg_path), "--manifest", manifest]
+        capsys.readouterr()
+        assert run_cli(args) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and bad.name in err
 
 
 class TestRunCommand:

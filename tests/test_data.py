@@ -73,7 +73,7 @@ class TestManifest:
         coughers = data.load_manifest(manifest)
         assert len(coughers) == 1
         assert len(coughers[0].recordings) == 2
-        assert coughers[0].recordings[0].waveform.sample_rate_hz == 16000
+        assert coughers[0].recordings[0].audio().sample_rate_hz == 16000
 
     def test_label_conflict_rejected(self, tmp_path):
         manifest = write_tiny_manifest(tmp_path, [("r1", "c1", 1), ("r2", "c1", 0)])
@@ -101,6 +101,12 @@ class TestManifest:
         with pytest.raises(data.ManifestError, match="missing columns"):
             data.load_manifest(manifest)
 
+    def test_recording_needs_waveform_or_path(self, tmp_path):
+        with pytest.raises(ValueError, match="exactly one"):
+            data.CoughRecording("r1", "c1")
+        with pytest.raises(ValueError, match="exactly one"):
+            data.CoughRecording("r1", "c1", dsp.Waveform(np.ones(8), 16000), tmp_path / "r1.wav")
+
     def test_multichannel_audio_rejected(self, tmp_path):
         import wave
 
@@ -111,8 +117,9 @@ class TestManifest:
             fh.setsampwidth(2)
             fh.setframerate(16000)
             fh.writeframes(b"\x00\x00" * 400)
-        with pytest.raises(ValueError, match="mono"):
-            data.load_manifest(manifest)
+        recording = data.load_manifest(manifest)[0].recordings[0]
+        with pytest.raises(data.ManifestError, match="mono"):
+            recording.audio()
 
 
 class TestScaler:
@@ -203,6 +210,12 @@ class TestSyntheticGenerator:
         assert any(not np.array_equal(ra.waveform.samples, rb.waveform.samples)
                    for ca, cb in zip(a, b) for ra, rb in zip(ca.recordings, cb.recordings))
 
+    def test_cohort_shape_matches_generated_cohort(self):
+        cfg = synth.SyntheticConfig(n_coughers=12, coughs_mean=4, coughs_std=2,
+                                    coughs_min=3, coughs_max=8, seed=4)
+        assert synth.cohort_shape(cfg) == [(c.id, c.tb_label, len(c.recordings))
+                                           for c in synth.iter_synthetic(cfg)]
+
     def test_infeasible_config_rejected(self):
         with pytest.raises(ValueError):
             synth.SyntheticConfig(coughs_min=10, coughs_max=5)
@@ -224,7 +237,7 @@ class TestSyntheticGenerator:
         assert [c.id for c in loaded] == [c.id for c in coughers]
         assert [c.tb_label for c in loaded] == [c.tb_label for c in coughers]
         orig = coughers[0].recordings[0].waveform.samples
-        back = loaded[0].recordings[0].waveform.samples
+        back = loaded[0].recordings[0].audio().samples
         assert np.abs(orig - back).max() < 1.0 / 32768  # PCM16 quantization only
 
     def test_zero_signal_null_auc(self):

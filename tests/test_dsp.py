@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
 from coughscreen import dsp
 
@@ -59,6 +60,15 @@ class TestResample:
         w = dsp.Waveform(np.random.default_rng(1).standard_normal(777), 16000)
         y = dsp.resample(w, 16000)
         assert y is w
+
+    @pytest.mark.parametrize("rate", [22050, 32000, 44100, 48000])
+    def test_cached_filter_matches_plain_resample_poly(self, rate):
+        x = np.random.default_rng(rate).uniform(-0.9, 0.9, rate // 2)
+        g = np.gcd(16000, rate)
+        expected = resample_poly(x, 16000 // g, rate // g)
+        for _ in range(2):  # the second call reuses the cached filter
+            np.testing.assert_array_equal(dsp.resample(dsp.Waveform(x, rate), 16000).samples,
+                                          expected)
 
     def test_upsampling_rejected(self):
         w = dsp.Waveform(np.ones(100), 16000)

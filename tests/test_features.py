@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,7 +62,7 @@ class TestSpectralShape:
 
     def test_rolloff_single_bin(self):
         spectra = make_spectra(one_hot_row(300))
-        assert features.spectral_rolloff(spectra)[0] == pytest.approx(BIN_FREQS[300])
+        assert features.spectral_rolloff(spectra ** 2)[0] == pytest.approx(BIN_FREQS[300])
 
     def test_rolloff_flat_100_bins_cumulative_oracle(self):
         row = np.zeros(1025)
@@ -67,13 +73,13 @@ class TestSpectralShape:
         cum = np.cumsum(energy)
         idx = int(np.argmax(cum >= 0.85 * cum[-1]))
         assert idx == 84  # the 85th bin, 1-indexed
-        assert features.spectral_rolloff(spectra)[0] == pytest.approx(BIN_FREQS[idx])
+        assert features.spectral_rolloff(spectra ** 2)[0] == pytest.approx(BIN_FREQS[idx])
 
     def test_rolloff_zero_frame(self):
-        assert features.spectral_rolloff(make_spectra(np.zeros(1025)))[0] == 0.0
+        assert features.spectral_rolloff(make_spectra(np.zeros(1025)) ** 2)[0] == 0.0
 
     def test_flatness_flat_spectrum(self):
-        assert features.spectral_flatness(make_spectra(np.ones(1025)))[0] == \
+        assert features.spectral_flatness(make_spectra(np.ones(1025)) ** 2)[0] == \
             pytest.approx(1.0)
 
     def test_flatness_single_line_closed_form(self):
@@ -83,18 +89,18 @@ class TestSpectralShape:
         gm = np.exp((np.log(1.0) + (n - 1) * np.log(floor)) / n)
         am = (1.0 + (n - 1) * floor) / n
         expected = gm / am
-        got = features.spectral_flatness(spectra)[0]
+        got = features.spectral_flatness(spectra ** 2)[0]
         assert got == pytest.approx(expected, rel=1e-10)
         assert got < 1e-5
 
     def test_flatness_in_unit_interval(self):
         rng = np.random.default_rng(1)
         spectra = make_spectra(rng.uniform(0, 2, (50, 1025)))
-        f = features.spectral_flatness(spectra)
+        f = features.spectral_flatness(spectra ** 2)
         assert np.all(f >= 0.0) and np.all(f <= 1.0 + 1e-12)
 
     def test_flatness_zero_frame(self):
-        assert features.spectral_flatness(make_spectra(np.zeros(1025)))[0] == 0.0
+        assert features.spectral_flatness(make_spectra(np.zeros(1025)) ** 2)[0] == 0.0
 
 
 def mfcc_oracle(mag_row, sample_rate=16000, n_fft=2048, n_filters=40, n_mfcc=13):
@@ -135,15 +141,15 @@ def mfcc_oracle(mag_row, sample_rate=16000, n_fft=2048, n_filters=40, n_mfcc=13)
 class TestMfcc:
     def test_silence_dct_of_constant(self):
         spectra = make_spectra(np.zeros(1025))
-        out = features.mfcc(spectra)[0]
+        out = features.mfcc(spectra ** 2)[0]
         assert out[0] == pytest.approx(np.sqrt(40) * np.log(1e-10))
         np.testing.assert_allclose(out[1:], 0.0, atol=1e-9)
 
     def test_amplitude_doubling_shifts_dc_only(self):
         rng = np.random.default_rng(2)
         row = rng.uniform(0.1, 1.0, 1025)
-        base = features.mfcc(make_spectra(row))[0]
-        doubled = features.mfcc(make_spectra(2.0 * row))[0]
+        base = features.mfcc(make_spectra(row) ** 2)[0]
+        doubled = features.mfcc(make_spectra(2.0 * row) ** 2)[0]
         assert doubled[0] - base[0] == pytest.approx(np.sqrt(1 / 40) * 40 * np.log(4.0))
         np.testing.assert_allclose(doubled[1:], base[1:], atol=1e-9)
 
@@ -151,7 +157,7 @@ class TestMfcc:
         rng = np.random.default_rng(3)
         t = rng.standard_normal(512)
         spectra = dsp.magnitude_spectrum(t[None, :])
-        got = features.mfcc(spectra)[0]
+        got = features.mfcc(spectra ** 2)[0]
         expected = mfcc_oracle(spectra[0])
         np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-8)
 
@@ -159,19 +165,19 @@ class TestMfcc:
 class TestChroma:
     def test_single_line_at_a440(self):
         # nearest bin to 440 Hz is 56 (437.5 Hz)
-        out = features.chroma(make_spectra(one_hot_row(56)))[0]
+        out = features.chroma(make_spectra(one_hot_row(56)) ** 2)[0]
         assert out[9] == pytest.approx(1.0)
         assert out.sum() == pytest.approx(1.0)
 
     def test_octave_equivalence(self):
-        out = features.chroma(make_spectra(one_hot_row([56, 113], [1.0, 1.0])))[0]
+        out = features.chroma(make_spectra(one_hot_row([56, 113], [1.0, 1.0])) ** 2)[0]
         assert out[9] == pytest.approx(1.0)
         assert np.count_nonzero(out) == 1
 
     def test_two_pitch_classes_bin_assignment_oracle(self):
         # 437.5 Hz -> class A, 523.4 Hz (bin 67) -> class C; equal energies
         bins = [56, 67]
-        out = features.chroma(make_spectra(one_hot_row(bins, [1.0, 1.0])))[0]
+        out = features.chroma(make_spectra(one_hot_row(bins, [1.0, 1.0])) ** 2)[0]
         # oracle: fold each bin individually
         freqs = np.array(bins) * 16000 / 2048
         classes = (np.rint(12 * np.log2(freqs / 440.0)).astype(int) + 9) % 12
@@ -182,7 +188,7 @@ class TestChroma:
 
     def test_zero_frame_all_zero(self):
         np.testing.assert_array_equal(
-            features.chroma(make_spectra(np.zeros(1025)))[0], 0.0)
+            features.chroma(make_spectra(np.zeros(1025)) ** 2)[0], 0.0)
 
 
 def summarize_oracle(x):
@@ -351,8 +357,8 @@ class TestExtract:
         rng = np.random.default_rng(11)
         w = dsp.Waveform(rng.uniform(-0.8, 0.8, 8000), 16000)
         spectra = dsp.magnitude_spectrum(dsp.frame(w.samples))
-        flat = features.spectral_flatness(spectra)
-        roll = features.spectral_rolloff(spectra)
+        flat = features.spectral_flatness(spectra ** 2)
+        roll = features.spectral_rolloff(spectra ** 2)
         band = features.spectral_bandwidth(spectra)
         assert np.all((flat >= 0) & (flat <= 1 + 1e-12))
         assert np.all(roll <= 8000.0)
@@ -380,3 +386,60 @@ class TestExtract:
         w = dsp.Waveform(np.zeros(n_samples) if silent
                          else rng.uniform(-0.8, 0.8, n_samples), 16000)
         assert features.extract(w).tobytes() == reference_extract(w).tobytes()
+
+
+def edge_clips(seed):
+    """Silence and noise clips of 0.3 s, 0.5 s, 0.5 s + 1 sample and 1.0 s."""
+    rng = np.random.default_rng(seed)
+    clips = [np.zeros(8000), np.zeros(4800)]
+    clips += [0.2 * rng.standard_normal(n) for n in (4800, 8000, 8001, 16000)]
+    return [dsp.Waveform(x, 16000) for x in clips]
+
+
+class TestBatchedExtraction:
+    def test_streamed_rows_bit_identical_to_per_clip_reference(self):
+        # shuffled so that batches mix frame counts; the run spans many batches
+        waves = [w for seed in range(6) for w in edge_clips(seed)]
+        waves = [waves[i] for i in np.random.default_rng(0).permutation(len(waves))]
+        frames = sum(1 + max(w.samples.size, 8000) // 256 for w in waves)
+        assert frames > 8 * features.BATCH_FRAMES
+        rows = features.extract_all(iter(waves))
+        assert rows.shape == (len(waves), 261)
+        for w, row in zip(waves, rows):
+            assert row.tobytes() == reference_extract(w).tobytes()
+            assert row.tobytes() == features.extract(w).tobytes()
+
+    @pytest.mark.parametrize("n_samples", [4800, 8000, 8001, 16000])
+    def test_batch_rows_bit_identical_to_extract(self, n_samples):
+        rng = np.random.default_rng(n_samples)
+        block = 0.2 * rng.standard_normal((7, n_samples))
+        block[3] = 0.0
+        rows = features.extract_batch(block)
+        for x, row in zip(block, rows):
+            assert row.tobytes() == features.extract(dsp.Waveform(x, 16000)).tobytes()
+
+    def test_empty_stream(self):
+        assert features.extract_all([]).shape == (0, 261)
+
+    def test_wrong_sample_rate_rejected_in_stream(self):
+        with pytest.raises(ValueError, match="16000 Hz"):
+            features.extract_all([dsp.Waveform(np.ones(8000), 16000),
+                                  dsp.Waveform(np.ones(100), 44100)])
+
+    def test_batched_rows_equal_per_clip_at_two_blas_threads(self):
+        code = textwrap.dedent("""
+            import numpy as np
+            from coughscreen import dsp, features
+            rng = np.random.default_rng(4)
+            waves = [dsp.Waveform(0.2 * rng.standard_normal(n), 16000)
+                     for n in [8000, 4800, 8001, 16000] * 6]
+            rows = features.extract_all(waves)
+            print(all(r.tobytes() == features.extract(w).tobytes()
+                      for r, w in zip(rows, waves)))
+        """)
+        src = str(Path(features.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        assert out.stdout.strip() == "True"

@@ -1,9 +1,10 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coughscreen import pipeline, synth
+from coughscreen import data, pipeline, synth
 from coughscreen.splits import build_nested_plan
 
 LR_GRID = ({"C": 0.05, "class_weight": "balanced", "solver": "lbfgs"},
@@ -238,3 +239,46 @@ class TestFoldResultSerialization:
         assert back.best_params == results[0].best_params
         np.testing.assert_allclose(back.test_cg_cal, results[0].test_cg_cal)
         assert back.conformal == results[0].conformal
+
+
+class TestStreamingMemory:
+    """The peak memory of building a table grows with the table, not with the audio.
+
+    Every cougher has 4 recordings, so the largest cougher (the unit the
+    synthetic generator yields) is the same at both cohort sizes.
+    """
+
+    # bytes per added recording; its feature row is 277 floats (2.2 KB), while a
+    # 0.5 s float64 waveform is 62.5 KB
+    MAX_GROWTH = 8 * 1024
+
+    @staticmethod
+    def cohort(n_coughers):
+        return synth.SyntheticConfig(n_coughers=n_coughers, coughs_mean=4, coughs_std=0,
+                                     coughs_min=4, coughs_max=4, seed=3)
+
+    @staticmethod
+    def peak_bytes(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def growth_per_recording(self, build):
+        small = self.peak_bytes(lambda: build(10))
+        large = self.peak_bytes(lambda: build(40))
+        return (large - small) / (4 * 30)
+
+    def test_synthetic_path_is_flat(self):
+        growth = self.growth_per_recording(
+            lambda n: pipeline.build_feature_table(synth.iter_synthetic(self.cohort(n))))
+        assert growth < self.MAX_GROWTH
+
+    def test_manifest_path_is_flat(self, tmp_path):
+        manifests = {n: synth.export_dataset(synth.generate_synthetic(self.cohort(n)),
+                                             tmp_path / str(n)) for n in (10, 40)}
+        growth = self.growth_per_recording(
+            lambda n: pipeline.build_feature_table(data.load_manifest(manifests[n])))
+        assert growth < self.MAX_GROWTH
