@@ -23,7 +23,7 @@ from .data import ManifestError, load_manifest
 from .experiment import ConfigError, ExperimentConfig, run_experiment
 from .features import VECTOR_COLUMN_NAMES
 from .pipeline import build_feature_table
-from .reports import emit_plots, load_report
+from .reports import emit_plots, report_doc
 from .splits import LeakageError, audit_plan_rows, load_plan_csv
 from .synth import SyntheticConfig, cohort_shape, export_dataset, iter_synthetic
 
@@ -44,15 +44,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", default=_default_out("synth"))
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     p.add_argument("--coughers", type=int, default=80)
-    p.add_argument("--prevalence", type=float, default=295 / 1105)
-    p.add_argument("--coughs-mean", type=float, default=9.03)
-    p.add_argument("--coughs-std", type=float, default=5.7)
-    p.add_argument("--coughs-min", type=int, default=3)
-    p.add_argument("--coughs-max", type=int, default=50)
-    p.add_argument("--signal-audio", type=float, default=1.0)
-    p.add_argument("--signal-clinical", type=float, default=1.0)
+    p.add_argument("--prevalence", type=float, default=SyntheticConfig.prevalence)
+    p.add_argument("--coughs-mean", type=float, default=SyntheticConfig.coughs_mean)
+    p.add_argument("--coughs-std", type=float, default=SyntheticConfig.coughs_std)
+    p.add_argument("--coughs-min", type=int, default=SyntheticConfig.coughs_min)
+    p.add_argument("--coughs-max", type=int, default=SyntheticConfig.coughs_max)
+    p.add_argument("--signal-audio", type=float,
+                   default=SyntheticConfig.signal_strength_audio)
+    p.add_argument("--signal-clinical", type=float,
+                   default=SyntheticConfig.signal_strength_clinical)
 
     p = sub.add_parser("features", help="manifest -> feature CSV")
     p.add_argument("manifest")
@@ -85,12 +87,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    cfg = SyntheticConfig(n_coughers=args.coughers, prevalence=args.prevalence,
-                          coughs_mean=args.coughs_mean, coughs_std=args.coughs_std,
-                          coughs_min=args.coughs_min, coughs_max=args.coughs_max,
-                          signal_strength_audio=args.signal_audio,
-                          signal_strength_clinical=args.signal_clinical,
-                          seed=args.seed)
+    try:
+        cfg = SyntheticConfig(n_coughers=args.coughers, prevalence=args.prevalence,
+                              coughs_mean=args.coughs_mean, coughs_std=args.coughs_std,
+                              coughs_min=args.coughs_min, coughs_max=args.coughs_max,
+                              signal_strength_audio=args.signal_audio,
+                              signal_strength_clinical=args.signal_clinical,
+                              seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     manifest = export_dataset(iter_synthetic(cfg), args.out)
     shape = cohort_shape(cfg)
     print(f"wrote {len(shape)} coughers / {sum(n for _, _, n in shape)} recordings "
@@ -149,7 +154,7 @@ def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_dict(doc)
     report = run_experiment(cfg, progress=lambda msg: print(msg, flush=True))
     if args.plots:
-        emit_plots(report, cfg.out)
+        emit_plots(report_doc(report), cfg.out)
     print(f"done in {report.wall_clock_s:.1f}s; reports in {cfg.out}")
     return EXIT_OK
 
@@ -170,13 +175,20 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
+_REPORT_KEYS = ("config", "alphas", "blocks")
+
+
 def _cmd_plot(args) -> int:
-    try:
-        report = load_report(args.report)
-    except FileNotFoundError as exc:
-        raise ManifestError(str(exc)) from exc
+    with open(args.report, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ManifestError(f"{args.report} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not all(k in doc for k in _REPORT_KEYS):
+        raise ManifestError(f"{args.report} is not a report.json: it needs the keys "
+                            f"{', '.join(_REPORT_KEYS)}")
     outdir = args.out or os.path.dirname(os.path.abspath(args.report))
-    written = emit_plots(report, outdir)
+    written = emit_plots(doc, outdir)
     print(f"wrote {len(written)} plot files to {outdir}")
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 import wave
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -187,7 +188,8 @@ def load_manifest(manifest_path, audio_root=None) -> list:
 
     Every referenced WAV must exist; it is decoded only when the recording's
     audio is read (``CoughRecording.audio``), so loading holds no waveform.
-    Rows sharing a cougher_id must agree on the label and clinical values.
+    Recording ids are unique across the whole manifest, and rows sharing a
+    cougher_id must agree on the label and clinical values.
     Coughers and their recordings are returned sorted by id, so results never
     depend on manifest row order.
     """
@@ -205,6 +207,10 @@ def load_manifest(manifest_path, audio_root=None) -> list:
         rows = [_parse_row(row, i) for i, row in enumerate(reader, start=2)]
     if not rows:
         raise ManifestError("manifest has no data rows")
+    counts = Counter(r["recording_id"] for r in rows)
+    duplicates = sorted(rid for rid, n in counts.items() if n > 1)
+    if duplicates:
+        raise ManifestError(f"duplicate recording_id {duplicates[0]!r}")
 
     by_cougher: dict = {}
     for row in rows:
@@ -219,12 +225,8 @@ def load_manifest(manifest_path, audio_root=None) -> list:
         clinicals = {r["clinical"] for r in group}
         if len(clinicals) > 1:
             raise ManifestError(f"cougher {cid} has conflicting clinical values")
-        seen = set()
         recordings = []
         for r in sorted(group, key=lambda r: r["recording_id"]):
-            if r["recording_id"] in seen:
-                raise ManifestError(f"duplicate recording_id {r['recording_id']!r}")
-            seen.add(r["recording_id"])
             wav_path = root / r["wav_path"]
             if not wav_path.exists():
                 raise ManifestError(f"audio file not found: {wav_path}")
@@ -259,14 +261,13 @@ class StandardScaler:
     means: np.ndarray
     stds: np.ndarray
     passthrough: np.ndarray  # boolean mask of untouched columns
-    fitted_on: str = ""
 
     @property
     def n_features(self) -> int:
         return self.means.size
 
 
-def fit_scaler(X, fitted_on: str = "", passthrough_cols=()) -> StandardScaler:
+def fit_scaler(X, passthrough_cols=()) -> StandardScaler:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("scaler needs a nonempty 2-D matrix")
@@ -281,7 +282,7 @@ def fit_scaler(X, fitted_on: str = "", passthrough_cols=()) -> StandardScaler:
     passthrough |= constant
     means = np.where(passthrough, 0.0, means)
     stds = np.where(passthrough, 1.0, stds)
-    return StandardScaler(means, stds, passthrough, fitted_on)
+    return StandardScaler(means, stds, passthrough)
 
 
 def apply_scaler(scaler: StandardScaler, X) -> np.ndarray:

@@ -16,7 +16,7 @@ from . import __version__, models
 from .data import ManifestError, load_manifest
 from .pipeline import (DEFAULT_ALPHAS, FAMILIES, FEATURE_MODES, RunConfig,
                        build_feature_table, run_nested)
-from .reports import RunReport, aggregate_folds, emit_plots, write_report
+from .reports import RunReport, write_report
 from .splits import build_nested_plan
 from .synth import SyntheticConfig, cohort_shape, iter_synthetic
 
@@ -185,7 +185,8 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True,
     """Execute every requested (family, feature_mode) block and assemble the report.
 
     With ``write=True`` the report files are emitted atomically under
-    ``cfg.out``. The returned report is byte-stable for a fixed config.
+    ``cfg.out``. ``reports.report_doc`` turns the returned report into the
+    report.json document, which is byte-stable for a fixed config.
     """
     cfg.validate()
     t0 = time.monotonic()
@@ -220,10 +221,7 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True,
             say(f"running {family} / {mode}")
             results, plan = run_nested(table, family, mode, run_cfg,
                                        jobs=cfg.jobs, plan=plan)
-            blocks[(family, mode)] = {
-                "folds": results,
-                "aggregates": aggregate_folds(results, run_cfg.alphas),
-            }
+            blocks[(family, mode)] = {"folds": results}
 
     config_echo = asdict(cfg)
     # out and jobs are execution details: they never affect the numbers and
@@ -239,5 +237,4 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True,
     return report
 
 
-__all__ = ["ConfigError", "ExperimentConfig", "environment_info", "run_experiment",
-           "emit_plots"]
+__all__ = ["ConfigError", "ExperimentConfig", "environment_info", "run_experiment"]

@@ -9,9 +9,10 @@ from means rather than substituting zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,6 @@ def metric_suite(c: ConfusionCounts) -> MetricSuite:
                        youden_j=sens + spec - 1.0)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties receiving their group average."""
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    avg = ends - (counts - 1) / 2.0  # midpoint of each tie group's rank span
-    return avg[inverse]
-
-
 def roc_auc(probs, labels) -> float:
     """Area under the ROC curve via the Mann-Whitney statistic, ties counted 1/2."""
     probs, labels = _check_aligned(probs, labels)
@@ -91,7 +84,7 @@ def roc_auc(probs, labels) -> float:
     n_neg = probs.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC AUC needs both classes present")
-    ranks = _average_ranks(probs)
+    ranks = rankdata(probs, method="average")  # ties share their group's mean rank
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -143,10 +136,8 @@ def pr_auc(probs, labels) -> float:
 
 def full_suite(probs, labels, tau: float) -> MetricSuite:
     """Threshold-dependent metrics at tau plus both threshold-free areas."""
-    base = metric_suite(confusion_at(probs, labels, tau))
-    return MetricSuite(sens=base.sens, spec=base.spec, ppv=base.ppv, npv=base.npv,
-                       uar=base.uar, youden_j=base.youden_j,
-                       roc_auc=roc_auc(probs, labels), pr_auc=pr_auc(probs, labels))
+    return replace(metric_suite(confusion_at(probs, labels, tau)),
+                   roc_auc=roc_auc(probs, labels), pr_auc=pr_auc(probs, labels))
 
 
 def aggregate_cougher(probs, cougher_ids):

@@ -184,39 +184,6 @@ class FoldResult:
         return json_clean(dict(self.__dict__, waveform=asdict(self.waveform),
                                cougher=asdict(self.cougher)))
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FoldResult":
-        def suite(d):
-            vals = {k: (math.nan if v is None else v) for k, v in d.items()}
-            return metrics.MetricSuite(**vals)
-
-        def num(v):
-            return math.nan if v is None else v
-
-        def fkeys(d, value=lambda v: v):
-            return {float(k): value(v) for k, v in d.items()}
-
-        kwargs = dict(doc)
-        kwargs["waveform"] = suite(doc["waveform"])
-        kwargs["cougher"] = suite(doc["cougher"])
-        for name in ("tau_w", "tau_s", "brier_raw_wf", "brier_cal_wf", "ece_raw_wf",
-                     "ece_cal_wf", "brier_raw_cg", "brier_cal_cg", "ece_raw_cg",
-                     "ece_cal_cg", "best_inner_uar"):
-            kwargs[name] = num(doc[name])
-        kwargs["conformal"] = fkeys(doc["conformal"],
-                                    lambda v: {k: num(x) for k, x in v.items()})
-        kwargs["selective"] = fkeys(doc["selective"],
-                                    lambda v: {k: num(x) for k, x in v.items()})
-        for name in ("oof_probs", "test_wf_raw", "test_wf_cal", "test_cg_raw",
-                     "test_cg_cal"):
-            kwargs[name] = np.asarray(doc[name], dtype=np.float64)
-        for name in ("test_wf_labels", "test_cg_labels"):
-            kwargs[name] = np.asarray(doc[name], dtype=int)
-        kwargs["test_sets"] = fkeys(doc["test_sets"],
-                                    lambda v: {k: np.asarray(x, dtype=bool)
-                                               for k, x in v.items()})
-        return cls(**kwargs)
-
 
 def _fit_groups(family: str, candidates: list) -> list:
     """Candidates that share one inner fit, as (params to fit, member indices).
@@ -277,8 +244,7 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
                               val_rows):
             raise LeakageError(f"fold {fold_plan.fold}: inner validation rows outside "
                                "the tuning pool")
-        scaler = fit_scaler(X_all[train_rows], fitted_on=f"fold{fold_plan.fold}/inner",
-                            passthrough_cols=scaler_passthrough)
+        scaler = fit_scaler(X_all[train_rows], passthrough_cols=scaler_passthrough)
         X_train = apply_scaler(scaler, X_all[train_rows])
         X_val = apply_scaler(scaler, X_all[val_rows])
         for fit_params, members in groups:
@@ -303,8 +269,7 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
 
     iso = calibration.fit_isotonic(best_oof, y_all[tuning_rows])
 
-    scaler_final = fit_scaler(X_all[tuning_rows], fitted_on=f"fold{fold_plan.fold}/tuning",
-                              passthrough_cols=scaler_passthrough)
+    scaler_final = fit_scaler(X_all[tuning_rows], passthrough_cols=scaler_passthrough)
     model_final = fit(best_params, apply_scaler(scaler_final, X_all[tuning_rows]),
                       y_all[tuning_rows], seed_final)
     if unconverged:

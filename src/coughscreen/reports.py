@@ -1,10 +1,17 @@
 """Aggregation and emission of run reports: JSON, summary CSV tables, SVG plots.
 
+report.json is the one serialization of a run. ``report_doc`` builds it from
+the fold results, and every other report file (folds.csv, the tables, the
+reliability and curve CSVs, the SVGs) is rendered from that document's plain
+dicts and lists, so ``coughscreen plot`` on a written report.json reproduces
+``run --plots`` byte for byte.
+
 Aggregate cells are "mean ± std" strings for presentation; the raw floats
 always live beside them in report.json, and every aggregate is
 recomputable from the emitted per-fold rows. Undefined per-fold values
-(NaN sentinels, e.g. PPV with no predicted positives) are excluded from
-means with the exclusion count reported, never zero-substituted.
+(NaN sentinels, e.g. PPV with no predicted positives; null in the document)
+are excluded from means with the exclusion count reported, never
+zero-substituted.
 
 Volatile run facts (wall clock, environment, timestamps) go to meta.json;
 report.json and every CSV are byte-stable for a fixed config and seed.
@@ -24,7 +31,7 @@ import numpy as np
 from . import calibration
 from .conformal import evaluate_sets
 from .metrics import pr_curve, roc_curve
-from .pipeline import FoldResult, json_clean
+from .pipeline import json_clean
 from .splits import NestedPlan, export_plan_csv
 
 CLASSIFICATION_METRICS = ["threshold", "roc_auc", "pr_auc", "uar", "sensitivity",
@@ -33,6 +40,20 @@ CALIBRATION_METRICS = ["waveform_brier", "waveform_ece", "cougher_brier", "cough
 SELECTIVE_METRICS = ["overall_accuracy", "accuracy_singleton", "accuracy_ambiguous",
                      "p_singleton_given_correct"]
 LEVELS = ["waveform", "cougher"]
+LEVEL_TAGS = {"waveform": "wf", "cougher": "cg"}
+THRESHOLDS = {"waveform": "tau_w", "cougher": "tau_s"}
+# classification metric -> its key in a fold's waveform/cougher metric suite
+SUITE_KEYS = {"roc_auc": "roc_auc", "pr_auc": "pr_auc", "uar": "uar",
+              "sensitivity": "sens", "specificity": "spec", "ppv": "ppv", "npv": "npv"}
+# calibration metric -> its (raw, isotonic) keys in a fold
+CALIBRATION_KEYS = {"waveform_brier": ("brier_raw_wf", "brier_cal_wf"),
+                    "waveform_ece": ("ece_raw_wf", "ece_cal_wf"),
+                    "cougher_brier": ("brier_raw_cg", "brier_cal_cg"),
+                    "cougher_ece": ("ece_raw_cg", "ece_cal_cg")}
+# selective metric -> its key in a fold's selective block
+SELECTIVE_KEYS = dict(zip(SELECTIVE_METRICS, ["accuracy", "accuracy_singleton",
+                                              "accuracy_ambiguous",
+                                              "p_singleton_given_correct"]))
 
 
 def _agg(values) -> dict:
@@ -53,63 +74,49 @@ def _cell(agg: dict) -> str:
     return f"{agg['mean']:.2f} ± {agg['std']:.2f}"
 
 
-def _fold_metric(r, level: str, metric: str) -> float:
-    suite = r.waveform if level == "waveform" else r.cougher
+def _fold_metric(fold: dict, level: str, metric: str):
     if metric == "threshold":
-        return r.tau_w if level == "waveform" else r.tau_s
-    return {"roc_auc": suite.roc_auc, "pr_auc": suite.pr_auc, "uar": suite.uar,
-            "sensitivity": suite.sens, "specificity": suite.spec,
-            "ppv": suite.ppv, "npv": suite.npv}[metric]
+        return fold[THRESHOLDS[level]]
+    return fold[level][SUITE_KEYS[metric]]
 
 
-def aggregate_folds(fold_results, alphas) -> dict:
-    """Across-fold aggregates for one (family, feature_mode) block."""
-    out = {"classification": {}, "calibration": {}, "conformal": {}, "selective": {}}
-    for level in LEVELS:
-        out["classification"][level] = {
-            m: _agg([_fold_metric(r, level, m) for r in fold_results])
-            for m in CLASSIFICATION_METRICS
-        }
-    cal_fields = {
-        "waveform_brier": ("brier_raw_wf", "brier_cal_wf"),
-        "waveform_ece": ("ece_raw_wf", "ece_cal_wf"),
-        "cougher_brier": ("brier_raw_cg", "brier_cal_cg"),
-        "cougher_ece": ("ece_raw_cg", "ece_cal_cg"),
+def aggregate_folds(folds, alphas) -> dict:
+    """Across-fold aggregates of one (family, feature_mode) block's fold dicts."""
+    out = {
+        "classification": {level: {m: _agg([_fold_metric(f, level, m) for f in folds])
+                                   for m in CLASSIFICATION_METRICS}
+                           for level in LEVELS},
+        "calibration": {name: {"raw": _agg([f[raw] for f in folds]),
+                               "isotonic": _agg([f[cal] for f in folds])}
+                        for name, (raw, cal) in CALIBRATION_KEYS.items()},
+        "conformal": {},
+        "selective": {},
     }
-    for name, (raw_attr, cal_attr) in cal_fields.items():
-        out["calibration"][name] = {
-            "raw": _agg([getattr(r, raw_attr) for r in fold_results]),
-            "isotonic": _agg([getattr(r, cal_attr) for r in fold_results]),
-        }
     for alpha in alphas:
-        a = float(alpha)
-        block = {k: _agg([r.conformal[a][k] for r in fold_results])
+        a = str(alpha)
+        block = {k: _agg([f["conformal"][a][k] for f in folds])
                  for k in ("coverage", "mean_size", "singleton_rate", "empty_rate", "qhat")}
-        block["pooled"] = _pooled_conformal(fold_results, a)
+        block["pooled"] = _pooled_conformal(folds, a)
         out["conformal"][a] = block
-        sel = {k: _agg([r.selective[a][m] for r in fold_results])
-               for k, m in zip(SELECTIVE_METRICS,
-                               ["accuracy", "accuracy_singleton", "accuracy_ambiguous",
-                                "p_singleton_given_correct"])}
-        sel["pooled"] = _pooled_selective(fold_results, a)
+        sel = {m: _agg([f["selective"][a][k] for f in folds])
+               for m, k in SELECTIVE_KEYS.items()}
+        sel["pooled"] = _pooled_selective(folds, a)
         out["selective"][a] = sel
     return out
 
 
-def _pooled_conformal(fold_results, alpha: float) -> dict:
-    sets = np.concatenate([np.column_stack([r.test_sets[alpha]["has_neg"],
-                                            r.test_sets[alpha]["has_pos"]])
-                           for r in fold_results])
-    labels = np.concatenate([r.test_cg_labels for r in fold_results])
+def _pooled_conformal(folds, alpha: str) -> dict:
+    sets = np.concatenate([np.column_stack([f["test_sets"][alpha]["has_neg"],
+                                            f["test_sets"][alpha]["has_pos"]])
+                           for f in folds])
+    labels = np.concatenate([f["test_cg_labels"] for f in folds])
     return {**evaluate_sets(sets, labels), "n": int(labels.size)}
 
 
-def _pooled_selective(fold_results, alpha: float) -> dict:
-    tot = {k: 0 for k in ("n", "n_singleton", "n_ambiguous", "n_correct",
-                          "n_correct_singleton", "n_correct_ambiguous")}
-    for r in fold_results:
-        for k in tot:
-            tot[k] += r.selective[alpha][k]
+def _pooled_selective(folds, alpha: str) -> dict:
+    tot = {k: sum(f["selective"][alpha][k] for f in folds)
+           for k in ("n", "n_singleton", "n_ambiguous", "n_correct",
+                     "n_correct_singleton", "n_correct_ambiguous")}
 
     def ratio(num, den):
         return num / den if den else None
@@ -126,17 +133,36 @@ def _pooled_selective(fold_results, alpha: float) -> dict:
 @dataclass
 class RunReport:
     config: dict
-    blocks: dict  # (family, feature_mode) -> {"folds": [...], "aggregates": {...}}
+    blocks: dict  # (family, feature_mode) -> {"folds": [FoldResult, ...]}
     plan: NestedPlan
     alphas: tuple
     environment: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
 
-    def families(self):
-        return sorted({fam for fam, _ in self.blocks})
 
-    def modes(self):
-        return sorted({mode for _, mode in self.blocks})
+def report_doc(report: RunReport) -> dict:
+    """The report.json document: config echo, alphas, and per block the fold
+    dicts and their aggregates. Alpha keys are ``str(alpha)``."""
+    blocks = {}
+    for (fam, mode), block in sorted(report.blocks.items()):
+        folds = [r.to_dict() for r in block["folds"]]
+        blocks[f"{fam}|{mode}"] = {
+            "folds": folds,
+            "aggregates": json_clean(aggregate_folds(folds, report.alphas)),
+        }
+    return {"config": json_clean(report.config),
+            "alphas": [float(a) for a in report.alphas],
+            "blocks": blocks}
+
+
+def _blocks(doc) -> list:
+    """(family, feature_mode, block) for every block of a report document, in key order."""
+    return [(*key.split("|"), block) for key, block in sorted(doc["blocks"].items())]
+
+
+def _mode_blocks(doc, mode: str) -> dict:
+    """family -> block for one feature mode, families sorted."""
+    return {fam: block for fam, m, block in _blocks(doc) if m == mode}
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +184,10 @@ def _csv_text(rows) -> str:
 
 def fold_row_header(alphas) -> list:
     cols = ["family", "feature_mode", "fold", "best_params", "tau_w", "tau_s"]
-    for tag in ("wf", "cg"):
-        for m in CLASSIFICATION_METRICS[1:]:
-            cols.append(f"{tag}_{m}")
-    cols += ["brier_raw_wf", "brier_cal_wf", "ece_raw_wf", "ece_cal_wf",
-             "brier_raw_cg", "brier_cal_cg", "ece_raw_cg", "ece_cal_cg"]
+    for level in LEVELS:
+        cols += [f"{LEVEL_TAGS[level]}_{m}" for m in CLASSIFICATION_METRICS[1:]]
+    for raw, cal in CALIBRATION_KEYS.values():
+        cols += [raw, cal]
     for a in alphas:
         tag = f"a{a:.2f}"
         cols += [f"qhat_{tag}", f"coverage_{tag}", f"mean_size_{tag}",
@@ -172,117 +197,91 @@ def fold_row_header(alphas) -> list:
     return cols
 
 
-def fold_row(r, alphas) -> list:
+def fold_row(fold: dict, alphas) -> list:
     def fmt(v):
-        return "" if v is None or (isinstance(v, float) and math.isnan(v)) else repr(float(v))
+        return "" if v is None else repr(float(v))
 
-    row = [r.family, r.feature_mode, r.fold, json.dumps(r.best_params, sort_keys=True),
-           fmt(r.tau_w), fmt(r.tau_s)]
+    row = [fold["family"], fold["feature_mode"], fold["fold"],
+           json.dumps(fold["best_params"], sort_keys=True),
+           fmt(fold["tau_w"]), fmt(fold["tau_s"])]
     for level in LEVELS:
-        for m in CLASSIFICATION_METRICS[1:]:
-            row.append(fmt(_fold_metric(r, level, m)))
-    for attr in ("brier_raw_wf", "brier_cal_wf", "ece_raw_wf", "ece_cal_wf",
-                 "brier_raw_cg", "brier_cal_cg", "ece_raw_cg", "ece_cal_cg"):
-        row.append(fmt(getattr(r, attr)))
+        row += [fmt(_fold_metric(fold, level, m)) for m in CLASSIFICATION_METRICS[1:]]
+    for raw, cal in CALIBRATION_KEYS.values():
+        row += [fmt(fold[raw]), fmt(fold[cal])]
     for a in alphas:
-        a = float(a)
-        c, s = r.conformal[a], r.selective[a]
-        row += [fmt(c["qhat"]), fmt(c["coverage"]), fmt(c["mean_size"]),
-                fmt(c["singleton_rate"]), fmt(c["empty_rate"]),
-                fmt(s["accuracy"]), fmt(s["accuracy_singleton"]),
-                fmt(s["accuracy_ambiguous"]), fmt(s["p_singleton_given_correct"])]
+        c, s = fold["conformal"][str(a)], fold["selective"][str(a)]
+        row += [fmt(c[k]) for k in ("qhat", "coverage", "mean_size", "singleton_rate",
+                                    "empty_rate")]
+        row += [fmt(s[k]) for k in SELECTIVE_KEYS.values()]
     return row
 
 
-def classification_table(report: RunReport, mode: str) -> list:
+def classification_table(doc: dict, mode: str) -> list:
     """Metrics x (model x level) table of mean ± std cells."""
-    families = [f for f in report.families() if (f, mode) in report.blocks]
-    header = ["metric"] + [f"{fam}_{level}" for level in LEVELS for fam in families]
-    rows = [header]
+    blocks = _mode_blocks(doc, mode)
+    rows = [["metric"] + [f"{fam}_{level}" for level in LEVELS for fam in blocks]]
     for m in CLASSIFICATION_METRICS:
-        row = [m]
-        for level in LEVELS:
-            for fam in families:
-                agg = report.blocks[(fam, mode)]["aggregates"]["classification"][level][m]
-                row.append(_cell(agg))
-        rows.append(row)
+        rows.append([m] + [_cell(blocks[fam]["aggregates"]["classification"][level][m])
+                           for level in LEVELS for fam in blocks])
     return rows
 
 
-def calibration_table(report: RunReport, mode: str) -> list:
-    families = [f for f in report.families() if (f, mode) in report.blocks]
-    header = ["metric"] + [f"{fam}_{stage}" for fam in families
-                           for stage in ("raw", "isotonic")]
-    rows = [header]
+def calibration_table(doc: dict, mode: str) -> list:
+    blocks = _mode_blocks(doc, mode)
+    rows = [["metric"] + [f"{fam}_{stage}" for fam in blocks
+                          for stage in ("raw", "isotonic")]]
     for m in CALIBRATION_METRICS:
         row = [m]
-        for fam in families:
-            block = report.blocks[(fam, mode)]["aggregates"]["calibration"][m]
-            row += [_cell(block["raw"]), _cell(block["isotonic"])]
+        for block in blocks.values():
+            agg = block["aggregates"]["calibration"][m]
+            row += [_cell(agg["raw"]), _cell(agg["isotonic"])]
         rows.append(row)
     return rows
 
 
-def conformal_table(report: RunReport, mode: str) -> list:
-    families = [f for f in report.families() if (f, mode) in report.blocks]
-    header = ["level", "alpha"] + [f"{fam}_{col}" for fam in families
-                                   for col in ("coverage", "size_singleton")]
-    rows = [header]
-    for alpha in report.alphas:
+def conformal_table(doc: dict, mode: str) -> list:
+    blocks = _mode_blocks(doc, mode)
+    rows = [["level", "alpha"] + [f"{fam}_{col}" for fam in blocks
+                                  for col in ("coverage", "size_singleton")]]
+    for alpha in doc["alphas"]:
         row = ["cougher", f"{alpha:.2f}"]
-        for fam in families:
-            block = report.blocks[(fam, mode)]["aggregates"]["conformal"][float(alpha)]
-            size = block["mean_size"]
-            singleton = block["singleton_rate"]
-            row.append(_cell(block["coverage"]))
+        for block in blocks.values():
+            agg = block["aggregates"]["conformal"][str(alpha)]
+            size, singleton = agg["mean_size"], agg["singleton_rate"]
+            row.append(_cell(agg["coverage"]))
             row.append(f"{size['mean']:.2f} ± {size['std']:.2f} [{singleton['mean']:.2f}]")
         rows.append(row)
     return rows
 
 
-def selective_table(report: RunReport, mode: str) -> list:
-    families = [f for f in report.families() if (f, mode) in report.blocks]
+def selective_table(doc: dict, mode: str) -> list:
     header = ["model", "alpha"]
     for m in SELECTIVE_METRICS:
         header += [f"{m}_macro", f"{m}_pooled"]
     rows = [header]
-    for fam in families:
-        for alpha in report.alphas:
-            block = report.blocks[(fam, mode)]["aggregates"]["selective"][float(alpha)]
+    for fam, block in _mode_blocks(doc, mode).items():
+        for alpha in doc["alphas"]:
+            agg = block["aggregates"]["selective"][str(alpha)]
             row = [fam, f"{alpha:.2f}"]
             for m in SELECTIVE_METRICS:
-                pooled = block["pooled"][m]
-                row.append(_cell(block[m]))
+                pooled = agg["pooled"][m]
+                row.append(_cell(agg[m]))
                 row.append("n/a" if pooled is None else f"{pooled:.2f}")
             rows.append(row)
     return rows
 
 
-def _block_json(block) -> dict:
-    return {
-        "folds": [r.to_dict() for r in block["folds"]],
-        "aggregates": json_clean(block["aggregates"]),
-    }
-
-
 def write_report(report: RunReport, outdir) -> list:
-    """Write report.json, fold plan, per-fold rows, and the summary tables.
+    """Write report.json, meta.json, the fold plan, and every file rendered from report.json.
 
     Returns the list of written paths. meta.json (environment, wall clock)
-    is written separately and is the only volatile file.
+    is the only volatile file and is not in the list.
     """
     os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    doc = {
-        "config": json_clean(report.config),
-        "alphas": [float(a) for a in report.alphas],
-        "blocks": {f"{fam}|{mode}": _block_json(block)
-                   for (fam, mode), block in sorted(report.blocks.items())},
-    }
+    doc = report_doc(report)
     path = os.path.join(outdir, "report.json")
     _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    written.append(path)
+    written = [path]
 
     meta = {"environment": report.environment, "wall_clock_s": report.wall_clock_s}
     meta_path = os.path.join(outdir, "meta.json")
@@ -292,51 +291,46 @@ def write_report(report: RunReport, outdir) -> list:
     export_plan_csv(report.plan, plan_path)
     written.append(plan_path)
 
-    rows = [fold_row_header(report.alphas)]
-    for (fam, mode), block in sorted(report.blocks.items()):
-        rows += [fold_row(r, report.alphas) for r in block["folds"]]
+    rows = [fold_row_header(doc["alphas"])]
+    rows += [fold_row(f, doc["alphas"]) for _, _, block in _blocks(doc) for f in block["folds"]]
     path = os.path.join(outdir, "folds.csv")
     _atomic_write(path, _csv_text(rows))
     written.append(path)
 
-    for mode in report.modes():
+    for mode in sorted({mode for _, mode, _ in _blocks(doc)}):
         for name, builder in (("classification", classification_table),
                               ("calibration", calibration_table),
                               ("conformal", conformal_table),
                               ("selective", selective_table)):
             path = os.path.join(outdir, f"{name}_{mode}.csv")
-            _atomic_write(path, _csv_text(builder(report, mode)))
+            _atomic_write(path, _csv_text(builder(doc, mode)))
             written.append(path)
 
-    for (fam, mode), block in sorted(report.blocks.items()):
-        written += _write_reliability(block["folds"], fam, mode, outdir,
-                                      report.config.get("ece_bins", 10))
+    n_bins = doc["config"].get("ece_bins", 10)
+    for fam, mode, block in _blocks(doc):
+        written += _write_reliability(block["folds"], fam, mode, outdir, n_bins)
         written.append(_write_curves(block["folds"], fam, mode, outdir))
     return written
 
 
-def _test_probs(r, level: str, stage: str = "cal"):
-    """One fold's test (probabilities, labels) at a level, raw or isotonic-calibrated."""
-    tag = "wf" if level == "waveform" else "cg"
-    return getattr(r, f"test_{tag}_{stage}"), getattr(r, f"test_{tag}_labels")
-
-
-def _pooled_probs(folds, level: str, stage: str = "cal"):
-    pairs = [_test_probs(r, level, stage) for r in folds]
-    return np.concatenate([p for p, _ in pairs]), np.concatenate([y for _, y in pairs])
+def _test_set(folds, level: str, stage: str = "cal"):
+    """The folds' pooled test (probabilities, labels) at a level, raw or isotonic-calibrated."""
+    tag = LEVEL_TAGS[level]
+    return (np.concatenate([f[f"test_{tag}_{stage}"] for f in folds]),
+            np.concatenate([f[f"test_{tag}_labels"] for f in folds]))
 
 
 def _curve_sources(folds, level: str) -> list:
     """(fold number or "pooled", probs, labels): each fold's calibrated test set, then all."""
-    return ([(r.fold, *_test_probs(r, level)) for r in folds]
-            + [("pooled", *_pooled_probs(folds, level))])
+    return ([(f["fold"], *_test_set([f], level)) for f in folds]
+            + [("pooled", *_test_set(folds, level))])
 
 
 def _write_reliability(folds, fam, mode, outdir, n_bins) -> list:
     written = []
     for level in LEVELS:
         for stage in ("raw", "isotonic"):
-            probs, labels = _pooled_probs(folds, level, "raw" if stage == "raw" else "cal")
+            probs, labels = _test_set(folds, level, "raw" if stage == "raw" else "cal")
             rows = [["bin_center", "mean_confidence", "empirical_accuracy", "count"]]
             for center, conf, acc, count in calibration.reliability_bins(probs, labels, n_bins):
                 rows.append([f"{center:.3f}",
@@ -359,22 +353,6 @@ def _write_curves(folds, fam, mode, outdir) -> str:
     path = os.path.join(outdir, f"curves_{fam}_{mode}.csv")
     _atomic_write(path, _csv_text(rows))
     return path
-
-
-def load_report(path) -> RunReport:
-    """Rebuild a RunReport from report.json (fold plan not reconstructed)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    blocks = {}
-    for key, block in doc["blocks"].items():
-        fam, mode = key.split("|")
-        folds = [FoldResult.from_dict(d) for d in block["folds"]]
-        aggregates = dict(block["aggregates"])
-        for section in ("conformal", "selective"):
-            aggregates[section] = {float(a): v for a, v in aggregates[section].items()}
-        blocks[(fam, mode)] = {"folds": folds, "aggregates": aggregates}
-    return RunReport(config=doc["config"], blocks=blocks, plan=None,
-                     alphas=tuple(doc["alphas"]))
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +427,13 @@ def _series(tag, xs, ys, fold_color: str, pooled_color: str) -> tuple:
     return (f"fold {tag}", xs, ys, fold_color, 1)
 
 
-def emit_plots(report: RunReport, outdir) -> list:
-    """Per-fold plus pooled ROC, PR, and reliability diagrams, and coverage vs alpha."""
+def emit_plots(doc: dict, outdir) -> list:
+    """Per-fold plus pooled ROC, PR, and reliability diagrams, and coverage vs alpha,
+    from a report document (``report_doc`` or a loaded report.json)."""
     os.makedirs(outdir, exist_ok=True)
     written = []
-    n_bins = report.config.get("ece_bins", 10)
-    for (fam, mode), block in sorted(report.blocks.items()):
+    n_bins = doc["config"].get("ece_bins", 10)
+    for fam, mode, block in _blocks(doc):
         folds = block["folds"]
         for level in LEVELS:
             sources = _curve_sources(folds, level)
@@ -482,9 +461,9 @@ def emit_plots(report: RunReport, outdir) -> list:
                 series, f"Reliability {fam} {mode} ({level})",
                 "mean confidence", "empirical accuracy", xlim=(0, 1), ylim=(0, 1)))
             written.append(path)
-        if report.alphas:
-            alphas = sorted(float(a) for a in report.alphas)
-            cov = [block["aggregates"]["conformal"][a]["coverage"]["mean"] for a in alphas]
+        if doc["alphas"]:
+            alphas = sorted(doc["alphas"])
+            cov = [block["aggregates"]["conformal"][str(a)]["coverage"]["mean"] for a in alphas]
             target = [1.0 - a for a in alphas]
             path = os.path.join(outdir, f"coverage_vs_alpha_{fam}_{mode}.svg")
             _atomic_write(path, svg_line_plot(

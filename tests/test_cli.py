@@ -10,6 +10,7 @@ from conftest import TINY_GBDT_GRID, tiny_experiment_doc
 from coughscreen import cli
 from coughscreen.data import load_manifest
 from coughscreen.features import extract
+from coughscreen.reports import emit_plots, report_doc
 
 
 def run_cli(args):
@@ -40,6 +41,12 @@ class TestSynthAndFeatures:
 
     def test_features_missing_manifest_exit_3(self, tmp_path):
         assert run_cli(["features", str(tmp_path / "nope.csv")]) == 3
+
+    @pytest.mark.parametrize("flag, value", [("--coughers", "0"), ("--prevalence", "1.5")])
+    def test_bad_synth_flag_exit_2(self, tmp_path, capsys, flag, value):
+        assert run_cli(["synth", "--out", str(tmp_path / "ds"), flag, value]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
 
 
 def write_malformed_wav(path, kind):
@@ -230,6 +237,26 @@ class TestPlotCommand:
         assert svgs
         for svg in svgs:
             ET.parse(svg)
+
+    def test_plot_matches_run_plots_byte_for_byte(self, tiny_run, tmp_path):
+        report, out = tiny_run
+        live = tmp_path / "live"
+        emit_plots(report_doc(report), live)  # what `run --plots` writes
+        assert run_cli(["plot", str(out / "report.json"), "--out", str(tmp_path / "cli")]) == 0
+        names = sorted(p.name for p in live.iterdir())
+        assert len(names) == 28
+        assert names == sorted(p.name for p in (tmp_path / "cli").iterdir())
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (live / name).read_bytes(), name
+
+    @pytest.mark.parametrize("text", ["not json {", "[1, 2]", '{"config": {}, "alphas": []}'],
+                             ids=["not-json", "not-an-object", "no-blocks"])
+    def test_bad_report_exit_3_naming_the_file(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad_report.json"
+        bad.write_text(text)
+        assert run_cli(["plot", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "bad_report.json" in err
 
 
 CELL_FORMATS = re.compile(

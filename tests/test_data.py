@@ -80,6 +80,13 @@ class TestManifest:
         with pytest.raises(data.ManifestError, match="conflicting tb_label"):
             data.load_manifest(manifest)
 
+    @pytest.mark.parametrize("second", ["c1", "c2"], ids=["same-cougher", "two-coughers"])
+    def test_duplicate_recording_id_rejected(self, tmp_path, second):
+        manifest = write_tiny_manifest(tmp_path, [("r1", "c1", 1), ("r2", "c2", 0),
+                                                  ("r1", second, 1 if second == "c1" else 0)])
+        with pytest.raises(data.ManifestError, match="duplicate recording_id 'r1'"):
+            data.load_manifest(manifest)
+
     def test_missing_audio_rejected(self, tmp_path):
         manifest = write_tiny_manifest(tmp_path, [("r1", "c1", 1)])
         (tmp_path / "audio" / "r1.wav").unlink()

@@ -230,17 +230,6 @@ class TestConvergenceWarning:
             "did not converge, at C = 0.01" for r in results]
 
 
-class TestFoldResultSerialization:
-    def test_roundtrip_through_dict(self, results_and_plan):
-        results, _ = results_and_plan
-        doc = results[0].to_dict()
-        back = pipeline.FoldResult.from_dict(doc)
-        assert back.fold == results[0].fold
-        assert back.best_params == results[0].best_params
-        np.testing.assert_allclose(back.test_cg_cal, results[0].test_cg_cal)
-        assert back.conformal == results[0].conformal
-
-
 class TestStreamingMemory:
     """The peak memory of building a table grows with the table, not with the audio.
 

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from coughscreen.reports import emit_plots, load_report
+from coughscreen.reports import emit_plots, report_doc
 
 
 def read_csv(path):
@@ -118,12 +118,12 @@ class TestSelfConsistency:
 
     def test_pooled_conformal_counts_every_test_cougher(self, tiny_run):
         report, _ = tiny_run
-        for block in report.blocks.values():
+        for block in report_doc(report)["blocks"].values():
             for alpha, agg in block["aggregates"]["conformal"].items():
                 covered = sizes = singletons = empties = n = 0
-                for r in block["folds"]:
-                    s = r.test_sets[alpha]
-                    for y, pos, neg in zip(r.test_cg_labels, s["has_pos"], s["has_neg"]):
+                for fold in block["folds"]:
+                    s = fold["test_sets"][alpha]
+                    for y, pos, neg in zip(fold["test_cg_labels"], s["has_pos"], s["has_neg"]):
                         covered += bool(pos if y == 1 else neg)
                         size = int(bool(pos)) + int(bool(neg))
                         sizes += size
@@ -138,7 +138,7 @@ class TestSelfConsistency:
 class TestPlots:
     def test_svgs_well_formed(self, tiny_run, tmp_path):
         report, _ = tiny_run
-        paths = emit_plots(report, tmp_path)
+        paths = emit_plots(report_doc(report), tmp_path)
         assert paths
         for p in paths:
             root = ET.parse(p).getroot()
@@ -146,7 +146,7 @@ class TestPlots:
 
     def test_expected_plot_kinds(self, tiny_run, tmp_path):
         report, _ = tiny_run
-        names = {p.rsplit("/", 1)[-1] for p in emit_plots(report, tmp_path)}
+        names = {p.rsplit("/", 1)[-1] for p in emit_plots(report_doc(report), tmp_path)}
         assert "roc_LR_fused_cougher.svg" in names
         assert "pr_GBDT_audio_waveform.svg" in names
         assert "reliability_LR_audio_cougher.svg" in names
@@ -154,18 +154,18 @@ class TestPlots:
 
     def test_empty_alphas_skips_coverage_plot(self, tiny_run, tmp_path):
         report, _ = tiny_run
-        stripped = type(report)(config=report.config, blocks=report.blocks,
-                                plan=report.plan, alphas=())
+        stripped = dict(report_doc(report), alphas=[])
         names = {p.rsplit("/", 1)[-1] for p in emit_plots(stripped, tmp_path)}
         assert not any(n.startswith("coverage_vs_alpha") for n in names)
         assert any(n.startswith("roc_") for n in names)
 
-    def test_load_report_roundtrip_supports_plotting(self, tiny_run, tmp_path):
-        _, out = tiny_run
-        report = load_report(out / "report.json")
-        assert len(report.blocks) == 4
-        paths = emit_plots(report, tmp_path)
-        assert len(paths) >= 4
+    def test_report_json_roundtrip_supports_plotting(self, tiny_run, tmp_path):
+        report, out = tiny_run
+        doc = json.loads((out / "report.json").read_text())
+        assert doc == report_doc(report)
+        assert len(doc["blocks"]) == 4
+        paths = emit_plots(doc, tmp_path)
+        assert len(paths) == 28
 
 
 class TestNanHandling:
@@ -177,7 +177,7 @@ class TestNanHandling:
 
     def test_sentinels_reported_with_exclusion_counts(self, tiny_run):
         report, _ = tiny_run
-        block = report.blocks[("LR", "audio")]["aggregates"]
+        block = report_doc(report)["blocks"]["LR|audio"]["aggregates"]
         for level in ("waveform", "cougher"):
             for metric, agg in block["classification"][level].items():
                 assert agg["n"] + agg["n_excluded"] == 10
