@@ -23,7 +23,7 @@ from .data import ManifestError, load_manifest
 from .experiment import ConfigError, ExperimentConfig, run_experiment
 from .features import VECTOR_COLUMN_NAMES
 from .pipeline import build_feature_table
-from .reports import emit_plots, report_doc
+from .reports import emit_plots
 from .splits import LeakageError, audit_plan_rows, load_plan_csv
 from .synth import SyntheticConfig, cohort_shape, export_dataset, iter_synthetic
 
@@ -154,7 +154,7 @@ def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_dict(doc)
     report = run_experiment(cfg, progress=lambda msg: print(msg, flush=True))
     if args.plots:
-        emit_plots(report_doc(report), cfg.out)
+        _plot_report(os.path.join(cfg.out, "report.json"), cfg.out)
     print(f"done in {report.wall_clock_s:.1f}s; reports in {cfg.out}")
     return EXIT_OK
 
@@ -178,17 +178,30 @@ def _cmd_audit(args) -> int:
 _REPORT_KEYS = ("config", "alphas", "blocks")
 
 
-def _cmd_plot(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
+def _plot_report(path, outdir) -> list:
+    """Render the plots of the report.json at ``path`` into ``outdir``.
+
+    A file that is not a report document is a data error naming the file,
+    down to a block or fold that lacks a key or holds the wrong type.
+    """
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
-            raise ManifestError(f"{args.report} is not valid JSON: {exc}") from exc
+            raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not all(k in doc for k in _REPORT_KEYS):
-        raise ManifestError(f"{args.report} is not a report.json: it needs the keys "
+        raise ManifestError(f"{path} is not a report.json: it needs the keys "
                             f"{', '.join(_REPORT_KEYS)}")
+    try:
+        return emit_plots(doc, outdir)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ManifestError(f"{path} is not a report.json: its blocks do not parse "
+                            f"({type(exc).__name__}: {exc})") from exc
+
+
+def _cmd_plot(args) -> int:
     outdir = args.out or os.path.dirname(os.path.abspath(args.report))
-    written = emit_plots(doc, outdir)
+    written = _plot_report(args.report, outdir)
     print(f"wrote {len(written)} plot files to {outdir}")
     return EXIT_OK
 

@@ -17,6 +17,15 @@ rows and features are subsampled per tree, and the initial score is the
 log-odds of the (weighted) prevalence. Everything is deterministic given
 (data, params, seed).
 
+Splits are searched over per-fit integer ranks: each fit builds one table
+of dense per-column ranks of X, and every node sorts the small integer
+ranks of its rows (numpy's radix argsort) instead of their float values.
+Rank order is value order and equal values share a rank, so a stable sort of
+ranks puts the rows in exactly the order a stable sort of the values does,
+ties included. The cumulative sums, gains and picks are then the same
+floats in the same order, and the trees are byte-identical to those of a
+per-feature search over the values.
+
 "balanced" class weighting uses w_c = N / (2 * N_c) for both families.
 """
 
@@ -182,36 +191,67 @@ class GBDTModel:
     seed: int = 0
 
 
-def _best_split(X, t, total, rows, feats):
+def _column_ranks(X) -> np.ndarray:
+    """The (d, n) table of dense per-column ranks of X, built once per fit.
+
+    Equal values share a rank and a smaller value has a smaller rank, so the
+    unstable sort that builds the table may leave ties in any order. The
+    dtype is the smallest unsigned integer that holds n - 1: up to 65,536
+    rows that is 16 bits or less, and numpy's stable argsort of such keys is
+    a radix sort.
+    """
+    cols = np.ascontiguousarray(X.T)
+    order = np.argsort(cols, axis=1)
+    sorted_cols = np.take_along_axis(cols, order, axis=1)
+    dense = np.zeros(cols.shape, dtype=np.min_scalar_type(X.shape[0] - 1))
+    np.cumsum(sorted_cols[:, 1:] != sorted_cols[:, :-1], axis=1, dtype=dense.dtype,
+              out=dense[:, 1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return ranks
+
+
+def _best_split(X, ranks, t, total, rows, feats):
     """The split of ``rows`` with the largest SSE gain over the sampled features.
 
     Returns (feature, threshold, left rows, right rows), or None when no split
-    gains more than 1e-12. Every feature is searched at once: column c of the
-    (n, F) block holds feature feats[c] of the rows, sorted stably so that ties
-    keep row order. The pick is the first feature with the largest gain, as a
-    strict-> scan over feats would make it.
+    gains more than 1e-12. Every feature is searched at once: row c of
+    ``ranks`` holds the ranks (``_column_ranks``) of feature feats[c], and
+    row c of the (F, n) block those of the node's rows. Sorting the block
+    stably orders the rows as a stable sort of their values would, so the
+    tree is the one a search over the values grows. A split falls between
+    adjacent rows of different rank; its threshold is the midpoint of their
+    two values in X. The pick is the first feature with the largest gain,
+    as a strict-> scan over feats would make it.
     """
     n = rows.size
-    block = X[np.ix_(rows, feats)]
-    order = np.argsort(block, axis=0, kind="stable")
-    sv = np.take_along_axis(block, order, axis=0)
-    left_sum = np.cumsum(t[order], axis=0)[:-1]
-    i = np.arange(1, n)[:, None]  # candidate split: left = first i sorted rows
+    block = ranks[:, rows]
+    order = np.argsort(block, axis=1, kind="stable")
+    # take_along_axis through a flat index, without its index-building cost
+    sorted_ranks = block.ravel()[order + np.arange(0, block.size, n)[:, None]]
+    tied = sorted_ranks[:, :-1] == sorted_ranks[:, 1:]
+    left_sum = np.cumsum(t[order], axis=1)[:, :-1]
+    i = np.arange(1, n)  # candidate split: left = first i sorted rows
     # gain = parent SSE - (left SSE + right SSE); the cross terms reduce to
-    # sum_L^2/n_L + sum_R^2/n_R - total^2/n
-    score = left_sum ** 2 / i + (total - left_sum) ** 2 / (n - i)
-    score = np.where(sv[:-1] < sv[1:], score, -np.inf)
-    split = np.argmax(score, axis=0)
-    gains = score[split, np.arange(feats.size)] - total * total / n
+    # sum_L^2/n_L + sum_R^2/n_R - total^2/n, evaluated in place in that order
+    score = np.square(left_sum)
+    score /= i
+    right = np.subtract(total, left_sum, out=left_sum)
+    np.square(right, out=right)
+    right /= n - i
+    score += right
+    score[tied] = -np.inf
+    split = np.argmax(score, axis=1)
+    gains = score[np.arange(feats.size), split] - total * total / n
     c = int(np.argmax(gains))
     if not gains[c] > 1e-12:
         return None
-    j = int(split[c])
-    return (int(feats[c]), float(0.5 * (sv[j, c] + sv[j + 1, c])),
-            rows[order[: j + 1, c]], rows[order[j + 1:, c]])
+    j, f = int(split[c]), int(feats[c])
+    left_rows, right_rows = rows[order[c, : j + 1]], rows[order[c, j + 1:]]
+    return f, float(0.5 * (X[left_rows[-1], f] + X[right_rows[0], f])), left_rows, right_rows
 
 
-def _fit_tree(X, targets, rows, feats, depth, l2) -> TreeNode:
+def _fit_tree(X, ranks, targets, rows, feats, depth, l2) -> TreeNode:
     node = TreeNode(value=float(targets[rows].sum() / (rows.size + l2)))
     if depth <= 0 or rows.size < 2:
         return node
@@ -220,13 +260,13 @@ def _fit_tree(X, targets, rows, feats, depth, l2) -> TreeNode:
     sse_parent = float(np.sum(t * t) - total * total / rows.size)
     if sse_parent <= 0:
         return node
-    # the search's (n, F) arrays are freed before the children are grown
-    split = _best_split(X, t, total, rows, feats)
+    # the search's (F, n) arrays are freed before the children are grown
+    split = _best_split(X, ranks, t, total, rows, feats)
     if split is None:
         return node
     node.feature, node.threshold, left_rows, right_rows = split
-    node.left = _fit_tree(X, targets, left_rows, feats, depth - 1, l2)
-    node.right = _fit_tree(X, targets, right_rows, feats, depth - 1, l2)
+    node.left = _fit_tree(X, ranks, targets, left_rows, feats, depth - 1, l2)
+    node.right = _fit_tree(X, ranks, targets, right_rows, feats, depth - 1, l2)
     return node
 
 
@@ -264,6 +304,7 @@ def fit_gbdt(X, y, params: dict, seed: int = 0) -> GBDTModel:
     pbar = float((w * y).sum() / w.sum())
     base_score = float(np.log(pbar / (1.0 - pbar)))
     scores = np.full(n, base_score)
+    ranks = _column_ranks(X)
     rng = np.random.default_rng(seed)
     trees = []
     for _ in range(iterations):
@@ -278,7 +319,7 @@ def fit_gbdt(X, y, params: dict, seed: int = 0) -> GBDTModel:
                                        replace=False))
         else:
             feats = np.arange(d)
-        tree = _fit_tree(X, residuals, rows, feats, depth, l2)
+        tree = _fit_tree(X, ranks[feats], residuals, rows, feats, depth, l2)
         trees.append(tree)
         scores += eta * _predict_tree(tree, X)
     return GBDTModel(trees=trees, eta=eta, iterations=iterations, depth=depth,

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import TINY_GBDT_GRID, tiny_experiment_doc
-from coughscreen import cli
+from coughscreen import cli, reports
 from coughscreen.data import load_manifest
 from coughscreen.features import extract
 from coughscreen.reports import emit_plots, report_doc
@@ -241,7 +241,7 @@ class TestPlotCommand:
     def test_plot_matches_run_plots_byte_for_byte(self, tiny_run, tmp_path):
         report, out = tiny_run
         live = tmp_path / "live"
-        emit_plots(report_doc(report), live)  # what `run --plots` writes
+        emit_plots(report_doc(report), live)  # the in-memory document of the run
         assert run_cli(["plot", str(out / "report.json"), "--out", str(tmp_path / "cli")]) == 0
         names = sorted(p.name for p in live.iterdir())
         assert len(names) == 28
@@ -249,8 +249,32 @@ class TestPlotCommand:
         for name in names:
             assert (tmp_path / "cli" / name).read_bytes() == (live / name).read_bytes(), name
 
-    @pytest.mark.parametrize("text", ["not json {", "[1, 2]", '{"config": {}, "alphas": []}'],
-                             ids=["not-json", "not-an-object", "no-blocks"])
+    def test_run_plots_render_the_written_report_once(self, tmp_path, monkeypatch):
+        aggregations = []
+        aggregate = reports.aggregate_folds
+        monkeypatch.setattr(reports, "aggregate_folds",
+                            lambda *a: aggregations.append(1) or aggregate(*a))
+        out = tmp_path / "exp"
+        doc = tiny_experiment_doc(out, family="LR", feature_mode="audio",
+                                  k_outer=3, k_inner=2, calib_frac=0.25)
+        doc["synthetic"].update(n_coughers=30, prevalence=0.4)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert run_cli(["run", "--config", str(cfg_path), "--plots"]) == 0
+        assert len(aggregations) == 1  # one block, one report document
+        assert run_cli(["plot", str(out / "report.json"), "--out", str(tmp_path / "cli")]) == 0
+        names = sorted(p.name for p in out.glob("*.svg"))
+        assert len(names) == 7
+        assert names == sorted(p.name for p in (tmp_path / "cli").iterdir())
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("text", [
+        "not json {", "[1, 2]", '{"config": {}, "alphas": []}',
+        '{"config": {}, "alphas": [], "blocks": {"LR|audio": {}}}',
+        '{"config": {}, "alphas": [], "blocks": {"LR|audio": {"folds": [{}]}}}'],
+        ids=["not-json", "not-an-object", "no-blocks", "block-without-folds",
+             "fold-without-number"])
     def test_bad_report_exit_3_naming_the_file(self, tmp_path, capsys, text):
         bad = tmp_path / "bad_report.json"
         bad.write_text(text)

@@ -214,6 +214,33 @@ def tied_matrix(rng, n, d):
     return X
 
 
+def edge_tie_matrix(rng, n):
+    """Ties a rank table must get right: -0.0 beside 0.0, values one ulp apart,
+    a continuous column, few-valued columns, a constant -0.0 column and
+    duplicated rows."""
+    base = rng.standard_normal(3)
+    ulps = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
+    X = np.column_stack([rng.choice([-0.0, 0.0, 1.0, -1.0], n),
+                         rng.choice(ulps, n),
+                         rng.standard_normal(n),
+                         rng.integers(0, 3, (n, 4)).astype(float),
+                         np.full(n, -0.0)])
+    X[n // 2:] = X[: n - n // 2]
+    return X
+
+
+def assert_fits_match_oracle(monkeypatch, X, y, params, seed):
+    """fit_gbdt grows the trees it grows with ``reference_fit_tree`` in place of
+    ``_fit_tree``."""
+    got = models.fit_gbdt(X, y, params, seed=seed)
+    with monkeypatch.context() as m:
+        m.setattr(models, "_fit_tree",
+                  lambda X, ranks, *args: reference_fit_tree(X, *args))
+        want = models.fit_gbdt(X, y, params, seed=seed)
+    assert ([models._tree_to_dict(t) for t in got.trees]
+            == [models._tree_to_dict(t) for t in want.trees])
+
+
 def gbdt_params(**overrides):
     base = dict(depth=4, iterations=20, learning_rate=0.1, l2_leaf_reg=1.0,
                 subsample=1.0, rsm=1.0, class_weights=None)
@@ -323,7 +350,8 @@ class TestSplitSearchOracle:
         targets = rng.standard_normal(90)
         rows = np.sort(rng.choice(90, size=70, replace=False))
         feats = np.array([0, 1, 3, 6])
-        got = models._fit_tree(X, targets, rows, feats, depth, 1.0)
+        got = models._fit_tree(X, models._column_ranks(X)[feats], targets, rows,
+                               feats, depth, 1.0)
         want = reference_fit_tree(X, targets, rows, feats, depth, 1.0)
         assert models._tree_to_dict(got) == models._tree_to_dict(want)
 
@@ -332,13 +360,15 @@ class TestSplitSearchOracle:
     def test_two_rows(self, X):
         targets = np.array([-0.5, 0.7])
         rows, feats = np.arange(2), np.arange(2)
-        got = models._fit_tree(X, targets, rows, feats, 3, 0.0)
+        got = models._fit_tree(X, models._column_ranks(X)[feats], targets, rows,
+                               feats, 3, 0.0)
         assert (models._tree_to_dict(got)
                 == models._tree_to_dict(reference_fit_tree(X, targets, rows, feats, 3, 0.0)))
 
     def test_zero_targets_stay_a_leaf(self):
         X = np.random.default_rng(11).standard_normal((20, 3))
-        tree = models._fit_tree(X, np.zeros(20), np.arange(20), np.arange(3), 4, 1.0)
+        tree = models._fit_tree(X, models._column_ranks(X), np.zeros(20), np.arange(20),
+                                np.arange(3), 4, 1.0)
         assert tree.feature == -1 and tree.value == 0.0
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
@@ -349,11 +379,69 @@ class TestSplitSearchOracle:
         y = (rng.random(80) < expit(X[:, 1] + 0.5 * X[:, 0] - 1.0)).astype(float)
         params = gbdt_params(depth=depth, iterations=4, subsample=subsample, rsm=rsm,
                              class_weights="balanced")
-        got = models.fit_gbdt(X, y, params, seed=depth)
-        monkeypatch.setattr(models, "_fit_tree", reference_fit_tree)
-        want = models.fit_gbdt(X, y, params, seed=depth)
-        assert ([models._tree_to_dict(t) for t in got.trees]
-                == [models._tree_to_dict(t) for t in want.trees])
+        assert_fits_match_oracle(monkeypatch, X, y, params, depth)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rank_edge_ties_match(self, monkeypatch, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n, depth = int(rng.integers(2, 120)), int(rng.integers(1, 7))
+        X = edge_tie_matrix(rng, n)
+        targets = rng.standard_normal(n)
+        rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        feats = np.sort(rng.choice(X.shape[1], size=int(rng.integers(1, 8)), replace=False))
+        got = models._fit_tree(X, models._column_ranks(X)[feats], targets, rows,
+                               feats, depth, 1.0)
+        want = reference_fit_tree(X, targets, rows, feats, depth, 1.0)
+        assert models._tree_to_dict(got) == models._tree_to_dict(want)
+        y = (rng.random(n) < 0.4).astype(float)
+        y[:2] = 0.0, 1.0
+        params = gbdt_params(depth=depth, iterations=3, subsample=0.7, rsm=0.6,
+                             class_weights=[None, "balanced"][seed % 2])
+        assert_fits_match_oracle(monkeypatch, X, y, params, seed)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_wide_rank_table_matches(self, depth):
+        rng = np.random.default_rng(70 + depth)
+        n = 70_000
+        X = np.column_stack([rng.standard_normal(n), np.round(rng.standard_normal(n), 2),
+                             rng.integers(0, 3, n).astype(float)])
+        ranks = models._column_ranks(X)
+        assert ranks.dtype == np.uint32
+        targets = rng.standard_normal(n) + X[:, 1]
+        rows = np.sort(rng.choice(n, size=66_000, replace=False))
+        feats = np.arange(3)
+        got = models._fit_tree(X, ranks, targets, rows, feats, depth, 1.0)
+        want = reference_fit_tree(X, targets, rows, feats, depth, 1.0)
+        assert got.feature >= 0
+        assert models._tree_to_dict(got) == models._tree_to_dict(want)
+
+
+class TestColumnRanks:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_stable_order_equals_value_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        X = edge_tie_matrix(rng, n) if seed % 2 else tied_matrix(rng, n, 5)
+        ranks = models._column_ranks(X)
+        assert ranks.shape == X.shape[::-1]
+        for c in range(X.shape[1]):
+            np.testing.assert_array_equal(np.argsort(ranks[c], kind="stable"),
+                                          np.argsort(X[:, c], kind="stable"))
+            # dense: the ranks are 0..k-1 over the k distinct values
+            np.testing.assert_array_equal(np.unique(ranks[c]),
+                                          np.arange(np.unique(X[:, c]).size))
+
+    def test_signed_zeros_share_a_rank(self):
+        ranks = models._column_ranks(np.array([[0.0], [-0.0], [-1.0], [np.nextafter(0, 1)]]))
+        assert ranks[0].tolist() == [1, 1, 0, 2]
+
+    @pytest.mark.parametrize("n,dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16),
+                                         (65_536, np.uint16), (65_537, np.uint32)])
+    def test_smallest_dtype_holding_n_minus_1(self, n, dtype):
+        X = np.arange(n, dtype=float)[::-1, None]
+        ranks = models._column_ranks(X)
+        assert ranks.dtype == dtype
+        np.testing.assert_array_equal(ranks[0], np.arange(n)[::-1])
 
 
 class TestStagedPrediction:
