@@ -9,8 +9,8 @@ misses): they flag inputs more atypical than anything seen in calibration.
 
 Coverage is only meaningful when calibration and test units are
 exchangeable. Recordings from one cougher are not exchangeable with each
-other, so this module refuses to operate at any level other than
-"cougher"; callers must aggregate waveform probabilities first.
+other, so the pipeline fits and applies these sets to cougher-level mean
+probabilities, never to waveform probabilities.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-COUGHER_LEVEL = "cougher"
 
 
 def nonconformity(p_pos, label):
@@ -64,19 +62,15 @@ class ConformalCalibrator:
     """The conformal quantile for each requested alpha."""
 
     quantiles: dict = field(default_factory=dict)
-    level: str = COUGHER_LEVEL
 
     def prediction_sets(self, p_pos, alpha: float) -> np.ndarray:
         return prediction_sets(p_pos, self.quantiles[alpha])
 
 
-def fit_conformal(calib_p_pos, calib_labels, alphas, level: str = COUGHER_LEVEL) -> ConformalCalibrator:
-    if level != COUGHER_LEVEL:
-        raise ValueError(f"conformal calibration is only valid at the "
-                         f"{COUGHER_LEVEL!r} level, got {level!r}: waveform-level "
-                         "examples from one cougher are not exchangeable")
+def fit_conformal(calib_p_pos, calib_labels, alphas) -> ConformalCalibrator:
+    """Quantiles from cougher-level calibration probabilities and labels."""
     quantiles = {float(a): fit_quantile(calib_p_pos, calib_labels, a) for a in alphas}
-    return ConformalCalibrator(quantiles=quantiles, level=level)
+    return ConformalCalibrator(quantiles=quantiles)
 
 
 def evaluate_sets(sets, labels) -> dict:

@@ -106,16 +106,6 @@ class ClinicalRecord:
         """Encode as 16 reals in ``CLINICAL_FIELDS`` order (binaries as 0/1)."""
         return np.array([float(getattr(self, f)) for f in CLINICAL_FIELDS])
 
-    @classmethod
-    def from_vector(cls, vec) -> "ClinicalRecord":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (N_CLINICAL,):
-            raise ValueError(f"expected {N_CLINICAL} clinical values, got {vec.shape}")
-        kwargs = {}
-        for name, value in zip(CLINICAL_FIELDS, vec):
-            kwargs[name] = int(value) if name in BINARY_CLINICAL_FIELDS else float(value)
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class CoughRecording:

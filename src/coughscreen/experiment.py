@@ -7,7 +7,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -67,8 +67,7 @@ def _check_candidate(family: str, cand: dict) -> None:
             raise ConfigError(f"{family} grid candidate {cand!r}: {key} must be {want}")
 
 
-_SYNTH_KEYS = {"n_coughers", "prevalence", "coughs_mean", "coughs_std", "coughs_min",
-               "coughs_max", "signal_strength_audio", "signal_strength_clinical", "seed"}
+_SYNTH_KEYS = {f.name for f in fields(SyntheticConfig)}
 
 
 @dataclass
@@ -108,6 +107,11 @@ class ExperimentConfig:
         for a in self.alphas:
             if not 0.0 < float(a) < 1.0:
                 raise ConfigError(f"alpha {a} outside (0, 1)")
+        # report columns and rows are tagged by alpha to two decimals
+        tags = [f"{float(a):.2f}" for a in self.alphas]
+        if len(set(tags)) != len(tags):
+            raise ConfigError(f"alphas {list(self.alphas)!r} must differ in their first two "
+                              "decimals")
         if not _is_real(self.calib_frac) or not 0.0 < self.calib_frac <= 0.5:
             raise ConfigError("calib_frac must be a number in (0, 0.5]")
         for name, low in (("ece_bins", 1), ("seed", 0), ("k_outer", 2), ("k_inner", 2),
@@ -131,6 +135,8 @@ class ExperimentConfig:
                 raise ConfigError(f"grid override for unknown family {fam!r}")
             if not isinstance(grid, (list, tuple)) or not all(isinstance(c, dict) for c in grid):
                 raise ConfigError(f"grid for {fam} must be a list of parameter objects")
+            if not grid:
+                raise ConfigError(f"grid for {fam} must list at least one candidate")
             for cand in grid:
                 _check_candidate(fam, cand)
 
@@ -138,7 +144,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("the config must be a JSON object")
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+        known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

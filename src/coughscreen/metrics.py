@@ -22,10 +22,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class MetricSuite:

@@ -31,7 +31,6 @@ per-feature search over the values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +93,6 @@ def class_sample_weights(y, class_weight) -> np.ndarray:
 class LRModel:
     theta: np.ndarray  # intercept first, then d coefficients
     C: float
-    class_weight: object
     converged: bool = True
     n_iter: int = 0
 
@@ -116,13 +114,13 @@ def lr_objective(theta, X, y, C, sample_weight):
     return -loglik + penalty, grad
 
 
-def fit_lr(X, y, C, class_weight=None, max_iter=LR_MAX_ITER, grad_tol=LR_GRAD_TOL) -> LRModel:
+def fit_lr(X, y, C, class_weight=None, max_iter=LR_MAX_ITER) -> LRModel:
     """Minimize ``lr_objective`` from theta = 0 by unbounded L-BFGS-B.
 
     The routine asks for (f, g) at its current point (task 3) and reports each
     new iterate (task 1); the loop stops it as ``minimize`` does, after
     ``max_iter`` iterations (504) or more than 15,000 evaluations (502).
-    Task 4 means convergence: a projected gradient <= ``grad_tol`` or a
+    Task 4 means convergence: a projected gradient <= ``LR_GRAD_TOL`` or a
     relative decrease of f <= 1e-15. Any other end (a cap, or an abnormal
     line search, task 8) leaves ``converged`` False.
     """
@@ -139,7 +137,7 @@ def fit_lr(X, y, C, class_weight=None, max_iter=LR_MAX_ITER, grad_tol=LR_GRAD_TO
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
     n_iter = n_eval = 0
     while True:
-        _lbfgsb.setulb(m, theta, bound, bound, nbd, f, g, _LBFGS_FACTR, grad_tol, wa,
+        _lbfgsb.setulb(m, theta, bound, bound, nbd, f, g, _LBFGS_FACTR, LR_GRAD_TOL, wa,
                        iwa, task, lsave, isave, dsave, _LBFGS_MAX_LS, ln_task)
         if task[0] == 3:
             f, g = lr_objective(theta, X, y, C, w)
@@ -152,8 +150,7 @@ def fit_lr(X, y, C, class_weight=None, max_iter=LR_MAX_ITER, grad_tol=LR_GRAD_TO
                 task[:] = 5, 502
         else:
             break
-    return LRModel(theta=theta, C=C, class_weight=class_weight,
-                   converged=bool(task[0] == 4), n_iter=n_iter)
+    return LRModel(theta=theta, C=C, converged=bool(task[0] == 4), n_iter=n_iter)
 
 
 def predict_proba_lr(model: LRModel, X) -> np.ndarray:
@@ -180,15 +177,8 @@ class TreeNode:
 class GBDTModel:
     trees: list
     eta: float
-    iterations: int
-    depth: int
-    l2_leaf_reg: float
-    subsample: float
-    rsm: float
-    class_weights: object
     base_score: float
     feature_dim: int
-    seed: int = 0
 
 
 def _column_ranks(X) -> np.ndarray:
@@ -322,10 +312,7 @@ def fit_gbdt(X, y, params: dict, seed: int = 0) -> GBDTModel:
         tree = _fit_tree(X, ranks[feats], residuals, rows, feats, depth, l2)
         trees.append(tree)
         scores += eta * _predict_tree(tree, X)
-    return GBDTModel(trees=trees, eta=eta, iterations=iterations, depth=depth,
-                     l2_leaf_reg=l2, subsample=subsample, rsm=rsm,
-                     class_weights=class_weights, base_score=base_score,
-                     feature_dim=d, seed=seed)
+    return GBDTModel(trees=trees, eta=eta, base_score=base_score, feature_dim=d)
 
 
 def staged_proba_gbdt(model: GBDTModel, X, stages) -> np.ndarray:
@@ -400,68 +387,3 @@ def predict_model(model, X) -> np.ndarray:
         return predict_proba_gbdt(model, X)
     raise TypeError(f"not a fitted model: {type(model)!r}")
 
-
-# ---------------------------------------------------------------------------
-# Serialization (versioned, self-describing JSON)
-# ---------------------------------------------------------------------------
-
-_FORMAT = "coughscreen-model"
-_VERSION = 1
-
-
-def _tree_to_dict(node: TreeNode) -> dict:
-    if node.feature < 0:
-        return {"value": node.value}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "value": node.value,
-            "left": _tree_to_dict(node.left), "right": _tree_to_dict(node.right)}
-
-
-def _tree_from_dict(obj: dict) -> TreeNode:
-    if "feature" not in obj:
-        return TreeNode(value=obj["value"])
-    return TreeNode(feature=obj["feature"], threshold=obj["threshold"],
-                    value=obj.get("value", 0.0),
-                    left=_tree_from_dict(obj["left"]),
-                    right=_tree_from_dict(obj["right"]))
-
-
-def save_model(model, path, metadata: dict | None = None) -> None:
-    if isinstance(model, LRModel):
-        payload = {"family": "LR", "theta": model.theta.tolist(), "C": model.C,
-                   "class_weight": model.class_weight, "converged": model.converged,
-                   "n_iter": model.n_iter, "feature_dim": model.feature_dim}
-    elif isinstance(model, GBDTModel):
-        payload = {"family": "GBDT", "trees": [_tree_to_dict(t) for t in model.trees],
-                   "eta": model.eta, "iterations": model.iterations,
-                   "depth": model.depth, "l2_leaf_reg": model.l2_leaf_reg,
-                   "subsample": model.subsample, "rsm": model.rsm,
-                   "class_weights": model.class_weights,
-                   "base_score": model.base_score, "feature_dim": model.feature_dim,
-                   "seed": model.seed}
-    else:
-        raise TypeError(f"cannot serialize {type(model)!r}")
-    doc = {"format": _FORMAT, "version": _VERSION, "metadata": metadata or {},
-           "model": payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-
-
-def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _FORMAT or doc.get("version") != _VERSION:
-        raise ValueError(f"{path}: not a {_FORMAT} v{_VERSION} file")
-    m = doc["model"]
-    if m["family"] == "LR":
-        return LRModel(theta=np.asarray(m["theta"]), C=m["C"],
-                       class_weight=m["class_weight"], converged=m["converged"],
-                       n_iter=m["n_iter"])
-    if m["family"] == "GBDT":
-        return GBDTModel(trees=[_tree_from_dict(t) for t in m["trees"]],
-                         eta=m["eta"], iterations=m["iterations"], depth=m["depth"],
-                         l2_leaf_reg=m["l2_leaf_reg"], subsample=m["subsample"],
-                         rsm=m["rsm"], class_weights=m["class_weights"],
-                         base_score=m["base_score"], feature_dim=m["feature_dim"],
-                         seed=m.get("seed", 0))
-    raise ValueError(f"{path}: unknown family {m['family']!r}")

@@ -429,9 +429,12 @@ def _series(tag, xs, ys, fold_color: str, pooled_color: str) -> tuple:
 
 def emit_plots(doc: dict, outdir) -> list:
     """Per-fold plus pooled ROC, PR, and reliability diagrams, and coverage vs alpha,
-    from a report document (``report_doc`` or a loaded report.json)."""
-    os.makedirs(outdir, exist_ok=True)
-    written = []
+    from a report document (``report_doc`` or a loaded report.json).
+
+    Every SVG is rendered before the first is written, so a document that
+    fails to render leaves no files behind.
+    """
+    svgs = {}
     n_bins = doc["config"].get("ece_bins", 10)
     for fam, mode, block in _blocks(doc):
         folds = block["folds"]
@@ -444,11 +447,9 @@ def emit_plots(doc: dict, outdir) -> list:
                 for tag, probs, labels in sources:
                     curve = fn(probs, labels)
                     series.append(_series(tag, curve.xs, curve.ys, "#9ecae1", "#08519c"))
-                path = os.path.join(outdir, f"{kind}_{fam}_{mode}_{level}.svg")
-                _atomic_write(path, svg_line_plot(
+                svgs[f"{kind}_{fam}_{mode}_{level}.svg"] = svg_line_plot(
                     series, f"{kind.upper()} {fam} {mode} ({level})", xlab, ylab,
-                    xlim=(0, 1), ylim=(0, 1)))
-                written.append(path)
+                    xlim=(0, 1), ylim=(0, 1))
             series = []
             for tag, probs, labels in sources:
                 bins = [(conf, acc) for _, conf, acc, n in
@@ -456,20 +457,20 @@ def emit_plots(doc: dict, outdir) -> list:
                 series.append(_series(tag, [b[0] for b in bins], [b[1] for b in bins],
                                       "#a1d99b", "#006d2c"))
             series.append(("ideal", [0.0, 1.0], [0.0, 1.0], "#999999", 1))
-            path = os.path.join(outdir, f"reliability_{fam}_{mode}_{level}.svg")
-            _atomic_write(path, svg_line_plot(
+            svgs[f"reliability_{fam}_{mode}_{level}.svg"] = svg_line_plot(
                 series, f"Reliability {fam} {mode} ({level})",
-                "mean confidence", "empirical accuracy", xlim=(0, 1), ylim=(0, 1)))
-            written.append(path)
+                "mean confidence", "empirical accuracy", xlim=(0, 1), ylim=(0, 1))
         if doc["alphas"]:
             alphas = sorted(doc["alphas"])
             cov = [block["aggregates"]["conformal"][str(a)]["coverage"]["mean"] for a in alphas]
             target = [1.0 - a for a in alphas]
-            path = os.path.join(outdir, f"coverage_vs_alpha_{fam}_{mode}.svg")
-            _atomic_write(path, svg_line_plot(
+            svgs[f"coverage_vs_alpha_{fam}_{mode}.svg"] = svg_line_plot(
                 [("empirical", alphas, cov, "#08519c", 2.5),
                  ("target 1-alpha", alphas, target, "#999999", 1)],
                 f"Coverage vs alpha {fam} {mode} (cougher)", "alpha", "coverage",
-                ylim=(0, 1)))
-            written.append(path)
+                ylim=(0, 1))
+    os.makedirs(outdir, exist_ok=True)
+    written = [os.path.join(outdir, name) for name in svgs]
+    for path, text in zip(written, svgs.values()):
+        _atomic_write(path, text)
     return written

@@ -43,7 +43,6 @@ def derive_seed(master_seed: int, *path: int) -> int:
 class GroupedFoldPlan:
     k: int
     assignment: dict  # cougher_id -> fold index
-    seed: int
 
     def fold_members(self, fold: int) -> list:
         return sorted(cid for cid, f in self.assignment.items() if f == fold)
@@ -91,7 +90,7 @@ def stratified_group_kfold(cougher_ids, labels, k: int, seed: int,
         assignment[ids[i]] = best
         fold_class[best][y] += 1
         fold_recs[best] += counts[i]
-    return GroupedFoldPlan(k=k, assignment=assignment, seed=seed)
+    return GroupedFoldPlan(k=k, assignment=assignment)
 
 
 def carve_calibration(cougher_ids, labels, frac: float, seed: int):
@@ -150,7 +149,6 @@ class OuterFoldPlan:
 class NestedPlan:
     outer: GroupedFoldPlan
     folds: list = field(default_factory=list)
-    seed: int = 0
 
     def rows(self) -> list:
         """Flatten to (cougher_id, outer_fold, role, inner_fold) tuples."""
@@ -186,7 +184,7 @@ def build_nested_plan(cougher_ids, labels, recording_counts, k_outer: int,
     outer = stratified_group_kfold(ids, [label_of[c] for c in ids], k_outer,
                                    derive_seed(master_seed, _STREAM_OUTER),
                                    recording_counts=[count_of[c] for c in ids])
-    plan = NestedPlan(outer=outer, seed=master_seed)
+    plan = NestedPlan(outer=outer)
     universe = set(ids)
     for f in range(k_outer):
         test = outer.fold_members(f)

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import TINY_GBDT_GRID, tiny_experiment_doc
+from conftest import TINY_GBDT_GRID, TINY_LR_GRID, tiny_experiment_doc
 from coughscreen import cli, reports
 from coughscreen.data import load_manifest
 from coughscreen.features import extract
@@ -123,6 +123,15 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps({"family": "XGB", "synthetic": {}}))
         assert run_cli(["run", "--config", str(cfg_path)]) == 2
 
+    def test_repeated_alpha_flag_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_experiment_doc(out)))
+        assert run_cli(["run", "--config", str(cfg_path),
+                        "--alpha", "0.1", "--alpha", "0.1"]) == 2
+        assert "alphas" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_data_source_exit_2(self):
         assert run_cli(["run"]) == 2
 
@@ -153,12 +162,15 @@ class TestRunCommand:
         {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], rsm=1.5)]}},
         {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], class_weights="auto")]}},
         {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], eval_metric="AUC")]}},
+        {"family": "LR", "grids": {"LR": TINY_LR_GRID, "GBDT": []}},
+        {"alphas": [0.1, 0.1]},
+        {"alphas": [0.101, 0.104]},
     ], ids=["calib_frac-str", "n_coughers-str", "alphas-scalar", "alphas-str", "seed-str",
             "k_outer-float", "lr-no-C", "lr-C-zero", "lr-C-str", "lr-class_weight",
             "lr-solver", "lr-unknown-key", "gbdt-no-rsm", "gbdt-depth-float",
             "gbdt-iterations-zero", "gbdt-learning_rate-zero", "gbdt-l2-negative",
             "gbdt-subsample-zero", "gbdt-rsm-above-1", "gbdt-class_weights",
-            "gbdt-unknown-key"])
+            "gbdt-unknown-key", "gbdt-empty-grid", "alphas-repeated", "alphas-same-tag"])
     def test_config_type_error_exit_2(self, tmp_path, capsys, override):
         out = tmp_path / "exp"
         cfg_path = tmp_path / "bad.json"
@@ -281,6 +293,16 @@ class TestPlotCommand:
         assert run_cli(["plot", str(bad)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "bad_report.json" in err
+
+    def test_bad_later_block_writes_no_plots(self, tiny_run, tmp_path, capsys):
+        _, out = tiny_run
+        doc = json.loads((out / "report.json").read_text())
+        doc["blocks"]["ZZ|audio"] = {}  # sorts after every real block
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["plot", str(bad)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.svg"))
 
 
 CELL_FORMATS = re.compile(

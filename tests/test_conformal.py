@@ -132,14 +132,10 @@ class TestPredictionSet:
 
 
 class TestLevelGuard:
-    def test_waveform_level_rejected(self):
-        with pytest.raises(ValueError, match="cougher"):
-            conformal.fit_conformal([0.5, 0.8], [0, 1], alphas=(0.1,),
-                                    level="waveform")
-
     def test_cougher_level_accepted(self):
+        # k = ceil(4 * 0.9) = 4 exceeds the 3 calibration coughers
         cal = conformal.fit_conformal([0.5, 0.8, 0.3], [0, 1, 0], alphas=(0.1,))
-        assert cal.level == "cougher"
+        assert cal.quantiles == {0.1: 1.0}
 
 
 class TestEvaluateSets:

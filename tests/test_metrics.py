@@ -59,7 +59,7 @@ class TestConfusion:
 
     def test_counts_sum(self):
         c = metrics.confusion_at([0.1, 0.5, 0.9], [0, 1, 1], 0.3)
-        assert c.n == 3
+        assert c.tp + c.fp + c.tn + c.fn == 3
 
 
 class TestMetricSuite:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -74,11 +72,11 @@ class TestLogisticRegression:
             models.fit_lr(X, np.array([0, 1, 0, 1]), C=1.0)
 
     def test_predict_theta_zero(self):
-        m = models.LRModel(theta=np.zeros(4), C=1.0, class_weight=None)
+        m = models.LRModel(theta=np.zeros(4), C=1.0)
         np.testing.assert_array_equal(models.predict_proba_lr(m, np.ones((3, 3))), 0.5)
 
     def test_predict_saturation_no_overflow(self):
-        m = models.LRModel(theta=np.array([0.0, 40.0]), C=1.0, class_weight=None)
+        m = models.LRModel(theta=np.array([0.0, 40.0]), C=1.0)
         with np.errstate(over="raise"):
             p = models.predict_proba_lr(m, np.array([[1.0], [-1.0]]))
         assert p[0] >= 1 - 1e-15
@@ -86,7 +84,7 @@ class TestLogisticRegression:
 
     def test_predict_monotone_in_score(self):
         rng = np.random.default_rng(2)
-        m = models.LRModel(theta=rng.standard_normal(5), C=1.0, class_weight=None)
+        m = models.LRModel(theta=rng.standard_normal(5), C=1.0)
         X = rng.standard_normal((50, 4))
         scores = X @ m.theta[1:] + m.theta[0]
         probs = models.predict_proba_lr(m, X)
@@ -94,7 +92,7 @@ class TestLogisticRegression:
         assert np.all(np.diff(probs[order]) >= 0)
 
     def test_dimension_mismatch_rejected(self):
-        m = models.LRModel(theta=np.zeros(4), C=1.0, class_weight=None)
+        m = models.LRModel(theta=np.zeros(4), C=1.0)
         with pytest.raises(ValueError):
             models.predict_proba_lr(m, np.ones((2, 5)))
 
@@ -237,8 +235,7 @@ def assert_fits_match_oracle(monkeypatch, X, y, params, seed):
         m.setattr(models, "_fit_tree",
                   lambda X, ranks, *args: reference_fit_tree(X, *args))
         want = models.fit_gbdt(X, y, params, seed=seed)
-    assert ([models._tree_to_dict(t) for t in got.trees]
-            == [models._tree_to_dict(t) for t in want.trees])
+    assert got.trees == want.trees
 
 
 def gbdt_params(**overrides):
@@ -353,7 +350,7 @@ class TestSplitSearchOracle:
         got = models._fit_tree(X, models._column_ranks(X)[feats], targets, rows,
                                feats, depth, 1.0)
         want = reference_fit_tree(X, targets, rows, feats, depth, 1.0)
-        assert models._tree_to_dict(got) == models._tree_to_dict(want)
+        assert got == want
 
     @pytest.mark.parametrize("X", [np.array([[0.0, 1.0], [1.0, 1.0]]),
                                    np.array([[3.0, 3.0], [3.0, 3.0]])])
@@ -362,8 +359,7 @@ class TestSplitSearchOracle:
         rows, feats = np.arange(2), np.arange(2)
         got = models._fit_tree(X, models._column_ranks(X)[feats], targets, rows,
                                feats, 3, 0.0)
-        assert (models._tree_to_dict(got)
-                == models._tree_to_dict(reference_fit_tree(X, targets, rows, feats, 3, 0.0)))
+        assert got == reference_fit_tree(X, targets, rows, feats, 3, 0.0)
 
     def test_zero_targets_stay_a_leaf(self):
         X = np.random.default_rng(11).standard_normal((20, 3))
@@ -392,7 +388,7 @@ class TestSplitSearchOracle:
         got = models._fit_tree(X, models._column_ranks(X)[feats], targets, rows,
                                feats, depth, 1.0)
         want = reference_fit_tree(X, targets, rows, feats, depth, 1.0)
-        assert models._tree_to_dict(got) == models._tree_to_dict(want)
+        assert got == want
         y = (rng.random(n) < 0.4).astype(float)
         y[:2] = 0.0, 1.0
         params = gbdt_params(depth=depth, iterations=3, subsample=0.7, rsm=0.6,
@@ -413,7 +409,7 @@ class TestSplitSearchOracle:
         got = models._fit_tree(X, ranks, targets, rows, feats, depth, 1.0)
         want = reference_fit_tree(X, targets, rows, feats, depth, 1.0)
         assert got.feature >= 0
-        assert models._tree_to_dict(got) == models._tree_to_dict(want)
+        assert got == want
 
 
 class TestColumnRanks:
@@ -494,45 +490,3 @@ class TestGrids:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             models.grid_candidates("SVM")
-
-
-class TestSerialization:
-    def test_lr_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((40, 3))
-        y = (rng.random(40) < 0.5).astype(float)
-        m = models.fit_lr(X, y, C=0.05, class_weight="balanced")
-        path = tmp_path / "lr.json"
-        models.save_model(m, path, metadata={"trained_on": "test"})
-        back = models.load_model(path)
-        np.testing.assert_allclose(models.predict_proba_lr(back, X),
-                                   models.predict_proba_lr(m, X), atol=1e-15)
-        assert (back.converged, back.n_iter) == (m.converged, m.n_iter)
-
-    def test_lr_file_with_solver_tag_loads(self, tmp_path):
-        # older LR files carry a "solver_tag" key, which is ignored
-        m = models.LRModel(theta=np.array([0.5, -1.0]), C=0.05, class_weight=None)
-        path = tmp_path / "lr.json"
-        models.save_model(m, path)
-        doc = json.loads(path.read_text())
-        assert "solver_tag" not in doc["model"]
-        doc["model"]["solver_tag"] = "lbfgs"
-        path.write_text(json.dumps(doc))
-        np.testing.assert_array_equal(models.load_model(path).theta, m.theta)
-
-    def test_gbdt_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((40, 3))
-        y = (rng.random(40) < 0.5).astype(float)
-        m = models.fit_gbdt(X, y, gbdt_params(iterations=5), seed=2)
-        path = tmp_path / "gbdt.json"
-        models.save_model(m, path)
-        back = models.load_model(path)
-        np.testing.assert_allclose(models.predict_proba_gbdt(back, X),
-                                   models.predict_proba_gbdt(m, X), atol=1e-15)
-
-    def test_bad_format_rejected(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ValueError):
-            models.load_model(path)
