@@ -48,8 +48,6 @@ BINARY_CLINICAL_FIELDS = frozenset([
     "prior_tb_unknown", "hemoptysis", "smoked_last_week", "fever",
     "night_sweats", "weight_loss",
 ])
-BINARY_CLINICAL_INDICES = tuple(i for i, f in enumerate(CLINICAL_FIELDS)
-                                if f in BINARY_CLINICAL_FIELDS)
 N_CLINICAL = len(CLINICAL_FIELDS)
 N_AUDIO_FEATURES = 261
 MANIFEST_COLUMNS = ["recording_id", "cougher_id", "tb_label", "wav_path"] + CLINICAL_FIELDS
@@ -244,8 +242,8 @@ def write_manifest(coughers, manifest_path, wav_paths: dict) -> None:
 class StandardScaler:
     """Column-wise z-scoring with parameters frozen at fit time.
 
-    The population std (N denominator) is used. Constant columns and
-    explicitly excluded columns pass through unchanged and are flagged.
+    The population std (N denominator) is used. Constant columns pass
+    through unchanged and are flagged.
     """
 
     means: np.ndarray
@@ -257,19 +255,16 @@ class StandardScaler:
         return self.means.size
 
 
-def fit_scaler(X, passthrough_cols=()) -> StandardScaler:
+def fit_scaler(X) -> StandardScaler:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("scaler needs a nonempty 2-D matrix")
     means = X.mean(axis=0)
     stds = X.std(axis=0)
-    passthrough = np.zeros(X.shape[1], dtype=bool)
-    passthrough[list(passthrough_cols)] = True
-    constant = stds < 1e-12
-    if np.any(constant & ~passthrough):
+    passthrough = stds < 1e-12
+    if np.any(passthrough):
         log.debug("scaler: %d constant column(s) passed through unscaled",
-                  int(np.sum(constant & ~passthrough)))
-    passthrough |= constant
+                  int(np.sum(passthrough)))
     means = np.where(passthrough, 0.0, means)
     stds = np.where(passthrough, 1.0, stds)
     return StandardScaler(means, stds, passthrough)

@@ -79,13 +79,11 @@ class ExperimentConfig:
     feature_mode: str = "both"  # audio | fused | both
     alphas: tuple = DEFAULT_ALPHAS
     calib_frac: float = 0.15
-    ece_bins: int = 10
     seed: int = 42
     k_outer: int = 10
     k_inner: int = 5
     out: str = "runs"
     jobs: int = 1
-    scale_binary_clinical: bool = True
     grids: dict = field(default_factory=dict)  # family -> reduced candidate list
 
     def validate(self) -> None:
@@ -109,18 +107,19 @@ class ExperimentConfig:
                 raise ConfigError(f"alpha {a} outside (0, 1)")
         # report columns and rows are tagged by alpha to two decimals
         tags = [f"{float(a):.2f}" for a in self.alphas]
+        for a, tag in zip(self.alphas, tags):
+            if tag in ("0.00", "1.00"):
+                raise ConfigError(f"alpha {a} rounds to {tag} at two decimals, "
+                                  "which the report tags alphas by")
         if len(set(tags)) != len(tags):
             raise ConfigError(f"alphas {list(self.alphas)!r} must differ in their first two "
                               "decimals")
         if not _is_real(self.calib_frac) or not 0.0 < self.calib_frac <= 0.5:
             raise ConfigError("calib_frac must be a number in (0, 0.5]")
-        for name, low in (("ece_bins", 1), ("seed", 0), ("k_outer", 2), ("k_inner", 2),
-                          ("jobs", 1)):
+        for name, low in (("seed", 0), ("k_outer", 2), ("k_inner", 2), ("jobs", 1)):
             value = getattr(self, name)
             if not _is_int(value) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not isinstance(self.scale_binary_clinical, bool):
-            raise ConfigError("scale_binary_clinical must be true or false")
         if self.synthetic is not None:
             if not isinstance(self.synthetic, dict):
                 raise ConfigError("synthetic must be an object of generator settings")
@@ -170,10 +169,8 @@ class ExperimentConfig:
     def run_config(self, family: str) -> RunConfig:
         grid = self.grids.get(family)
         return RunConfig(alphas=tuple(float(a) for a in self.alphas),
-                         calib_frac=self.calib_frac, ece_bins=self.ece_bins,
-                         seed=self.seed, k_outer=self.k_outer, k_inner=self.k_inner,
-                         grid=tuple(grid) if grid else None,
-                         scale_binary_clinical=self.scale_binary_clinical)
+                         calib_frac=self.calib_frac, seed=self.seed, k_outer=self.k_outer,
+                         k_inner=self.k_inner, grid=tuple(grid) if grid else None)
 
 
 def environment_info() -> dict:

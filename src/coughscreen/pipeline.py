@@ -15,6 +15,8 @@ Per outer fold the protocol is:
    Brier/ECE before and after calibration, conformal sets, and selective
    correctness — all at both waveform and cougher level where defined.
 
+``score_inner_fold`` runs step 2 on one inner fold, ``run_fold`` runs the
+other steps on the inner folds' outputs, and ``run_nested`` schedules both.
 Scalers and models only ever see tuning rows (inner-train rows during the
 grid search); every boundary is re-asserted at run time and a violation
 aborts the run with ``LeakageError``.
@@ -22,15 +24,18 @@ aborts the run with ``LeakageError``.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import calibration, conformal, metrics, models
-from .data import BINARY_CLINICAL_INDICES, N_AUDIO_FEATURES, apply_scaler, fit_scaler, fuse
+from .data import apply_scaler, fit_scaler, fuse
 from .features import extract_all
 from .splits import LeakageError, NestedPlan, assert_cougher_disjoint, build_nested_plan, model_seed
 
@@ -45,12 +50,10 @@ DEFAULT_ALPHAS = (0.10, 0.05)
 class RunConfig:
     alphas: tuple = DEFAULT_ALPHAS
     calib_frac: float = 0.15
-    ece_bins: int = 10
     seed: int = 42
     k_outer: int = 10
     k_inner: int = 5
     grid: tuple | None = None  # optional reduced candidate list for desk-scale runs
-    scale_binary_clinical: bool = True
 
     def candidates(self, family: str) -> list:
         if self.grid is not None:
@@ -73,6 +76,11 @@ class FeatureTable:
     @property
     def all_coughers(self) -> list:
         return sorted(self.cougher_label)
+
+    @cached_property
+    def fused(self) -> np.ndarray:
+        """The audio then the clinical block of every row, built once, on first use."""
+        return fuse(self.audio, self.clinical)
 
 
 def build_feature_table(coughers) -> FeatureTable:
@@ -108,12 +116,11 @@ def build_feature_table(coughers) -> FeatureTable:
     )
 
 
-def _design_matrix(table: FeatureTable, feature_mode: str):
+def _design_matrix(table: FeatureTable, feature_mode: str) -> np.ndarray:
     if feature_mode == "audio":
-        return table.audio, ()
+        return table.audio
     if feature_mode == "fused":
-        passthrough = tuple(N_AUDIO_FEATURES + i for i in BINARY_CLINICAL_INDICES)
-        return fuse(table.audio, table.clinical), passthrough
+        return table.fused
     raise ValueError(f"unknown feature_mode {feature_mode!r}")
 
 
@@ -202,62 +209,77 @@ def _fit_groups(family: str, candidates: list) -> list:
              members) for members in groups.values()]
 
 
+def _fit(family: str, params: dict, X, y, seed: int, unconverged: list):
+    """Fit one model; an LR fit that stops unconverged adds its C to ``unconverged``."""
+    model = models.fit_model(family, params, X, y, seed=seed)
+    if isinstance(model, models.LRModel) and not model.converged:
+        unconverged.append(model.C)
+    return model
+
+
+def score_inner_fold(table: FeatureTable, fold_plan, j: int, family: str, feature_mode: str,
+                     cfg: RunConfig):
+    """Step (2) of the protocol on inner fold ``j`` of one outer fold.
+
+    Returns plain picklable values: each candidate's UAR at its Youden
+    threshold, the validation rows' positions among the tuning rows, the
+    (candidates x validation rows) probabilities, and the C of each LR fit
+    that stopped unconverged.
+    """
+    val_c = fold_plan.inner.fold_members(j)
+    train_c = sorted(set(fold_plan.tuning) - set(val_c))
+    assert_cougher_disjoint(inner_train=train_c, inner_val=val_c, test=fold_plan.test,
+                            calib=fold_plan.calib)
+    X_all, y_all = _design_matrix(table, feature_mode), table.labels
+    tuning_rows, val_rows = _rows_for(table, fold_plan.tuning), _rows_for(table, val_c)
+    train_rows = np.setdiff1d(tuning_rows, val_rows, assume_unique=True)
+    oof_pos = np.searchsorted(tuning_rows, val_rows)
+    if not np.array_equal(tuning_rows[np.minimum(oof_pos, tuning_rows.size - 1)], val_rows):
+        raise LeakageError(f"fold {fold_plan.fold}: inner validation rows outside "
+                           "the tuning pool")
+    # the scaler does not depend on the candidate, so every candidate shares it
+    X_train = X_all[train_rows]
+    scaler = fit_scaler(X_train)
+    X_train = apply_scaler(scaler, X_train)
+    X_val = apply_scaler(scaler, X_all[val_rows])
+    candidates = cfg.candidates(family)
+    uars = np.empty(len(candidates))
+    probs = np.empty((len(candidates), val_rows.size))
+    unconverged = []
+    seed = model_seed(cfg.seed, fold_plan.fold, 0)
+    for fit_params, members in _fit_groups(family, candidates):
+        model = _fit(family, fit_params, X_train, y_all[train_rows], seed, unconverged)
+        if family == "GBDT":
+            stages = [candidates[ci]["iterations"] for ci in members]
+            member_probs = models.staged_proba_gbdt(model, X_val, stages)
+        else:
+            member_probs = [models.predict_model(model, X_val)]
+        for ci, member in zip(members, member_probs):
+            _, j_stat = calibration.youden_threshold(member, y_all[val_rows])
+            uars[ci] = (1.0 + j_stat) / 2.0
+            probs[ci] = member
+    return uars, oof_pos, probs, unconverged
+
+
 def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
-             cfg: RunConfig) -> FoldResult:
-    """Execute steps (1)-(7) of the protocol for one outer fold."""
+             cfg: RunConfig, inner) -> FoldResult:
+    """Steps (1) and (3)-(6) of the protocol for one outer fold, given in ``inner``
+    the ``score_inner_fold`` output of each of its inner folds, in order."""
     test_c, calib_c, tuning_c = fold_plan.test, fold_plan.calib, fold_plan.tuning
     assert_cougher_disjoint(test=test_c, calib=calib_c, tuning=tuning_c)
 
-    X_all, passthrough = _design_matrix(table, feature_mode)
-    if not cfg.scale_binary_clinical and feature_mode == "fused":
-        scaler_passthrough = passthrough
-    else:
-        scaler_passthrough = ()
-    y_all = table.labels
+    X_all, y_all = _design_matrix(table, feature_mode), table.labels
     tuning_rows = _rows_for(table, tuning_c)
     calib_rows = _rows_for(table, calib_c)
     test_rows = _rows_for(table, test_c)
-    seed_inner = model_seed(cfg.seed, fold_plan.fold, 0)
-    seed_final = model_seed(cfg.seed, fold_plan.fold, 1)
-    unconverged = []  # C of each LR fit of this fold that stopped unconverged
-
-    def fit(params, X, y, seed):
-        model = models.fit_model(family, params, X, y, seed=seed)
-        if isinstance(model, models.LRModel) and not model.converged:
-            unconverged.append(model.C)
-        return model
-
-    # Inner grid search. An inner fold's scaler does not depend on the
-    # candidate, so each fold is scaled once and shared by every candidate.
     candidates = cfg.candidates(family)
-    groups = _fit_groups(family, candidates)
     oof = np.full((len(candidates), tuning_rows.size), np.nan)
     uars = np.empty((len(candidates), fold_plan.inner.k))
-    for j in range(fold_plan.inner.k):
-        val_c = fold_plan.inner.fold_members(j)
-        train_c = sorted(set(tuning_c) - set(val_c))
-        assert_cougher_disjoint(inner_train=train_c, inner_val=val_c, test=test_c,
-                                calib=calib_c)
-        train_rows, val_rows = _rows_for(table, train_c), _rows_for(table, val_c)
-        oof_pos = np.searchsorted(tuning_rows, val_rows)
-        if not np.array_equal(tuning_rows[np.minimum(oof_pos, tuning_rows.size - 1)],
-                              val_rows):
-            raise LeakageError(f"fold {fold_plan.fold}: inner validation rows outside "
-                               "the tuning pool")
-        scaler = fit_scaler(X_all[train_rows], passthrough_cols=scaler_passthrough)
-        X_train = apply_scaler(scaler, X_all[train_rows])
-        X_val = apply_scaler(scaler, X_all[val_rows])
-        for fit_params, members in groups:
-            model = fit(fit_params, X_train, y_all[train_rows], seed_inner)
-            if family == "GBDT":
-                stages = [candidates[ci]["iterations"] for ci in members]
-                member_probs = models.staged_proba_gbdt(model, X_val, stages)
-            else:
-                member_probs = [models.predict_model(model, X_val)]
-            for ci, probs in zip(members, member_probs):
-                _, j_stat = calibration.youden_threshold(probs, y_all[val_rows])
-                uars[ci, j] = (1.0 + j_stat) / 2.0
-                oof[ci, oof_pos] = probs
+    unconverged = []  # C of each LR fit of this fold that stopped unconverged
+    for j, (unit_uars, oof_pos, probs, unit_unconverged) in enumerate(inner):
+        uars[:, j] = unit_uars
+        oof[:, oof_pos] = probs
+        unconverged += unit_unconverged
     # the first candidate in grid order with the largest mean inner UAR wins;
     # its out-of-fold probabilities fit the calibrator
     mean_uars = [float(np.mean(u)) for u in uars]
@@ -269,13 +291,15 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
 
     iso = calibration.fit_isotonic(best_oof, y_all[tuning_rows])
 
-    scaler_final = fit_scaler(X_all[tuning_rows], passthrough_cols=scaler_passthrough)
-    model_final = fit(best_params, apply_scaler(scaler_final, X_all[tuning_rows]),
-                      y_all[tuning_rows], seed_final)
-    if unconverged:
+    X_tuning = X_all[tuning_rows]
+    scaler_final = fit_scaler(X_tuning)
+    model_final = _fit(family, best_params, apply_scaler(scaler_final, X_tuning),
+                       y_all[tuning_rows], model_seed(cfg.seed, fold_plan.fold, 1), unconverged)
+    if unconverged:  # LR fits only, where each candidate is a fit group of its own
         log.warning("outer fold %d (%s): %d of %d LR fits did not converge, at C = %s",
                     fold_plan.fold, feature_mode, len(unconverged),
-                    len(groups) * fold_plan.inner.k + 1, ", ".join(map(repr, sorted(set(unconverged)))))
+                    len(candidates) * fold_plan.inner.k + 1,
+                    ", ".join(map(repr, sorted(set(unconverged)))))
 
     # Calibration subset: thresholds and conformal quantiles.
     calib_raw = models.predict_model(model_final, apply_scaler(scaler_final, X_all[calib_rows]))
@@ -292,8 +316,7 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
     wf_suite = metrics.full_suite(test_cal, y_test, tau_w)
 
     cg_ids, cg_raw, cg_labels = _cougher_level(table, test_rows, test_raw)
-    cg_ids2, cg_cal, _ = _cougher_level(table, test_rows, test_cal)
-    assert list(cg_ids) == list(cg_ids2)
+    _, cg_cal = metrics.aggregate_cougher(test_cal, table.cougher_ids[test_rows])
     cg_suite = metrics.full_suite(cg_cal, cg_labels, tau_s)
 
     conf_out, sel_out, sets_out = {}, {}, {}
@@ -321,12 +344,12 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
         tau_w=tau_w, tau_s=tau_s, waveform=wf_suite, cougher=cg_suite,
         brier_raw_wf=calibration.brier(test_raw, y_test),
         brier_cal_wf=calibration.brier(test_cal, y_test),
-        ece_raw_wf=calibration.ece(test_raw, y_test, cfg.ece_bins),
-        ece_cal_wf=calibration.ece(test_cal, y_test, cfg.ece_bins),
+        ece_raw_wf=calibration.ece(test_raw, y_test),
+        ece_cal_wf=calibration.ece(test_cal, y_test),
         brier_raw_cg=calibration.brier(cg_raw, cg_labels),
         brier_cal_cg=calibration.brier(cg_cal, cg_labels),
-        ece_raw_cg=calibration.ece(cg_raw, cg_labels, cfg.ece_bins),
-        ece_cal_cg=calibration.ece(cg_cal, cg_labels, cfg.ece_bins),
+        ece_raw_cg=calibration.ece(cg_raw, cg_labels),
+        ece_cal_cg=calibration.ece(cg_cal, cg_labels),
         conformal=conf_out, selective=sel_out,
         n_test_coughers=len(test_c), n_calib_coughers=len(calib_c),
         n_tuning_coughers=len(tuning_c),
@@ -339,16 +362,26 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
     )
 
 
-def _run_fold_star(args):
-    return run_fold(*args)
+_worker_table = None  # a pool worker's FeatureTable, set once by _init_worker
+
+
+def _init_worker(table: FeatureTable) -> None:
+    global _worker_table
+    _worker_table = table
+
+
+def _call_on_worker_table(fn, args):
+    return fn(_worker_table, *args)
 
 
 def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConfig,
                jobs: int = 1, plan: NestedPlan | None = None):
     """Run the full nested protocol on a feature table; returns (fold_results, plan).
 
-    Outer folds are independent and can fan out over a process pool;
-    numerical results do not depend on ``jobs``.
+    Each (outer fold, inner fold) unit runs ``score_inner_fold``, then each outer
+    fold ``run_fold``. At ``jobs=1`` both run lazily in this process, one fold at
+    a time; otherwise on one pool of ``min(jobs, units)`` workers that each get
+    the table once. Numerical results do not depend on ``jobs``.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -359,13 +392,25 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
         plan = build_nested_plan(ids, [table.cougher_label[c] for c in ids],
                                  [table.cougher_rec_count[c] for c in ids],
                                  cfg.k_outer, cfg.k_inner, cfg.calib_frac, cfg.seed)
-    args = [(table, fp, family, feature_mode, cfg) for fp in plan.folds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_fold_star, args))
-    else:
-        results = [run_fold(*a) for a in args]
-    results.sort(key=lambda r: r.fold)
+    n_units = sum(fp.inner.k for fp in plan.folds)
+    workers = min(jobs, n_units)
+    log.info("%d inner-fold units, %d outer folds, %d workers", n_units, len(plan.folds),
+             workers)
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            def mapper(fn, arg_tuples):
+                return (fn(table, *args) for args in arg_tuples)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(table,)))
+
+            def mapper(fn, arg_tuples):
+                return pool.map(_call_on_worker_table, itertools.repeat(fn), arg_tuples)
+        units = iter(mapper(score_inner_fold, ((fp, j, family, feature_mode, cfg)
+                                               for fp in plan.folds for j in range(fp.inner.k))))
+        inner = (list(itertools.islice(units, fp.inner.k)) for fp in plan.folds)
+        results = list(mapper(run_fold, ((fp, family, feature_mode, cfg, scores)
+                                         for fp, scores in zip(plan.folds, inner))))
     rates = plan.outer.positive_rates(table.cougher_label)
     for r in results:
         r.audit["outer_positive_rates"] = rates

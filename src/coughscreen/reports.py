@@ -306,9 +306,8 @@ def write_report(report: RunReport, outdir) -> list:
             _atomic_write(path, _csv_text(builder(doc, mode)))
             written.append(path)
 
-    n_bins = doc["config"].get("ece_bins", 10)
     for fam, mode, block in _blocks(doc):
-        written += _write_reliability(block["folds"], fam, mode, outdir, n_bins)
+        written += _write_reliability(block["folds"], fam, mode, outdir)
         written.append(_write_curves(block["folds"], fam, mode, outdir))
     return written
 
@@ -326,13 +325,13 @@ def _curve_sources(folds, level: str) -> list:
             + [("pooled", *_test_set(folds, level))])
 
 
-def _write_reliability(folds, fam, mode, outdir, n_bins) -> list:
+def _write_reliability(folds, fam, mode, outdir) -> list:
     written = []
     for level in LEVELS:
         for stage in ("raw", "isotonic"):
             probs, labels = _test_set(folds, level, "raw" if stage == "raw" else "cal")
             rows = [["bin_center", "mean_confidence", "empirical_accuracy", "count"]]
-            for center, conf, acc, count in calibration.reliability_bins(probs, labels, n_bins):
+            for center, conf, acc, count in calibration.reliability_bins(probs, labels):
                 rows.append([f"{center:.3f}",
                              "" if math.isnan(conf) else repr(conf),
                              "" if math.isnan(acc) else repr(acc), count])
@@ -435,7 +434,6 @@ def emit_plots(doc: dict, outdir) -> list:
     fails to render leaves no files behind.
     """
     svgs = {}
-    n_bins = doc["config"].get("ece_bins", 10)
     for fam, mode, block in _blocks(doc):
         folds = block["folds"]
         for level in LEVELS:
@@ -453,7 +451,7 @@ def emit_plots(doc: dict, outdir) -> list:
             series = []
             for tag, probs, labels in sources:
                 bins = [(conf, acc) for _, conf, acc, n in
-                        calibration.reliability_bins(probs, labels, n_bins) if n > 0]
+                        calibration.reliability_bins(probs, labels) if n > 0]
                 series.append(_series(tag, [b[0] for b in bins], [b[1] for b in bins],
                                       "#a1d99b", "#006d2c"))
             series.append(("ideal", [0.0, 1.0], [0.0, 1.0], "#999999", 1))

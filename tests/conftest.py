@@ -1,5 +1,6 @@
 import pytest
 
+from coughscreen import pipeline, synth
 from coughscreen.experiment import ExperimentConfig, run_experiment
 
 TINY_LR_GRID = [{"C": 0.05, "class_weight": "balanced", "solver": "lbfgs"}]
@@ -23,6 +24,22 @@ def tiny_experiment_doc(out, **overrides):
     }
     doc.update(overrides)
     return doc
+
+
+@pytest.fixture(scope="session")
+def synthetic_table():
+    """``build(cfg)``: the FeatureTable of a ``SyntheticConfig``, built once per session.
+
+    Callers must not modify the table they get.
+    """
+    tables = {}
+
+    def build(cfg):
+        if cfg not in tables:
+            tables[cfg] = pipeline.build_feature_table(synth.generate_synthetic(cfg))
+        return tables[cfg]
+
+    return build
 
 
 @pytest.fixture(scope="session")

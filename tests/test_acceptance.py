@@ -211,12 +211,14 @@ NULL_GRID = ({"C": 0.01, "class_weight": "balanced", "solver": "lbfgs"},)
 SIGNAL_GRID = ({"C": 0.05, "class_weight": "balanced", "solver": "lbfgs"},)
 
 
-def _nested_lr(seed, s_audio, s_clinical, modes, grid):
-    cfg = synth.SyntheticConfig(n_coughers=100, prevalence=0.3, coughs_mean=4,
-                                coughs_std=1.5, coughs_min=3, coughs_max=6,
-                                signal_strength_audio=s_audio,
-                                signal_strength_clinical=s_clinical, seed=seed)
-    table = pipeline.build_feature_table(synth.generate_synthetic(cfg))
+def _cohort(seed, s_audio, s_clinical):
+    return synth.SyntheticConfig(n_coughers=100, prevalence=0.3, coughs_mean=4,
+                                 coughs_std=1.5, coughs_min=3, coughs_max=6,
+                                 signal_strength_audio=s_audio,
+                                 signal_strength_clinical=s_clinical, seed=seed)
+
+
+def _nested_lr(table, seed, modes, grid):
     run_cfg = pipeline.RunConfig(seed=1000 + seed, grid=grid)
     out = {}
     plan = None
@@ -226,11 +228,12 @@ def _nested_lr(seed, s_audio, s_clinical, modes, grid):
     return out
 
 
-def test_c07_null_control():
+def test_c07_null_control(synthetic_table):
     with criterion(7, "zero-signal nested pipeline stays near chance", 600):
         fold_aucs = []
         for seed in range(20):
-            results = _nested_lr(seed, 0.0, 0.0, ("fused",), NULL_GRID)["fused"]
+            table = synthetic_table(_cohort(seed, 0.0, 0.0))
+            results = _nested_lr(table, seed, ("fused",), NULL_GRID)["fused"]
             fold_aucs.extend(r.cougher.roc_auc for r in results)
         mean_auc = float(np.mean(fold_aucs))
         print(f"    null mean cougher ROC AUC over 20 seeds: {mean_auc:.3f}")
@@ -242,7 +245,9 @@ def test_c08_signal_and_fusion_ordering():
         fused_wins = 0
         ece_improved = 0
         for seed in range(20):
-            out = _nested_lr(seed, 0.35, 1.2, ("audio", "fused"), SIGNAL_GRID)
+            table = pipeline.build_feature_table(
+                synth.generate_synthetic(_cohort(seed, 0.35, 1.2)))
+            out = _nested_lr(table, seed, ("audio", "fused"), SIGNAL_GRID)
             audio_auc = float(np.mean([r.cougher.roc_auc for r in out["audio"]]))
             fused_auc = float(np.mean([r.cougher.roc_auc for r in out["fused"]]))
             if fused_auc > audio_auc:

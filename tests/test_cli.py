@@ -165,12 +165,18 @@ class TestRunCommand:
         {"family": "LR", "grids": {"LR": TINY_LR_GRID, "GBDT": []}},
         {"alphas": [0.1, 0.1]},
         {"alphas": [0.101, 0.104]},
+        {"alphas": [0.001, 0.2]},
+        {"alphas": [0.997]},
+        {"ece_bins": 10},
+        {"scale_binary_clinical": True},
     ], ids=["calib_frac-str", "n_coughers-str", "alphas-scalar", "alphas-str", "seed-str",
             "k_outer-float", "lr-no-C", "lr-C-zero", "lr-C-str", "lr-class_weight",
             "lr-solver", "lr-unknown-key", "gbdt-no-rsm", "gbdt-depth-float",
             "gbdt-iterations-zero", "gbdt-learning_rate-zero", "gbdt-l2-negative",
             "gbdt-subsample-zero", "gbdt-rsm-above-1", "gbdt-class_weights",
-            "gbdt-unknown-key", "gbdt-empty-grid", "alphas-repeated", "alphas-same-tag"])
+            "gbdt-unknown-key", "gbdt-empty-grid", "alphas-repeated", "alphas-same-tag",
+            "alpha-tag-0.00", "alpha-tag-1.00", "removed-ece_bins",
+            "removed-scale_binary_clinical"])
     def test_config_type_error_exit_2(self, tmp_path, capsys, override):
         out = tmp_path / "exp"
         cfg_path = tmp_path / "bad.json"

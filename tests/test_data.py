@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from coughscreen import data, dsp, models, pipeline, synth
+from coughscreen import data, dsp, models, synth
 from coughscreen.metrics import aggregate_cougher, roc_auc
 from coughscreen.splits import stratified_group_kfold
 
@@ -39,7 +39,7 @@ class TestClinicalRecord:
     def test_encode_all_no_zero_valued(self):
         rec = sample_clinical(sex=0, fever=0, weight_loss=0)
         vec = rec.to_vector()
-        binary = vec[list(data.BINARY_CLINICAL_INDICES)]
+        binary = vec[[data.CLINICAL_FIELDS.index(f) for f in data.BINARY_CLINICAL_FIELDS]]
         np.testing.assert_array_equal(binary, 0.0)
 
     def test_sex_toggles_one_coordinate(self):
@@ -155,14 +155,6 @@ class TestScaler:
         with pytest.raises(ValueError):
             data.apply_scaler(scaler, np.ones((3, 5)))
 
-    def test_explicit_passthrough_columns(self):
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((30, 3)) + 5
-        scaler = data.fit_scaler(X, passthrough_cols=(1,))
-        out = data.apply_scaler(scaler, X)
-        np.testing.assert_array_equal(out[:, 1], X[:, 1])
-        assert np.abs(out[:, 0].mean()) < 1e-12
-
 
 class TestFuse:
     def test_length_277(self):
@@ -248,7 +240,7 @@ class TestSyntheticGenerator:
         back = loaded[0].recordings[0].audio().samples
         assert np.abs(orig - back).max() < 1.0 / 32768  # PCM16 quantization only
 
-    def test_zero_signal_null_auc(self):
+    def test_zero_signal_null_auc(self, synthetic_table):
         # no-signal control: grouped split + LR, cougher-level AUC near chance
         aucs = []
         for seed in range(20):
@@ -256,7 +248,7 @@ class TestSyntheticGenerator:
                                         coughs_std=1.5, coughs_min=3, coughs_max=6,
                                         signal_strength_audio=0.0,
                                         signal_strength_clinical=0.0, seed=seed)
-            table = pipeline.build_feature_table(synth.generate_synthetic(cfg))
+            table = synthetic_table(cfg)
             ids = table.all_coughers
             plan = stratified_group_kfold(ids, [table.cougher_label[c] for c in ids],
                                           2, seed=seed,

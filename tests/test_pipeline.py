@@ -99,13 +99,16 @@ class TestDeterminism:
             assert ra.conformal == rb.conformal
 
     def test_jobs_do_not_change_numbers(self, table):
-        cfg = pipeline.RunConfig(seed=7, grid=LR_GRID[:1])
-        serial, _ = pipeline.run_nested(table, "LR", "audio", cfg, jobs=1)
-        parallel, _ = pipeline.run_nested(table, "LR", "audio", cfg, jobs=3)
-        for ra, rb in zip(serial, parallel):
-            np.testing.assert_array_equal(ra.test_wf_cal, rb.test_wf_cal)
-            np.testing.assert_array_equal(ra.test_cg_cal, rb.test_cg_cal)
-            assert ra.best_params == rb.best_params
+        # the GBDT grid has two fit groups: iterations 1 and 2 share one fit
+        gbdt_grid = (gbdt_candidate(1), gbdt_candidate(2), gbdt_candidate(2, 0.1))
+        for family, mode, cfg in (
+                ("LR", "audio", pipeline.RunConfig(seed=7, grid=LR_GRID[:1])),
+                ("GBDT", "fused", pipeline.RunConfig(seed=7, grid=gbdt_grid, k_outer=4,
+                                                     k_inner=3))):
+            serial = [r.to_dict() for r in pipeline.run_nested(table, family, mode, cfg)[0]]
+            for jobs in (2, 3):
+                results, _ = pipeline.run_nested(table, family, mode, cfg, jobs=jobs)
+                assert [r.to_dict() for r in results] == serial, (family, jobs)
 
     def test_recording_order_invariance(self):
         coughers = small_dataset(seed=3, n=40)
@@ -121,6 +124,12 @@ class TestDeterminism:
 
 
 class TestNoTestDependence:
+    @staticmethod
+    def run(table, fold_plan, cfg):
+        inner = [pipeline.score_inner_fold(table, fold_plan, j, "LR", "fused", cfg)
+                 for j in range(fold_plan.inner.k)]
+        return inner, pipeline.run_fold(table, fold_plan, "LR", "fused", cfg, inner)
+
     def test_dropping_test_cougher_keeps_training_artifacts(self, table):
         cfg = pipeline.RunConfig(seed=5, grid=LR_GRID)
         ids = table.all_coughers
@@ -128,16 +137,52 @@ class TestNoTestDependence:
                                  [table.cougher_rec_count[c] for c in ids],
                                  k_outer=10, k_inner=5, calib_frac=0.15, master_seed=5)
         fp = plan.folds[0]
-        full = pipeline.run_fold(table, fp, "LR", "fused", cfg)
         reduced_plan = type(fp)(fold=fp.fold, test=fp.test[1:], calib=fp.calib,
                                 tuning=fp.tuning, inner=fp.inner)
-        reduced = pipeline.run_fold(table, reduced_plan, "LR", "fused", cfg)
+        (full_inner, full), (reduced_inner, reduced) = [self.run(table, p, cfg)
+                                                        for p in (fp, reduced_plan)]
+        for got, want in zip(reduced_inner, full_inner):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
         assert full.best_params == reduced.best_params
         assert full.tau_w == reduced.tau_w
         assert full.tau_s == reduced.tau_s
         np.testing.assert_array_equal(full.oof_probs, reduced.oof_probs)
         for a in (0.10, 0.05):
             assert full.conformal[a]["qhat"] == reduced.conformal[a]["qhat"]
+
+
+class TestScheduling:
+    def test_pool_capped_at_unit_count(self, table, monkeypatch, caplog):
+        sizes = []
+
+        class InProcessPool:
+            """Stands in for the process pool: records its size, runs each task here."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(pipeline, "_worker_table", None)
+        cfg = pipeline.RunConfig(seed=3, grid=LR_GRID[:1], k_outer=4, k_inner=2,
+                                 calib_frac=0.2)
+        with caplog.at_level(logging.INFO, logger="coughscreen.pipeline"):
+            pooled, _ = pipeline.run_nested(table, "LR", "audio", cfg, jobs=10_000)
+        assert sizes == [8]
+        assert [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO] == [
+            "8 inner-fold units, 4 outer folds, 8 workers"]
+        serial, _ = pipeline.run_nested(table, "LR", "audio", cfg)
+        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
 
 
 class TestGbdtPath:
