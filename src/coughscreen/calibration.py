@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 DEFAULT_ECE_BINS = 10
 
@@ -26,8 +26,9 @@ class IsotonicMap:
 def fit_isotonic(scores, labels) -> IsotonicMap:
     """Least-squares nondecreasing fit of labels ordered by score (PAVA).
 
-    Samples with tied scores are pooled into one breakpoint before the
-    violator sweep, so ties always share a single fitted value.
+    Samples with tied scores are pooled into one count-weighted breakpoint
+    before ``scipy.optimize.isotonic_regression``'s violator sweep, so ties
+    always share a single fitted value.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -42,23 +43,7 @@ def fit_isotonic(scores, labels) -> IsotonicMap:
     w = np.bincount(inverse).astype(np.float64)
     ys = np.bincount(inverse, weights=labels) / w
 
-    # Pool adjacent violators: merge blocks while any block mean decreases.
-    vals = list(ys)
-    weights = list(w)
-    sizes = [1] * len(vals)
-    i = 0
-    while i < len(vals) - 1:
-        if vals[i] > vals[i + 1]:
-            tot = weights[i] + weights[i + 1]
-            vals[i] = (vals[i] * weights[i] + vals[i + 1] * weights[i + 1]) / tot
-            weights[i] = tot
-            sizes[i] += sizes[i + 1]
-            del vals[i + 1], weights[i + 1], sizes[i + 1]
-            if i > 0:
-                i -= 1
-        else:
-            i += 1
-    fitted = np.repeat(vals, sizes)
+    fitted = isotonic_regression(ys, weights=w).x
     return IsotonicMap(scores=xs, values=fitted)
 
 
@@ -89,11 +74,14 @@ def ece(probs, labels, n_bins: int = DEFAULT_ECE_BINS) -> float:
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape or probs.size == 0:
         raise ValueError("probs and labels must be nonempty and aligned")
+    bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
     total = 0.0
-    for _, conf, acc, count in reliability_bins(probs, labels, n_bins):
-        if count:
-            total += count / probs.size * abs(acc - conf)
-    return total
+    # numpy's pairwise bin means, which reliability_bins' sequential bincount
+    # sums can miss in the last bit; the ECE keeps this loop's exact value
+    for b in np.unique(bins):
+        mask = bins == b
+        total += mask.sum() / probs.size * abs(labels[mask].mean() - probs[mask].mean())
+    return float(total)
 
 
 def youden_threshold(probs, labels):
@@ -137,13 +125,9 @@ def reliability_bins(probs, labels, n_bins: int = DEFAULT_ECE_BINS):
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
-    rows = []
-    for b in range(n_bins):
-        mask = bins == b
-        center = (b + 0.5) / n_bins
-        if mask.any():
-            rows.append((center, float(probs[mask].mean()),
-                         float(labels[mask].mean()), int(mask.sum())))
-        else:
-            rows.append((center, math.nan, math.nan, 0))
-    return rows
+    count = np.bincount(bins, minlength=n_bins)
+    with np.errstate(invalid="ignore"):  # 0/0 is NaN in an empty bin
+        conf = np.bincount(bins, probs, n_bins) / count
+        acc = np.bincount(bins, labels, n_bins) / count
+    centers = (np.arange(n_bins) + 0.5) / n_bins
+    return list(zip(centers.tolist(), conf.tolist(), acc.tolist(), count.tolist()))

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import scipy
 
-from . import __version__, models
+from . import __version__
 from .data import ManifestError, load_manifest
 from .pipeline import (DEFAULT_ALPHAS, FAMILIES, FEATURE_MODES, RunConfig,
                        build_feature_table, run_nested)
@@ -40,8 +40,7 @@ def _class_weight(v) -> bool:
 # grid candidate key -> (check, what it must be); LR needs only C
 _GRID_RULES = {
     "LR": {"C": (lambda v: _is_real(v) and v > 0, "a number > 0"),
-           "class_weight": (_class_weight, 'null or "balanced"'),
-           "solver": (lambda v: v in models.LR_SOLVERS, f"one of {models.LR_SOLVERS}")},
+           "class_weight": (_class_weight, 'null or "balanced"')},
     "GBDT": {"depth": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
              "iterations": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
              "learning_rate": (lambda v: _is_real(v) and v > 0, "a number > 0"),

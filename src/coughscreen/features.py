@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.fft import dct
+from scipy.sparse import csr_array
 
 from .dsp import (BIN_FREQS_HZ, HOP_SAMPLES, TARGET_SAMPLE_RATE_HZ, Waveform, frame,
                   magnitude_spectrum)
@@ -55,7 +56,9 @@ VECTOR_LENGTH = len(VECTOR_COLUMN_NAMES)
 def spectral_centroid(X: np.ndarray) -> np.ndarray:
     """Magnitude-weighted mean frequency per frame; 0 for all-zero frames."""
     total = X.sum(axis=-1)
-    weighted = X @ BIN_FREQS_HZ
+    # einsum's own loop, not BLAS: the same bytes at any thread count, and no
+    # (..., L, 1025) temporary
+    weighted = np.einsum("...k,k->...", X, BIN_FREQS_HZ)
     return np.divide(weighted, total, out=np.zeros_like(total), where=total > 0)
 
 
@@ -101,7 +104,7 @@ def _mel_to_hz(m):
     return np.where(log_region, 1000.0 * np.exp(np.log(6.4) * (m - 15.0) / 27.0), f)
 
 
-def _mel_filterbank() -> np.ndarray:
+def _mel_filterbank() -> csr_array:
     """(40, 1025) triangular unit-peak mel filters evaluated at the bin frequencies.
 
     Edge frequencies are 42 points equally spaced on the mel scale between
@@ -112,23 +115,33 @@ def _mel_filterbank() -> np.ndarray:
     lo, mid, hi = hz_edges[:-2], hz_edges[1:-1], hz_edges[2:]
     rising = (BIN_FREQS_HZ - lo) / (mid - lo)
     falling = (hi - BIN_FREQS_HZ) / (hi - mid)
-    return np.maximum(0.0, np.minimum(rising, falling))
+    return csr_array(np.maximum(0.0, np.minimum(rising, falling)))
 
 
-def _chroma_fold() -> np.ndarray:
-    """(1025, 12) indicator matrix folding FFT bins into pitch classes."""
-    fold = np.zeros((BIN_FREQS_HZ.size, N_CHROMA))
-    audible = BIN_FREQS_HZ > CHROMA_MIN_HZ
+def _chroma_fold() -> csr_array:
+    """(12, 1025) indicator matrix folding FFT bins into pitch classes."""
+    audible = np.flatnonzero(BIN_FREQS_HZ > CHROMA_MIN_HZ)
     semitones = np.rint(12.0 * np.log2(BIN_FREQS_HZ[audible] / CHROMA_REF_HZ)).astype(int)
     classes = (semitones + 9) % N_CHROMA  # A440 is pitch class 9 when C is 0
-    fold[np.flatnonzero(audible), classes] = 1.0
-    return fold
+    return csr_array((np.ones(audible.size), (classes, audible)),
+                     shape=(N_CHROMA, BIN_FREQS_HZ.size))
 
 
 MEL_FILTERBANK = _mel_filterbank()
 CHROMA_FOLD = _chroma_fold()
-MEL_FILTERBANK.setflags(write=False)
-CHROMA_FOLD.setflags(write=False)
+MEL_FILTERBANK.data.setflags(write=False)
+CHROMA_FOLD.data.setflags(write=False)
+
+
+def _fold(M: csr_array, P: np.ndarray) -> np.ndarray:
+    """(..., 1025) spectra folded by the sparse (K, 1025) ``M``: (..., K).
+
+    scipy's CSR-times-dense product is single-threaded and sums each output
+    over the row's stored bins in a fixed order, and every frame is its own
+    column, so a frame's values depend neither on the BLAS thread count nor
+    on the batch its clip is in.
+    """
+    return (M @ P.reshape(-1, P.shape[-1]).T).T.reshape(*P.shape[:-1], M.shape[0])
 
 
 def mfcc(P: np.ndarray) -> np.ndarray:
@@ -137,16 +150,14 @@ def mfcc(P: np.ndarray) -> np.ndarray:
     Power spectrum -> mel filterbank energies -> floored log -> orthonormal
     DCT-II, keeping the first 13 coefficients (DC included).
     """
-    # on (N, L, 1025) spectra matmul makes one (L, 1025) product per clip, so a
-    # clip's bytes do not depend on the batch it is in
-    mel_energy = P @ MEL_FILTERBANK.T
+    mel_energy = _fold(MEL_FILTERBANK, P)
     log_energy = np.log(np.maximum(mel_energy, LOG_FLOOR))
     return dct(log_energy, type=2, norm="ortho", axis=-1)[..., :N_MFCC]
 
 
 def chroma(P: np.ndarray) -> np.ndarray:
     """12-class pitch energy profile per frame, max-normalized to [0, 1]."""
-    energy = P @ CHROMA_FOLD
+    energy = _fold(CHROMA_FOLD, P)
     peak = energy.max(axis=-1, keepdims=True)
     return np.divide(energy, peak, out=np.zeros_like(energy), where=peak > 0)
 

@@ -47,7 +47,6 @@ _LBFGS_MAX_EVALS = 15000
 _LBFGS_FACTR = 1e-15 / np.finfo(float).eps
 
 LR_C_GRID = [1e-4, 5e-4, 1e-3, 1e-2, 5e-2, 1e-1]
-LR_SOLVERS = ["lbfgs"]
 GBDT_DEPTH_GRID = [4, 6, 8]
 GBDT_ITERATIONS_GRID = [400, 800, 1200]
 GBDT_LEARNING_RATE_GRID = [0.03, 0.10]
@@ -354,10 +353,9 @@ def grid_candidates(family: str) -> list:
     so candidate k is reproducible across runs and machines.
     """
     if family == "LR":
-        return [{"C": c, "class_weight": cw, "solver": s}
+        return [{"C": c, "class_weight": cw}
                 for c in LR_C_GRID
-                for cw in CLASS_WEIGHT_GRID
-                for s in LR_SOLVERS]
+                for cw in CLASS_WEIGHT_GRID]
     if family == "GBDT":
         return [{"depth": depth, "iterations": it, "learning_rate": lr,
                  "l2_leaf_reg": l2, "subsample": sub, "rsm": rsm,

@@ -262,9 +262,10 @@ def score_inner_fold(table: FeatureTable, fold_plan, j: int, family: str, featur
 
 
 def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
-             cfg: RunConfig, inner) -> FoldResult:
+             cfg: RunConfig, inner) -> tuple[FoldResult, list]:
     """Steps (1) and (3)-(6) of the protocol for one outer fold, given in ``inner``
-    the ``score_inner_fold`` output of each of its inner folds, in order."""
+    the ``score_inner_fold`` output of each of its inner folds, in order. Returns
+    the ``FoldResult`` and the C of each of the fold's LR fits that stopped unconverged."""
     test_c, calib_c, tuning_c = fold_plan.test, fold_plan.calib, fold_plan.tuning
     assert_cougher_disjoint(test=test_c, calib=calib_c, tuning=tuning_c)
 
@@ -295,11 +296,6 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
     scaler_final = fit_scaler(X_tuning)
     model_final = _fit(family, best_params, apply_scaler(scaler_final, X_tuning),
                        y_all[tuning_rows], model_seed(cfg.seed, fold_plan.fold, 1), unconverged)
-    if unconverged:  # LR fits only, where each candidate is a fit group of its own
-        log.warning("outer fold %d (%s): %d of %d LR fits did not converge, at C = %s",
-                    fold_plan.fold, feature_mode, len(unconverged),
-                    len(candidates) * fold_plan.inner.k + 1,
-                    ", ".join(map(repr, sorted(set(unconverged)))))
 
     # Calibration subset: thresholds and conformal quantiles.
     calib_raw = models.predict_model(model_final, apply_scaler(scaler_final, X_all[calib_rows]))
@@ -359,7 +355,7 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
         test_wf_raw=test_raw, test_wf_cal=test_cal, test_wf_labels=y_test,
         test_cg_ids=list(cg_ids), test_cg_raw=cg_raw, test_cg_cal=cg_cal,
         test_cg_labels=cg_labels, test_sets=sets_out, audit=audit,
-    )
+    ), unconverged
 
 
 _worker_table = None  # a pool worker's FeatureTable, set once by _init_worker
@@ -409,8 +405,18 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
         units = iter(mapper(score_inner_fold, ((fp, j, family, feature_mode, cfg)
                                                for fp in plan.folds for j in range(fp.inner.k))))
         inner = (list(itertools.islice(units, fp.inner.k)) for fp in plan.folds)
-        results = list(mapper(run_fold, ((fp, family, feature_mode, cfg, scores)
-                                         for fp, scores in zip(plan.folds, inner))))
+        finished = mapper(run_fold, ((fp, family, feature_mode, cfg, scores)
+                                     for fp, scores in zip(plan.folds, inner)))
+        results = []
+        for fp, (result, unconverged) in zip(plan.folds, finished):
+            # logged here, not in a worker, so the caller's handlers receive it;
+            # LR fits only, where each candidate is a fit group of its own
+            if unconverged:
+                log.warning("outer fold %d (%s): %d of %d LR fits did not converge, at C = %s",
+                            fp.fold, feature_mode, len(unconverged),
+                            len(cfg.candidates(family)) * fp.inner.k + 1,
+                            ", ".join(map(repr, sorted(set(unconverged)))))
+            results.append(result)
     rates = plan.outer.positive_rates(table.cougher_label)
     for r in results:
         r.audit["outer_positive_rates"] = rates

@@ -3,7 +3,7 @@ import pytest
 from coughscreen import pipeline, synth
 from coughscreen.experiment import ExperimentConfig, run_experiment
 
-TINY_LR_GRID = [{"C": 0.05, "class_weight": "balanced", "solver": "lbfgs"}]
+TINY_LR_GRID = [{"C": 0.05, "class_weight": "balanced"}]
 TINY_GBDT_GRID = [{"depth": 2, "iterations": 8, "learning_rate": 0.1,
                    "l2_leaf_reg": 3.0, "subsample": 1.0, "rsm": 1.0,
                    "class_weights": "balanced"}]

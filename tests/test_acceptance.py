@@ -207,8 +207,8 @@ def test_c06_leakage_audit(tmp_path):
                 assert cli.main(["audit", str(path)]) == 0
 
 
-NULL_GRID = ({"C": 0.01, "class_weight": "balanced", "solver": "lbfgs"},)
-SIGNAL_GRID = ({"C": 0.05, "class_weight": "balanced", "solver": "lbfgs"},)
+NULL_GRID = ({"C": 0.01, "class_weight": "balanced"},)
+SIGNAL_GRID = ({"C": 0.05, "class_weight": "balanced"},)
 
 
 def _cohort(seed, s_audio, s_clinical):

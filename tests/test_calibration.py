@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,29 @@ def isotonic_oracle(labels):
     return best_fit, best_sse
 
 
+def reference_pava(scores, labels):
+    """The pool-adjacent-violators loop ``fit_isotonic`` ran before it called scipy:
+    (distinct scores, fitted values)."""
+    xs, inverse = np.unique(np.asarray(scores, float), return_inverse=True)
+    w = np.bincount(inverse).astype(np.float64)
+    ys = np.bincount(inverse, weights=np.asarray(labels, float)) / w
+    # merge blocks while any block mean decreases
+    vals, weights, sizes = list(ys), list(w), [1] * len(ys)
+    i = 0
+    while i < len(vals) - 1:
+        if vals[i] > vals[i + 1]:
+            tot = weights[i] + weights[i + 1]
+            vals[i] = (vals[i] * weights[i] + vals[i + 1] * weights[i + 1]) / tot
+            weights[i] = tot
+            sizes[i] += sizes[i + 1]
+            del vals[i + 1], weights[i + 1], sizes[i + 1]
+            if i > 0:
+                i -= 1
+        else:
+            i += 1
+    return xs, np.repeat(vals, sizes)
+
+
 class TestIsotonic:
     def test_already_monotone_unchanged(self):
         m = calibration.fit_isotonic([0.1, 0.3, 0.4, 0.8], [0, 0, 1, 1])
@@ -59,6 +83,19 @@ class TestIsotonic:
                 np.testing.assert_allclose(fitted, oracle_fit, atol=1e-12)
                 assert float(np.sum((fitted - labels) ** 2)) == pytest.approx(
                     oracle_sse, abs=1e-12)
+
+    def test_matches_reference_pava_with_ties(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            n = int(rng.integers(2, 400))
+            scores = np.round(rng.uniform(0, 1, n), int(rng.integers(1, 4)))
+            labels = (rng.random(n) < scores).astype(int)
+            if labels.min() == labels.max():
+                continue
+            m = calibration.fit_isotonic(scores, labels)
+            xs, values = reference_pava(scores, labels)
+            np.testing.assert_array_equal(m.scores, xs)
+            assert np.max(np.abs(m.values - values)) <= 1e-15
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -214,7 +251,41 @@ class TestYouden:
             assert tau == pytest.approx(min(best_taus), abs=1e-12)
 
 
+def reference_reliability_bins(probs, labels, n_bins):
+    """The per-bin loop ``reliability_bins`` ran before it used ``np.bincount``."""
+    probs, labels = np.asarray(probs, float), np.asarray(labels, float)
+    bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
+    rows = []
+    for b in range(n_bins):
+        mask = bins == b
+        center = (b + 0.5) / n_bins
+        if mask.any():
+            rows.append((center, float(probs[mask].mean()),
+                         float(labels[mask].mean()), int(mask.sum())))
+        else:
+            rows.append((center, math.nan, math.nan, 0))
+    return rows
+
+
 class TestReliabilityBins:
+    def test_matches_per_bin_reference(self):
+        rng = np.random.default_rng(5)
+        for n_bins in (1, 3, 10, 15):
+            for n in (1, 2, 7, 50, 333, 2000):
+                probs = np.round(rng.uniform(0, 1, n), int(rng.integers(1, 4)))
+                labels = rng.integers(0, 2, n)
+                got = calibration.reliability_bins(probs, labels, n_bins)
+                want = reference_reliability_bins(probs, labels, n_bins)
+                assert [(r[0], r[3]) for r in got] == [(r[0], r[3]) for r in want]
+                got_means, want_means = np.array(got)[:, 1:3], np.array(want)[:, 1:3]
+                np.testing.assert_array_equal(np.isnan(got_means), np.isnan(want_means))
+                # a mean of m values in [0, 1] summed in another order moves by at
+                # most m ulps of 1
+                counts = np.array([r[3] for r in want])
+                filled = counts > 0
+                assert np.all(np.abs(got_means - want_means)[filled]
+                              <= counts[filled, None] * np.finfo(float).eps)
+
     def test_counts_sum_to_n(self):
         rng = np.random.default_rng(3)
         probs = rng.uniform(0, 1, 100)

@@ -475,8 +475,8 @@ class TestStagedPrediction:
 class TestGrids:
     def test_lr_grid_size(self):
         grid = models.grid_candidates("LR")
-        assert len(grid) == 6 * 2 * len(models.LR_SOLVERS)
-        assert grid[0] == {"C": 1e-4, "class_weight": None, "solver": "lbfgs"}
+        assert len(grid) == 12
+        assert grid[0] == {"C": 1e-4, "class_weight": None}
         assert {g["C"] for g in grid} == {1e-4, 5e-4, 1e-3, 1e-2, 5e-2, 1e-1}
 
     def test_gbdt_grid_size(self):

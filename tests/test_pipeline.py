@@ -7,8 +7,8 @@ import pytest
 from coughscreen import data, pipeline, synth
 from coughscreen.splits import build_nested_plan
 
-LR_GRID = ({"C": 0.05, "class_weight": "balanced", "solver": "lbfgs"},
-           {"C": 0.01, "class_weight": None, "solver": "lbfgs"})
+LR_GRID = ({"C": 0.05, "class_weight": "balanced"},
+           {"C": 0.01, "class_weight": None})
 
 
 def small_dataset(seed=0, n=60, s_audio=1.0, s_clinical=1.0):
@@ -128,7 +128,7 @@ class TestNoTestDependence:
     def run(table, fold_plan, cfg):
         inner = [pipeline.score_inner_fold(table, fold_plan, j, "LR", "fused", cfg)
                  for j in range(fold_plan.inner.k)]
-        return inner, pipeline.run_fold(table, fold_plan, "LR", "fused", cfg, inner)
+        return inner, pipeline.run_fold(table, fold_plan, "LR", "fused", cfg, inner)[0]
 
     def test_dropping_test_cougher_keeps_training_artifacts(self, table):
         cfg = pipeline.RunConfig(seed=5, grid=LR_GRID)
@@ -273,6 +273,21 @@ class TestConvergenceWarning:
         assert [rec.getMessage() for rec in caplog.records] == [
             f"outer fold {r.fold} (audio): {3 + (r.best_params['C'] == 0.01)} of 7 LR fits "
             "did not converge, at C = 0.01" for r in results]
+
+    def test_warnings_from_pool_workers_reach_the_caller(self, table, monkeypatch, caplog):
+        fit_lr = pipeline.models.fit_lr
+        monkeypatch.setattr(pipeline.models, "fit_lr", lambda X, y, C, class_weight=None:
+                            fit_lr(X, y, C, class_weight, max_iter=1))
+        cfg = pipeline.RunConfig(seed=42, grid=LR_GRID, k_outer=3, k_inner=2, calib_frac=0.2)
+        messages = {}
+        for jobs in (1, 2):  # a real pool of 2 forked workers, which inherit the cap
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="coughscreen.pipeline"):
+                pipeline.run_nested(table, "LR", "audio", cfg, jobs=jobs)
+            messages[jobs] = [rec.getMessage() for rec in caplog.records]
+        assert messages[1] == [f"outer fold {f} (audio): 5 of 5 LR fits did not converge, "
+                               "at C = 0.01, 0.05" for f in range(3)]
+        assert messages[2] == messages[1]
 
 
 class TestStreamingMemory:
