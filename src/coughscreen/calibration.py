@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-DEFAULT_ECE_BINS = 10
+N_BINS = 10  # equal-width probability bins of the ECE and the reliability tables
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,18 @@ def brier(probs, labels) -> float:
     return float(np.mean((probs - labels) ** 2))
 
 
-def ece(probs, labels, n_bins: int = DEFAULT_ECE_BINS) -> float:
-    """Expected calibration error over equal-width probability bins.
+def ece(probs, labels) -> float:
+    """Expected calibration error over the ``N_BINS`` equal-width probability bins.
 
     Gap between mean confidence and empirical accuracy in each bin of
     ``reliability_bins``, weighted by the bin's share of the samples;
     empty bins contribute nothing.
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape or probs.size == 0:
         raise ValueError("probs and labels must be nonempty and aligned")
-    bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
+    bins = np.minimum((probs * N_BINS).astype(int), N_BINS - 1)
     total = 0.0
     # numpy's pairwise bin means, which reliability_bins' sequential bincount
     # sums can miss in the last bit; the ECE keeps this loop's exact value
@@ -120,14 +118,15 @@ def youden_threshold(probs, labels):
     return float(candidates[best]), float(j)
 
 
-def reliability_bins(probs, labels, n_bins: int = DEFAULT_ECE_BINS):
-    """Reliability-diagram rows: (bin_center, mean_confidence, accuracy, count)."""
+def reliability_bins(probs, labels):
+    """Reliability-diagram rows, one per ``N_BINS`` bin: (bin_center,
+    mean_confidence, accuracy, count)."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
-    count = np.bincount(bins, minlength=n_bins)
+    bins = np.minimum((probs * N_BINS).astype(int), N_BINS - 1)
+    count = np.bincount(bins, minlength=N_BINS)
     with np.errstate(invalid="ignore"):  # 0/0 is NaN in an empty bin
-        conf = np.bincount(bins, probs, n_bins) / count
-        acc = np.bincount(bins, labels, n_bins) / count
-    centers = (np.arange(n_bins) + 0.5) / n_bins
+        conf = np.bincount(bins, probs, N_BINS) / count
+        acc = np.bincount(bins, labels, N_BINS) / count
+    centers = (np.arange(N_BINS) + 0.5) / N_BINS
     return list(zip(centers.tolist(), conf.tolist(), acc.tolist(), count.tolist()))

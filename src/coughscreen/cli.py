@@ -18,6 +18,8 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
+from typing import get_type_hints
 
 from .data import ManifestError, load_manifest
 from .experiment import ConfigError, ExperimentConfig, run_experiment
@@ -32,6 +34,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_LEAKAGE = 4
 
+# synth flag -> the SyntheticConfig field it sets, in help order
+_SYNTH_FLAGS = {"--seed": "seed", "--coughers": "n_coughers", "--prevalence": "prevalence",
+                "--coughs-mean": "coughs_mean", "--coughs-std": "coughs_std",
+                "--coughs-min": "coughs_min", "--coughs-max": "coughs_max",
+                "--signal-audio": "signal_strength_audio",
+                "--signal-clinical": "signal_strength_clinical"}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
 
 def _default_out(sub: str) -> str:
     return os.path.join(os.environ.get("COUGHSCREEN_OUT", "runs"), sub)
@@ -44,17 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", default=_default_out("synth"))
-    p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
-    p.add_argument("--coughers", type=int, default=80)
-    p.add_argument("--prevalence", type=float, default=SyntheticConfig.prevalence)
-    p.add_argument("--coughs-mean", type=float, default=SyntheticConfig.coughs_mean)
-    p.add_argument("--coughs-std", type=float, default=SyntheticConfig.coughs_std)
-    p.add_argument("--coughs-min", type=int, default=SyntheticConfig.coughs_min)
-    p.add_argument("--coughs-max", type=int, default=SyntheticConfig.coughs_max)
-    p.add_argument("--signal-audio", type=float,
-                   default=SyntheticConfig.signal_strength_audio)
-    p.add_argument("--signal-clinical", type=float,
-                   default=SyntheticConfig.signal_strength_clinical)
+    types = get_type_hints(SyntheticConfig)
+    for flag, name in _SYNTH_FLAGS.items():
+        p.add_argument(flag, dest=name, type=types[name], default=getattr(SyntheticConfig, name))
+    p.set_defaults(n_coughers=80)  # a desk-sized cohort, not the paper's 1,105
 
     p = sub.add_parser("features", help="manifest -> feature CSV")
     p.add_argument("manifest")
@@ -65,15 +68,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON experiment config")
     p.add_argument("--manifest", default=None)
     p.add_argument("--audio-root", default=None)
-    p.add_argument("--synthetic", action="store_true",
+    p.add_argument("--synthetic", dest="use_synthetic", action="store_true",
                    help="use a synthetic dataset (defaults from 'synth')")
     p.add_argument("--coughers", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--feature-mode", choices=["audio", "fused", "both"], default=None)
-    p.add_argument("--model", choices=["LR", "GBDT", "both"], default=None)
-    p.add_argument("--alpha", type=float, action="append", default=None,
+    p.add_argument("--model", dest="family", choices=["LR", "GBDT", "both"], default=None)
+    p.add_argument("--alpha", dest="alphas", type=float, action="append", default=None,
                    help="miscoverage level; repeatable")
     p.add_argument("--plots", action="store_true", help="also emit SVG plots")
 
@@ -88,12 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     try:
-        cfg = SyntheticConfig(n_coughers=args.coughers, prevalence=args.prevalence,
-                              coughs_mean=args.coughs_mean, coughs_std=args.coughs_std,
-                              coughs_min=args.coughs_min, coughs_max=args.coughs_max,
-                              signal_strength_audio=args.signal_audio,
-                              signal_strength_clinical=args.signal_clinical,
-                              seed=args.seed)
+        cfg = SyntheticConfig(**{name: getattr(args, name) for name in _SYNTH_FLAGS.values()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     manifest = export_dataset(iter_synthetic(cfg), args.out)
@@ -130,27 +128,14 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if args.manifest:
-        doc["manifest"] = args.manifest
-    if args.audio_root:
-        doc["audio_root"] = args.audio_root
-    if args.synthetic and "synthetic" not in doc:
+    # a flag sets the config field named by its dest
+    doc.update((name, value) for name, value in vars(args).items()
+               if name in _CONFIG_FIELDS and value is not None)
+    if args.use_synthetic and "synthetic" not in doc:
         doc["synthetic"] = {}
     if args.coughers is not None:
         doc.setdefault("synthetic", {})["n_coughers"] = args.coughers
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["out"] = args.out
     doc.setdefault("out", _default_out("experiment"))
-    if args.jobs is not None:
-        doc["jobs"] = args.jobs
-    if args.feature_mode is not None:
-        doc["feature_mode"] = args.feature_mode
-    if args.model is not None:
-        doc["family"] = args.model
-    if args.alpha:
-        doc["alphas"] = args.alpha
     cfg = ExperimentConfig.from_dict(doc)
     report = run_experiment(cfg, progress=lambda msg: print(msg, flush=True))
     if args.plots:

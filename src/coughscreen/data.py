@@ -4,10 +4,14 @@ The grouping unit throughout is the cougher (study participant). A cougher
 carries one binary TB label, one clinical record with the 16 demographic
 and symptom variables, and at least one cough recording.
 
+``ClinicalRecord`` is the one statement of the clinical columns: their
+names, their order, and their kind. A field annotated ``int`` is a 0/1
+indicator; a ``float`` field is a real measurement.
+
 Manifest format (CSV, UTF-8, header row): recording_id, cougher_id,
-tb_label, wav_path, then the 16 clinical columns in ``CLINICAL_FIELDS``
-order. wav_path is resolved against the audio root. Clinical values must
-all be present; a missing cell is a hard error.
+tb_label, wav_path, then the 16 clinical columns in ``ClinicalRecord``
+field order (``CLINICAL_FIELDS``). wav_path is resolved against the audio
+root. Clinical values must all be present; a missing cell is a hard error.
 """
 
 from __future__ import annotations
@@ -21,36 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp
+from . import dsp, features
 
 log = logging.getLogger(__name__)
-
-CLINICAL_FIELDS = [
-    "age",
-    "sex",
-    "height",
-    "weight",
-    "cough_duration",
-    "prior_tb",
-    "prior_tb_pulmonary",
-    "prior_tb_extrapulmonary",
-    "prior_tb_unknown",
-    "hemoptysis",
-    "heart_rate",
-    "temperature",
-    "smoked_last_week",
-    "fever",
-    "night_sweats",
-    "weight_loss",
-]
-BINARY_CLINICAL_FIELDS = frozenset([
-    "sex", "prior_tb", "prior_tb_pulmonary", "prior_tb_extrapulmonary",
-    "prior_tb_unknown", "hemoptysis", "smoked_last_week", "fever",
-    "night_sweats", "weight_loss",
-])
-N_CLINICAL = len(CLINICAL_FIELDS)
-N_AUDIO_FEATURES = 261
-MANIFEST_COLUMNS = ["recording_id", "cougher_id", "tb_label", "wav_path"] + CLINICAL_FIELDS
 
 # Plausible physiological ranges, checked as warnings only.
 _RANGES = {
@@ -103,6 +80,14 @@ class ClinicalRecord:
     def to_vector(self) -> np.ndarray:
         """Encode as 16 reals in ``CLINICAL_FIELDS`` order (binaries as 0/1)."""
         return np.array([float(getattr(self, f)) for f in CLINICAL_FIELDS])
+
+
+CLINICAL_FIELDS = [f.name for f in fields(ClinicalRecord)]
+# the annotations are strings under ``from __future__ import annotations``
+BINARY_CLINICAL_FIELDS = frozenset(f.name for f in fields(ClinicalRecord) if f.type == "int")
+N_CLINICAL = len(CLINICAL_FIELDS)
+N_AUDIO_FEATURES = features.VECTOR_LENGTH
+MANIFEST_COLUMNS = ["recording_id", "cougher_id", "tb_label", "wav_path"] + CLINICAL_FIELDS
 
 
 @dataclass(frozen=True)

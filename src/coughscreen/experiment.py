@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import platform
@@ -14,8 +15,7 @@ import scipy
 
 from . import __version__
 from .data import ManifestError, load_manifest
-from .pipeline import (DEFAULT_ALPHAS, FAMILIES, FEATURE_MODES, RunConfig,
-                       build_feature_table, run_nested)
+from .pipeline import FAMILIES, FEATURE_MODES, RunConfig, build_feature_table, run_nested
 from .reports import RunReport, write_report
 from .splits import build_nested_plan
 from .synth import SyntheticConfig, cohort_shape, iter_synthetic
@@ -30,19 +30,43 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """A finite number (NaN fails both comparisons); a bool is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -math.inf < v < math.inf
 
 
 def _class_weight(v) -> bool:
     return v is None or v == "balanced"
 
 
+def _is_path(v) -> bool:
+    return isinstance(v, (str, os.PathLike))
+
+
+def _int_at_least(low: int) -> tuple:
+    return (lambda v: _is_int(v) and v >= low, f"an integer >= {low}")
+
+
+# config field -> (check, what it must be); alphas, synthetic and grids have
+# rules of their own in ``validate``
+_FIELD_RULES = {
+    "manifest": (lambda v: v is None or _is_path(v), "a path"),
+    "audio_root": (lambda v: v is None or _is_path(v), "a path"),
+    "out": (_is_path, "a path"),
+    "family": (lambda v: v in FAMILIES + ("both",), "LR, GBDT, or both"),
+    "feature_mode": (lambda v: v in FEATURE_MODES + ("both",), "audio, fused, or both"),
+    "calib_frac": (lambda v: _is_real(v) and 0.0 < v <= 0.5, "a number in (0, 0.5]"),
+    "seed": _int_at_least(0),
+    "k_outer": _int_at_least(2),
+    "k_inner": _int_at_least(2),
+    "jobs": _int_at_least(1),
+}
+
 # grid candidate key -> (check, what it must be); LR needs only C
 _GRID_RULES = {
     "LR": {"C": (lambda v: _is_real(v) and v > 0, "a number > 0"),
            "class_weight": (_class_weight, 'null or "balanced"')},
-    "GBDT": {"depth": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-             "iterations": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "GBDT": {"depth": _int_at_least(1),
+             "iterations": _int_at_least(1),
              "learning_rate": (lambda v: _is_real(v) and v > 0, "a number > 0"),
              "l2_leaf_reg": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
              "subsample": (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
@@ -50,6 +74,14 @@ _GRID_RULES = {
              "class_weights": (_class_weight, 'null or "balanced"')},
 }
 _GRID_REQUIRED = {"LR": {"C"}, "GBDT": set(_GRID_RULES["GBDT"])}
+
+
+def _check(rules: dict, values: dict, where: str = "") -> None:
+    """Raise ``ConfigError`` for the first value its rule rejects."""
+    for key, value in values.items():
+        check, want = rules[key]
+        if not check(value):
+            raise ConfigError(f"{where}{key} must be {want}, got {value!r}")
 
 
 def _check_candidate(family: str, cand: dict) -> None:
@@ -60,10 +92,7 @@ def _check_candidate(family: str, cand: dict) -> None:
         raise ConfigError(f"{family} grid candidate {cand!r}: unknown keys {sorted(unknown)}")
     if missing:
         raise ConfigError(f"{family} grid candidate {cand!r}: missing keys {sorted(missing)}")
-    for key, value in cand.items():
-        check, want = rules[key]
-        if not check(value):
-            raise ConfigError(f"{family} grid candidate {cand!r}: {key} must be {want}")
+    _check(rules, cand, f"{family} grid candidate {cand!r}: ")
 
 
 _SYNTH_KEYS = {f.name for f in fields(SyntheticConfig)}
@@ -76,11 +105,11 @@ class ExperimentConfig:
     synthetic: dict | None = None
     family: str = "both"  # LR | GBDT | both
     feature_mode: str = "both"  # audio | fused | both
-    alphas: tuple = DEFAULT_ALPHAS
-    calib_frac: float = 0.15
-    seed: int = 42
-    k_outer: int = 10
-    k_inner: int = 5
+    alphas: tuple = RunConfig.alphas
+    calib_frac: float = RunConfig.calib_frac
+    seed: int = RunConfig.seed
+    k_outer: int = RunConfig.k_outer
+    k_inner: int = RunConfig.k_inner
     out: str = "runs"
     jobs: int = 1
     grids: dict = field(default_factory=dict)  # family -> reduced candidate list
@@ -89,20 +118,11 @@ class ExperimentConfig:
         if (self.manifest is None) == (self.synthetic is None):
             raise ConfigError("exactly one data source is required: "
                               "'manifest' or 'synthetic'")
-        for name in ("manifest", "audio_root"):
-            if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
-                raise ConfigError(f"{name} must be a path")
-        if not isinstance(self.out, (str, os.PathLike)):
-            raise ConfigError("out must be a path")
-        if self.family not in FAMILIES + ("both",):
-            raise ConfigError(f"family must be LR, GBDT, or both, got {self.family!r}")
-        if self.feature_mode not in FEATURE_MODES + ("both",):
-            raise ConfigError(f"feature_mode must be audio, fused, or both, "
-                              f"got {self.feature_mode!r}")
+        _check(_FIELD_RULES, {name: getattr(self, name) for name in _FIELD_RULES})
         if not isinstance(self.alphas, (list, tuple)) or not all(map(_is_real, self.alphas)):
             raise ConfigError(f"alphas must be a list of numbers, got {self.alphas!r}")
         for a in self.alphas:
-            if not 0.0 < float(a) < 1.0:
+            if not 0.0 < a < 1.0:
                 raise ConfigError(f"alpha {a} outside (0, 1)")
         # report columns and rows are tagged by alpha to two decimals
         tags = [f"{float(a):.2f}" for a in self.alphas]
@@ -113,12 +133,6 @@ class ExperimentConfig:
         if len(set(tags)) != len(tags):
             raise ConfigError(f"alphas {list(self.alphas)!r} must differ in their first two "
                               "decimals")
-        if not _is_real(self.calib_frac) or not 0.0 < self.calib_frac <= 0.5:
-            raise ConfigError("calib_frac must be a number in (0, 0.5]")
-        for name, low in (("seed", 0), ("k_outer", 2), ("k_inner", 2), ("jobs", 1)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.synthetic is not None:
             if not isinstance(self.synthetic, dict):
                 raise ConfigError("synthetic must be an object of generator settings")
@@ -167,9 +181,8 @@ class ExperimentConfig:
 
     def run_config(self, family: str) -> RunConfig:
         grid = self.grids.get(family)
-        return RunConfig(alphas=tuple(float(a) for a in self.alphas),
-                         calib_frac=self.calib_frac, seed=self.seed, k_outer=self.k_outer,
-                         k_inner=self.k_inner, grid=tuple(grid) if grid else None)
+        protocol = {f.name: getattr(self, f.name) for f in fields(RunConfig) if f.name != "grid"}
+        return RunConfig(**protocol, grid=tuple(grid) if grid else None)
 
 
 def environment_info() -> dict:
@@ -230,7 +243,6 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True,
     # must not break byte-identity of reports across --jobs settings
     execution = {"out": config_echo.pop("out"), "jobs": config_echo.pop("jobs")}
     report = RunReport(config=config_echo, blocks=blocks, plan=plan,
-                       alphas=tuple(float(a) for a in cfg.alphas),
                        environment={**environment_info(), **execution},
                        wall_clock_s=time.monotonic() - t0)
     if write:

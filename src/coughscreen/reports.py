@@ -34,26 +34,27 @@ from .metrics import pr_curve, roc_curve
 from .pipeline import json_clean
 from .splits import NestedPlan, export_plan_csv
 
-CLASSIFICATION_METRICS = ["threshold", "roc_auc", "pr_auc", "uar", "sensitivity",
-                          "specificity", "ppv", "npv"]
-CALIBRATION_METRICS = ["waveform_brier", "waveform_ece", "cougher_brier", "cougher_ece"]
-SELECTIVE_METRICS = ["overall_accuracy", "accuracy_singleton", "accuracy_ambiguous",
-                     "p_singleton_given_correct"]
 LEVELS = ["waveform", "cougher"]
 LEVEL_TAGS = {"waveform": "wf", "cougher": "cg"}
 THRESHOLDS = {"waveform": "tau_w", "cougher": "tau_s"}
 # classification metric -> its key in a fold's waveform/cougher metric suite
 SUITE_KEYS = {"roc_auc": "roc_auc", "pr_auc": "pr_auc", "uar": "uar",
               "sensitivity": "sens", "specificity": "spec", "ppv": "ppv", "npv": "npv"}
+CLASSIFICATION_METRICS = ["threshold", *SUITE_KEYS]  # the threshold is in THRESHOLDS
 # calibration metric -> its (raw, isotonic) keys in a fold
 CALIBRATION_KEYS = {"waveform_brier": ("brier_raw_wf", "brier_cal_wf"),
                     "waveform_ece": ("ece_raw_wf", "ece_cal_wf"),
                     "cougher_brier": ("brier_raw_cg", "brier_cal_cg"),
                     "cougher_ece": ("ece_raw_cg", "ece_cal_cg")}
-# selective metric -> its key in a fold's selective block
-SELECTIVE_KEYS = dict(zip(SELECTIVE_METRICS, ["accuracy", "accuracy_singleton",
-                                              "accuracy_ambiguous",
-                                              "p_singleton_given_correct"]))
+# selective metric -> (its key in a fold's selective block, its folds.csv
+# column before the alpha tag)
+SELECTIVE_KEYS = {"overall_accuracy": ("accuracy", "sel_accuracy"),
+                  "accuracy_singleton": ("accuracy_singleton", "sel_acc_singleton"),
+                  "accuracy_ambiguous": ("accuracy_ambiguous", "sel_acc_ambiguous"),
+                  "p_singleton_given_correct": ("p_singleton_given_correct",
+                                                "sel_p_singleton_correct")}
+# a fold's per-alpha conformal statistics, aggregated and written to folds.csv
+CONFORMAL_KEYS = ["qhat", "coverage", "mean_size", "singleton_rate", "empty_rate"]
 
 
 def _agg(values) -> dict:
@@ -94,12 +95,11 @@ def aggregate_folds(folds, alphas) -> dict:
     }
     for alpha in alphas:
         a = str(alpha)
-        block = {k: _agg([f["conformal"][a][k] for f in folds])
-                 for k in ("coverage", "mean_size", "singleton_rate", "empty_rate", "qhat")}
+        block = {k: _agg([f["conformal"][a][k] for f in folds]) for k in CONFORMAL_KEYS}
         block["pooled"] = _pooled_conformal(folds, a)
         out["conformal"][a] = block
         sel = {m: _agg([f["selective"][a][k] for f in folds])
-               for m, k in SELECTIVE_KEYS.items()}
+               for m, (k, _) in SELECTIVE_KEYS.items()}
         sel["pooled"] = _pooled_selective(folds, a)
         out["selective"][a] = sel
     return out
@@ -135,24 +135,22 @@ class RunReport:
     config: dict
     blocks: dict  # (family, feature_mode) -> {"folds": [FoldResult, ...]}
     plan: NestedPlan
-    alphas: tuple
     environment: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
 
 
 def report_doc(report: RunReport) -> dict:
-    """The report.json document: config echo, alphas, and per block the fold
-    dicts and their aggregates. Alpha keys are ``str(alpha)``."""
+    """The report.json document: config echo, the config's alphas, and per block
+    the fold dicts and their aggregates. Alpha keys are ``str(alpha)``."""
+    config = json_clean(report.config)
     blocks = {}
     for (fam, mode), block in sorted(report.blocks.items()):
         folds = [r.to_dict() for r in block["folds"]]
         blocks[f"{fam}|{mode}"] = {
             "folds": folds,
-            "aggregates": json_clean(aggregate_folds(folds, report.alphas)),
+            "aggregates": json_clean(aggregate_folds(folds, config["alphas"])),
         }
-    return {"config": json_clean(report.config),
-            "alphas": [float(a) for a in report.alphas],
-            "blocks": blocks}
+    return {"config": config, "alphas": list(config["alphas"]), "blocks": blocks}
 
 
 def _blocks(doc) -> list:
@@ -182,38 +180,30 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def fold_row_header(alphas) -> list:
-    cols = ["family", "feature_mode", "fold", "best_params", "tau_w", "tau_s"]
-    for level in LEVELS:
-        cols += [f"{LEVEL_TAGS[level]}_{m}" for m in CLASSIFICATION_METRICS[1:]]
-    for raw, cal in CALIBRATION_KEYS.values():
-        cols += [raw, cal]
-    for a in alphas:
-        tag = f"a{a:.2f}"
-        cols += [f"qhat_{tag}", f"coverage_{tag}", f"mean_size_{tag}",
-                 f"singleton_rate_{tag}", f"empty_rate_{tag}",
-                 f"sel_accuracy_{tag}", f"sel_acc_singleton_{tag}",
-                 f"sel_acc_ambiguous_{tag}", f"sel_p_singleton_correct_{tag}"]
-    return cols
-
-
-def fold_row(fold: dict, alphas) -> list:
+def _fold_cells(fold: dict, alphas):
+    """(column, cell) pairs of one folds.csv row; the columns are the header."""
     def fmt(v):
         return "" if v is None else repr(float(v))
 
-    row = [fold["family"], fold["feature_mode"], fold["fold"],
-           json.dumps(fold["best_params"], sort_keys=True),
-           fmt(fold["tau_w"]), fmt(fold["tau_s"])]
+    yield "family", fold["family"]
+    yield "feature_mode", fold["feature_mode"]
+    yield "fold", fold["fold"]
+    yield "best_params", json.dumps(fold["best_params"], sort_keys=True)
     for level in LEVELS:
-        row += [fmt(_fold_metric(fold, level, m)) for m in CLASSIFICATION_METRICS[1:]]
+        yield THRESHOLDS[level], fmt(fold[THRESHOLDS[level]])
+    for level in LEVELS:
+        for m in CLASSIFICATION_METRICS[1:]:
+            yield f"{LEVEL_TAGS[level]}_{m}", fmt(_fold_metric(fold, level, m))
     for raw, cal in CALIBRATION_KEYS.values():
-        row += [fmt(fold[raw]), fmt(fold[cal])]
+        yield raw, fmt(fold[raw])
+        yield cal, fmt(fold[cal])
     for a in alphas:
+        tag = f"a{a:.2f}"
         c, s = fold["conformal"][str(a)], fold["selective"][str(a)]
-        row += [fmt(c[k]) for k in ("qhat", "coverage", "mean_size", "singleton_rate",
-                                    "empty_rate")]
-        row += [fmt(s[k]) for k in SELECTIVE_KEYS.values()]
-    return row
+        for k in CONFORMAL_KEYS:
+            yield f"{k}_{tag}", fmt(c[k])
+        for k, column in SELECTIVE_KEYS.values():
+            yield f"{column}_{tag}", fmt(s[k])
 
 
 def classification_table(doc: dict, mode: str) -> list:
@@ -230,7 +220,7 @@ def calibration_table(doc: dict, mode: str) -> list:
     blocks = _mode_blocks(doc, mode)
     rows = [["metric"] + [f"{fam}_{stage}" for fam in blocks
                           for stage in ("raw", "isotonic")]]
-    for m in CALIBRATION_METRICS:
+    for m in CALIBRATION_KEYS:
         row = [m]
         for block in blocks.values():
             agg = block["aggregates"]["calibration"][m]
@@ -256,14 +246,14 @@ def conformal_table(doc: dict, mode: str) -> list:
 
 def selective_table(doc: dict, mode: str) -> list:
     header = ["model", "alpha"]
-    for m in SELECTIVE_METRICS:
+    for m in SELECTIVE_KEYS:
         header += [f"{m}_macro", f"{m}_pooled"]
     rows = [header]
     for fam, block in _mode_blocks(doc, mode).items():
         for alpha in doc["alphas"]:
             agg = block["aggregates"]["selective"][str(alpha)]
             row = [fam, f"{alpha:.2f}"]
-            for m in SELECTIVE_METRICS:
+            for m in SELECTIVE_KEYS:
                 pooled = agg["pooled"][m]
                 row.append(_cell(agg[m]))
                 row.append("n/a" if pooled is None else f"{pooled:.2f}")
@@ -291,8 +281,9 @@ def write_report(report: RunReport, outdir) -> list:
     export_plan_csv(report.plan, plan_path)
     written.append(plan_path)
 
-    rows = [fold_row_header(doc["alphas"])]
-    rows += [fold_row(f, doc["alphas"]) for _, _, block in _blocks(doc) for f in block["folds"]]
+    cells = [list(_fold_cells(f, doc["alphas"]))
+             for _, _, block in _blocks(doc) for f in block["folds"]]
+    rows = [[column for column, _ in cells[0]]] + [[cell for _, cell in c] for c in cells]
     path = os.path.join(outdir, "folds.csv")
     _atomic_write(path, _csv_text(rows))
     written.append(path)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +40,23 @@ class SyntheticConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            integral = name in ("n_coughers", "coughs_min", "coughs_max", "seed")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integral = f.type == "int"  # annotations are strings in this module
             if isinstance(value, bool) or not isinstance(
                     value, numbers.Integral if integral else numbers.Real):
-                raise TypeError(f"{name} must be {'an integer' if integral else 'a number'}, "
+                raise TypeError(f"{f.name} must be {'an integer' if integral else 'a number'}, "
                                 f"got {value!r}")
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.n_coughers < 1:
             raise ValueError("n_coughers must be >= 1")
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError("prevalence must lie in (0, 1)")
+        if self.coughs_std < 0:
+            raise ValueError("coughs_std must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.coughs_min < 1:
             raise ValueError("coughs_min must be >= 1")
         if self.coughs_min > self.coughs_max:

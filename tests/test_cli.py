@@ -1,5 +1,8 @@
+import argparse
 import csv
 import json
+import math
+import os
 import re
 import wave
 import xml.etree.ElementTree as ET
@@ -42,11 +45,57 @@ class TestSynthAndFeatures:
     def test_features_missing_manifest_exit_3(self, tmp_path):
         assert run_cli(["features", str(tmp_path / "nope.csv")]) == 3
 
-    @pytest.mark.parametrize("flag, value", [("--coughers", "0"), ("--prevalence", "1.5")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--coughers", "0"), ("--prevalence", "1.5"), ("--coughs-std", "-1"),
+        ("--coughs-mean", "nan"), ("--coughs-std", "nan"), ("--signal-audio", "inf"),
+        ("--seed", "-1")])
     def test_bad_synth_flag_exit_2(self, tmp_path, capsys, flag, value):
         assert run_cli(["synth", "--out", str(tmp_path / "ds"), flag, value]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
+
+
+def parser_flags(command):
+    """flag -> (type, default, choices) of one subcommand's parser."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[-1]: (a.type, a.default, a.choices)
+            for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"}
+
+
+class TestFlags:
+    """Flag names, types and defaults, which scripts depend on."""
+
+    def test_synth_flags(self, monkeypatch):
+        monkeypatch.delenv("COUGHSCREEN_OUT", raising=False)
+        assert parser_flags("synth") == {
+            "--out": (None, os.path.join("runs", "synth"), None),
+            "--seed": (int, 42, None),
+            "--coughers": (int, 80, None),
+            "--prevalence": (float, 295 / 1105, None),
+            "--coughs-mean": (float, 9.03, None),
+            "--coughs-std": (float, 5.7, None),
+            "--coughs-min": (int, 3, None),
+            "--coughs-max": (int, 50, None),
+            "--signal-audio": (float, 1.0, None),
+            "--signal-clinical": (float, 1.0, None),
+        }
+
+    def test_run_flags(self):
+        assert parser_flags("run") == {
+            "--config": (None, None, None),
+            "--manifest": (None, None, None),
+            "--audio-root": (None, None, None),
+            "--synthetic": (None, False, None),
+            "--coughers": (int, None, None),
+            "--seed": (int, None, None),
+            "--out": (None, None, None),
+            "--jobs": (int, None, None),
+            "--feature-mode": (None, None, ["audio", "fused", "both"]),
+            "--model": (None, None, ["LR", "GBDT", "both"]),
+            "--alpha": (float, None, None),
+            "--plots": (None, False, None),
+        }
 
 
 def write_malformed_wav(path, kind):
@@ -149,6 +198,7 @@ class TestRunCommand:
         {"k_outer": 2.5},
         {"grids": {"LR": [{"class_weight": "balanced"}]}},
         {"grids": {"LR": [{"C": 0}]}},
+        {"grids": {"LR": [{"C": math.inf}]}},
         {"grids": {"LR": [{"C": "0.05"}]}},
         {"grids": {"LR": [{"C": 0.05, "class_weight": "auto"}]}},
         {"grids": {"LR": [{"C": 0.05, "solver": "newton"}]}},
@@ -157,6 +207,7 @@ class TestRunCommand:
         {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], depth=2.5)]}},
         {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], iterations=0)]}},
         {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], learning_rate=0)]}},
+        {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], learning_rate=math.inf)]}},
         {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], l2_leaf_reg=-1.0)]}},
         {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], subsample=0)]}},
         {"grids": {"GBDT": [dict(TINY_GBDT_GRID[0], rsm=1.5)]}},
@@ -169,14 +220,15 @@ class TestRunCommand:
         {"alphas": [0.997]},
         {"ece_bins": 10},
         {"scale_binary_clinical": True},
+        {"synthetic": {"coughs_std": -1}},
     ], ids=["calib_frac-str", "n_coughers-str", "alphas-scalar", "alphas-str", "seed-str",
-            "k_outer-float", "lr-no-C", "lr-C-zero", "lr-C-str", "lr-class_weight",
-            "lr-solver", "lr-unknown-key", "gbdt-no-rsm", "gbdt-depth-float",
-            "gbdt-iterations-zero", "gbdt-learning_rate-zero", "gbdt-l2-negative",
-            "gbdt-subsample-zero", "gbdt-rsm-above-1", "gbdt-class_weights",
-            "gbdt-unknown-key", "gbdt-empty-grid", "alphas-repeated", "alphas-same-tag",
-            "alpha-tag-0.00", "alpha-tag-1.00", "removed-ece_bins",
-            "removed-scale_binary_clinical"])
+            "k_outer-float", "lr-no-C", "lr-C-zero", "lr-C-inf", "lr-C-str",
+            "lr-class_weight", "lr-solver", "lr-unknown-key", "gbdt-no-rsm",
+            "gbdt-depth-float", "gbdt-iterations-zero", "gbdt-learning_rate-zero",
+            "gbdt-learning_rate-inf", "gbdt-l2-negative", "gbdt-subsample-zero",
+            "gbdt-rsm-above-1", "gbdt-class_weights", "gbdt-unknown-key", "gbdt-empty-grid",
+            "alphas-repeated", "alphas-same-tag", "alpha-tag-0.00", "alpha-tag-1.00",
+            "removed-ece_bins", "removed-scale_binary_clinical", "synthetic-coughs_std-negative"])
     def test_config_type_error_exit_2(self, tmp_path, capsys, override):
         out = tmp_path / "exp"
         cfg_path = tmp_path / "bad.json"

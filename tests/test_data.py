@@ -1,4 +1,6 @@
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +54,14 @@ class TestClinicalRecord:
         vec = sample_clinical(age=52.5, hemoptysis=1).to_vector()
         assert vec[data.CLINICAL_FIELDS.index("age")] == 52.5
         assert vec[data.CLINICAL_FIELDS.index("hemoptysis")] == 1.0
+
+    def test_manifest_columns_match_readme(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme[readme.index("**Manifest (CSV"):readme.index("Binary columns")]
+        names = [name for quoted in re.findall(r"`([^`]+)`", section)
+                 for name in re.split(r",\s+", quoted)]
+        assert data.MANIFEST_COLUMNS == names
+        assert len(names) == 4 + 16
 
     def test_exactly_16_fields(self):
         assert len(data.CLINICAL_FIELDS) == 16

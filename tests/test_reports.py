@@ -32,6 +32,22 @@ class TestEmittedFiles:
         rows = read_csv(out / "folds.csv")
         assert len(rows) - 1 == 4 * 10
 
+    def test_folds_csv_header(self, tiny_run):
+        _, out = tiny_run
+        assert read_csv(out / "folds.csv")[0] == [
+            "family", "feature_mode", "fold", "best_params", "tau_w", "tau_s",
+            "wf_roc_auc", "wf_pr_auc", "wf_uar", "wf_sensitivity", "wf_specificity",
+            "wf_ppv", "wf_npv", "cg_roc_auc", "cg_pr_auc", "cg_uar", "cg_sensitivity",
+            "cg_specificity", "cg_ppv", "cg_npv", "brier_raw_wf", "brier_cal_wf",
+            "ece_raw_wf", "ece_cal_wf", "brier_raw_cg", "brier_cal_cg", "ece_raw_cg",
+            "ece_cal_cg", "qhat_a0.10", "coverage_a0.10", "mean_size_a0.10",
+            "singleton_rate_a0.10", "empty_rate_a0.10", "sel_accuracy_a0.10",
+            "sel_acc_singleton_a0.10", "sel_acc_ambiguous_a0.10",
+            "sel_p_singleton_correct_a0.10", "qhat_a0.05", "coverage_a0.05",
+            "mean_size_a0.05", "singleton_rate_a0.05", "empty_rate_a0.05",
+            "sel_accuracy_a0.05", "sel_acc_singleton_a0.05", "sel_acc_ambiguous_a0.05",
+            "sel_p_singleton_correct_a0.05"]
+
     def test_config_echo_reproduces_run(self, tiny_run):
         report, out = tiny_run
         doc = json.loads((out / "report.json").read_text())
