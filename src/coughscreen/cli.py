@@ -128,13 +128,19 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"the config must be a JSON object, got {type(doc).__name__}")
     # a flag sets the config field named by its dest
     doc.update((name, value) for name, value in vars(args).items()
                if name in _CONFIG_FIELDS and value is not None)
     if args.use_synthetic and "synthetic" not in doc:
         doc["synthetic"] = {}
     if args.coughers is not None:
-        doc.setdefault("synthetic", {})["n_coughers"] = args.coughers
+        synthetic = doc.setdefault("synthetic", {})
+        if not isinstance(synthetic, dict):
+            raise ConfigError("synthetic must be an object to take --coughers, got "
+                              f"{json.dumps(synthetic)}")
+        synthetic["n_coughers"] = args.coughers
     doc.setdefault("out", _default_out("experiment"))
     cfg = ExperimentConfig.from_dict(doc)
     report = run_experiment(cfg, progress=lambda msg: print(msg, flush=True))

@@ -62,9 +62,12 @@ def spectral_centroid(X: np.ndarray) -> np.ndarray:
     return np.divide(weighted, total, out=np.zeros_like(total), where=total > 0)
 
 
-def spectral_bandwidth(X: np.ndarray) -> np.ndarray:
-    """Second-order magnitude-weighted spread around the centroid (unnormalized)."""
-    dev = np.abs(BIN_FREQS_HZ - spectral_centroid(X)[..., None]) ** BANDWIDTH_ORDER
+def spectral_bandwidth(X: np.ndarray, centroid: np.ndarray | None = None) -> np.ndarray:
+    """Second-order magnitude-weighted spread around the centroid (unnormalized);
+    ``centroid`` is ``spectral_centroid(X)``, computed here when not given."""
+    if centroid is None:
+        centroid = spectral_centroid(X)
+    dev = np.abs(BIN_FREQS_HZ - centroid[..., None]) ** BANDWIDTH_ORDER
     return (X * dev).sum(axis=-1) ** (1.0 / BANDWIDTH_ORDER)
 
 
@@ -213,7 +216,8 @@ def frame_features(X: np.ndarray) -> np.ndarray:
     """All 29 per-frame descriptors of (..., L, 1025) magnitude spectra: (..., L, 29),
     columns in the documented order."""
     P = X ** 2
-    cols = [spectral_centroid(X), spectral_bandwidth(X), spectral_rolloff(P),
+    centroid = spectral_centroid(X)
+    cols = [centroid, spectral_bandwidth(X, centroid), spectral_rolloff(P),
             spectral_flatness(P)]
     out = np.concatenate([np.stack(cols, axis=-1), mfcc(P), chroma(P)], axis=-1)
     assert out.shape[-1] == N_FRAME_FEATURES

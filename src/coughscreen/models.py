@@ -10,6 +10,22 @@ the objective and analytic gradient defined here: the model has no bounds, so
 the loop skips the ``scipy.optimize.minimize`` wrapper and its function cache,
 with SciPy's own settings and stopping rules and therefore the same iterates.
 
+``fit_lr_batch`` fits a list of candidates on one (X, y) in lockstep: one
+``setulb`` state per candidate, and each round evaluates the objectives of all
+candidates that ask for them at once. The products ``Theta[:, 1:] @ X.T``
+(scores) and ``Gz @ X`` (gradient) are one gemm per 64-row block of X (the
+last block padded with zero rows) and per at most 12 candidates, the
+gradient's summed over the blocks in row order, so every BLAS call stays
+below OpenBLAS's threading threshold: fits and predictions are the same bytes
+at any BLAS thread count. A lone candidate is computed beside a copy of
+itself, since numpy would send one row to gemv, which rounds differently from
+gemm. With that, a candidate's fit came out byte-equal alone, in the 12-grid
+and in any sub-batch, on every inner fold of the ``lr_nested`` benchmark
+(OpenBLAS 0.3.31, Haswell kernels). That is a property of the BLAS kernels,
+not a guarantee: with ragged last blocks, 872 of 4,800 score rows changed
+with the batch width. What is guaranteed is that (X, y, candidate list) fix
+every byte.
+
 The booster builds an additive scorer F_t = F_{t-1} + eta * h_t where each
 h_t is a depth-limited regression tree least-squares fit to the negative
 log-loss gradient. Leaf values are shrunk as sum(residual)/(count + l2),
@@ -45,6 +61,14 @@ _LBFGS_MEMORY = 10
 _LBFGS_MAX_LS = 20
 _LBFGS_MAX_EVALS = 15000
 _LBFGS_FACTR = 1e-15 / np.finfo(float).eps
+# The LR products take LR_BLOCK_ROWS rows of X and at most LR_MAX_WIDTH
+# candidates at a time: 64 * 12 * 277 (the fused width) = 212,736
+# multiply-adds, within the 65,536 * 4 = 2**18 up to which OpenBLAS runs a
+# gemm on the calling thread. Every product is single-threaded, so the fits do
+# not depend on the BLAS thread count, and no woken worker thread starves the
+# caller.
+LR_BLOCK_ROWS = 64
+LR_MAX_WIDTH = 12
 
 LR_C_GRID = [1e-4, 5e-4, 1e-3, 1e-2, 5e-2, 1e-1]
 GBDT_DEPTH_GRID = [4, 6, 8]
@@ -100,63 +124,166 @@ class LRModel:
         return self.theta.size - 1
 
 
+def _row_blocks(X) -> np.ndarray:
+    """X as (blocks, ``LR_BLOCK_ROWS``, d), its last block padded with zero rows."""
+    Xb = np.zeros((-(-X.shape[0] // LR_BLOCK_ROWS) * LR_BLOCK_ROWS, X.shape[1]))
+    Xb[:X.shape[0]] = X
+    return Xb.reshape(-1, LR_BLOCK_ROWS, X.shape[1])
+
+
+def _padded(a, width: int) -> np.ndarray:
+    """``a`` with zeros appended along its last axis up to ``width``."""
+    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, width - a.shape[-1])])
+
+
+def _gemm_rows(A, M, out) -> np.ndarray:
+    """``out[:] = A @ M`` as gemms of 2 to ``LR_MAX_WIDTH`` rows (axis -2) of A.
+
+    The rows are split as evenly as the width allows, and a lone row goes
+    beside a copy of itself: numpy would hand one row to BLAS's gemv, which
+    rounds differently from a gemm.
+    """
+    k = A.shape[-2]
+    if k == 1:
+        out[:] = np.matmul(np.repeat(A, 2, axis=-2), M)[..., :1, :]
+        return out
+    n_chunks = -(-k // LR_MAX_WIDTH)
+    bounds = [k * c // n_chunks for c in range(n_chunks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(A[..., lo:hi, :], M, out=out[..., lo:hi, :])
+    return out
+
+
+def _lr_scores(Theta, Xb) -> np.ndarray:
+    """The (k, blocks * ``LR_BLOCK_ROWS``) scores ``Theta[:, 1:] @ X.T + Theta[:, :1]``
+    of the row blocks ``Xb``, one gemm per block."""
+    k = Theta.shape[0]
+    Z = np.empty((k, Xb.shape[0], LR_BLOCK_ROWS))
+    _gemm_rows(Theta[:, 1:], Xb.transpose(0, 2, 1), Z.transpose(1, 0, 2))
+    Z = Z.reshape(k, -1)
+    Z += Theta[:, :1]
+    return Z
+
+
+def _lr_objectives(Theta, Xb, y, C, W):
+    """Negative penalized log-likelihood and analytic gradient of each row of Theta.
+
+    Row i is candidate i, with penalty C[i] and sample weights W[i]; ``Xb`` is
+    ``_row_blocks(X)``, and y and W are zero-padded to its rows, so padding
+    rows add exact zeros. The gradient's ``Gz @ X`` is one gemm per block and
+    at most ``LR_MAX_WIDTH`` candidates, summed over the blocks in row order.
+    """
+    Z = _lr_scores(Theta, Xb)
+    # log(1 + e^z) = max(z, 0) + log1p(e^-|z|) and p = expit(z) share e^-|z|,
+    # stable at any z and 4x cheaper than np.logaddexp(0, z) and expit(z)
+    e = np.exp(-np.abs(Z))
+    p = np.where(Z >= 0.0, 1.0, e) / (1.0 + e)
+    # y log p + (1-y) log(1-p) = y z - log(1 + e^z)
+    loglik = np.sum(W * (y * Z - np.maximum(Z, 0.0) - np.log1p(e)), axis=1)
+    B = Theta[:, 1:]
+    penalty = np.einsum("ij,ij->i", B, B) / (2.0 * C)
+    Gz = W * (p - y)
+    k = Theta.shape[0]
+    per_block = _gemm_rows(Gz.reshape(k, -1, LR_BLOCK_ROWS).transpose(1, 0, 2), Xb,
+                           np.empty((Xb.shape[0], k, Xb.shape[2])))
+    G = np.empty_like(Theta)
+    G[:, 0] = Gz.sum(axis=1)
+    G[:, 1:] = per_block.sum(axis=0)  # block by block, in row order
+    G[:, 1:] += B / C[:, None]
+    return -loglik + penalty, G
+
+
 def lr_objective(theta, X, y, C, sample_weight):
-    """Negative penalized log-likelihood and its analytic gradient."""
-    z = X @ theta[1:] + theta[0]
-    # y log p + (1-y) log(1-p) = y z - log(1 + e^z), stable via logaddexp
-    loglik = float(np.sum(sample_weight * (y * z - np.logaddexp(0.0, z))))
-    penalty = float(theta[1:] @ theta[1:]) / (2.0 * C)
-    g_z = sample_weight * (expit(z) - y)
-    grad = np.empty_like(theta)
-    grad[0] = g_z.sum()
-    grad[1:] = X.T @ g_z + theta[1:] / C
-    return -loglik + penalty, grad
+    """Negative penalized log-likelihood and its analytic gradient: the
+    objective of ``fit_lr``, computed as a batch of one candidate."""
+    Xb = _row_blocks(X)
+    width = Xb.shape[0] * LR_BLOCK_ROWS
+    f, G = _lr_objectives(theta[None], Xb, _padded(y, width), np.array([float(C)]),
+                          _padded(sample_weight[None], width))
+    return float(f[0]), G[0]
 
 
-def fit_lr(X, y, C, class_weight=None, max_iter=LR_MAX_ITER) -> LRModel:
-    """Minimize ``lr_objective`` from theta = 0 by unbounded L-BFGS-B.
+def fit_lr_batch(X, y, params_list, max_iter=LR_MAX_ITER) -> list:
+    """Minimize ``lr_objective`` from theta = 0 by unbounded L-BFGS-B for each
+    candidate ``{"C": ..., "class_weight": ...}`` of ``params_list``, in lockstep.
 
-    The routine asks for (f, g) at its current point (task 3) and reports each
-    new iterate (task 1); the loop stops it as ``minimize`` does, after
+    Each candidate keeps its own ``setulb`` state and owns one row of the
+    (k, d + 1) ``Theta`` and ``G``, which the routine updates in place. A
+    round steps every running candidate until it asks for (f, g) (task 3) or
+    stops, then evaluates all the asks with one ``_lr_objectives`` call; a
+    candidate that stops leaves the batch. ``setulb`` reports each new iterate
+    as task 1; the loop stops a candidate as ``minimize`` does, after
     ``max_iter`` iterations (504) or more than 15,000 evaluations (502).
     Task 4 means convergence: a projected gradient <= ``LR_GRAD_TOL`` or a
     relative decrease of f <= 1e-15. Any other end (a cap, or an abnormal
     line search, task 8) leaves ``converged`` False.
     """
-    if C <= 0:
+    if any(p["C"] <= 0 for p in params_list):
         raise ValueError("C must be positive")
     X, y = _validate_xy(X, y)
-    w = class_sample_weights(y, class_weight)
-    n, m = X.shape[1] + 1, _LBFGS_MEMORY
-    theta, f, g = np.zeros(n), np.array(0.0), np.zeros(n)
+    k, n, m = len(params_list), X.shape[1] + 1, _LBFGS_MEMORY
+    Xb = _row_blocks(X)
+    width = Xb.shape[0] * LR_BLOCK_ROWS
+    C = np.array([float(p["C"]) for p in params_list])
+    W = _padded(np.array([class_sample_weights(y, p.get("class_weight"))
+                          for p in params_list]), width)
+    y = _padded(y, width)
+    Theta, F, G = np.zeros((k, n)), np.zeros(k), np.zeros((k, n))
     nbd, bound = np.zeros(n, np.int32), np.zeros(n)  # nbd 0: no bound on any variable
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    n_iter = n_eval = 0
-    while True:
-        _lbfgsb.setulb(m, theta, bound, bound, nbd, f, g, _LBFGS_FACTR, LR_GRAD_TOL, wa,
-                       iwa, task, lsave, isave, dsave, _LBFGS_MAX_LS, ln_task)
-        if task[0] == 3:
-            f, g = lr_objective(theta, X, y, C, w)
-            n_eval += 1
-        elif task[0] == 1:
-            n_iter += 1
-            if n_iter >= max_iter:
-                task[:] = 5, 504
-            elif n_eval > _LBFGS_MAX_EVALS:
-                task[:] = 5, 502
-        else:
-            break
-    return LRModel(theta=theta, C=C, converged=bool(task[0] == 4), n_iter=n_iter)
+    wa = np.zeros((k, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
+    iwa = np.zeros((k, 3 * n), np.int32)
+    task, ln_task = np.zeros((k, 2), np.int32), np.zeros((k, 2), np.int32)
+    lsave, isave, dsave = (np.zeros((k, 4), np.int32), np.zeros((k, 44), np.int32),
+                           np.zeros((k, 29)))
+    # each candidate's rows of the state arrays, as views setulb writes through
+    views = [(Theta[i], G[i], (wa[i], iwa[i], task[i], lsave[i], isave[i], dsave[i]),
+              ln_task[i], task[i]) for i in range(k)]
+    n_iter, n_eval = [0] * k, [0] * k
+    running = range(k)
+    while running:
+        asks = []
+        for i in running:
+            theta, g, work, ln_task_i, task_i = views[i]
+            while True:
+                _lbfgsb.setulb(m, theta, bound, bound, nbd, F[i], g, _LBFGS_FACTR,
+                               LR_GRAD_TOL, *work, _LBFGS_MAX_LS, ln_task_i)
+                if task_i[0] == 3:
+                    asks.append(i)
+                    break
+                if task_i[0] != 1:
+                    break
+                n_iter[i] += 1
+                if n_iter[i] >= max_iter:
+                    task_i[:] = 5, 504
+                elif n_eval[i] > _LBFGS_MAX_EVALS:
+                    task_i[:] = 5, 502
+        if asks:
+            F[asks], G[asks] = _lr_objectives(Theta[asks], Xb, y, C[asks], W[asks])
+            for i in asks:
+                n_eval[i] += 1
+        running = asks
+    return [LRModel(theta=Theta[i].copy(), C=p["C"], converged=bool(task[i, 0] == 4),
+                    n_iter=n_iter[i]) for i, p in enumerate(params_list)]
+
+
+def fit_lr(X, y, C, class_weight=None, max_iter=LR_MAX_ITER) -> LRModel:
+    """``fit_lr_batch`` of the one candidate (C, class_weight)."""
+    return fit_lr_batch(X, y, [{"C": C, "class_weight": class_weight}], max_iter)[0]
+
+
+def predict_proba_lr_batch(models_: list, X) -> np.ndarray:
+    """The (k, n) probabilities of k LR models, rows in model order, from the
+    products ``fit_lr_batch`` uses."""
+    X = np.asarray(X, dtype=np.float64)
+    for model in models_:
+        if X.ndim != 2 or X.shape[1] != model.feature_dim:
+            raise ValueError(f"model expects {model.feature_dim} features, got {X.shape}")
+    Z = _lr_scores(np.array([model.theta for model in models_]), _row_blocks(X))
+    return expit(Z[:, :X.shape[0]])
 
 
 def predict_proba_lr(model: LRModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.feature_dim:
-        raise ValueError(f"model expects {model.feature_dim} features, got {X.shape}")
-    return expit(X @ model.theta[1:] + model.theta[0])
+    return predict_proba_lr_batch([model], X)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -193,28 +193,20 @@ class FoldResult:
 
 
 def _fit_groups(family: str, candidates: list) -> list:
-    """Candidates that share one inner fit, as (params to fit, member indices).
+    """The member indices of each group of candidates that share one inner fit.
 
-    GBDT candidates equal but for ``iterations`` share one fit at their
-    largest ``iterations``, scored per member as a prefix of its trees; every
-    other candidate is a group of its own. Groups and members keep grid order.
+    LR candidates form one group, fitted in lockstep by ``fit_lr_batch``. GBDT
+    candidates equal but for ``iterations`` share one fit at their largest
+    ``iterations``, scored per member as a prefix of its trees; every other
+    GBDT candidate is a group of its own. Groups and members keep grid order.
     """
     if family != "GBDT":
-        return [(cand, [ci]) for ci, cand in enumerate(candidates)]
+        return [list(range(len(candidates)))]
     groups = {}
     for ci, cand in enumerate(candidates):
         key = tuple(sorted((k, v) for k, v in cand.items() if k != "iterations"))
         groups.setdefault(key, []).append(ci)
-    return [(max((candidates[ci] for ci in members), key=lambda c: int(c["iterations"])),
-             members) for members in groups.values()]
-
-
-def _fit(family: str, params: dict, X, y, seed: int, unconverged: list):
-    """Fit one model; an LR fit that stops unconverged adds its C to ``unconverged``."""
-    model = models.fit_model(family, params, X, y, seed=seed)
-    if isinstance(model, models.LRModel) and not model.converged:
-        unconverged.append(model.C)
-    return model
+    return list(groups.values())
 
 
 def score_inner_fold(table: FeatureTable, fold_plan, j: int, family: str, feature_mode: str,
@@ -238,7 +230,7 @@ def score_inner_fold(table: FeatureTable, fold_plan, j: int, family: str, featur
         raise LeakageError(f"fold {fold_plan.fold}: inner validation rows outside "
                            "the tuning pool")
     # the scaler does not depend on the candidate, so every candidate shares it
-    X_train = X_all[train_rows]
+    X_train, y_train = X_all[train_rows], y_all[train_rows]
     scaler = fit_scaler(X_train)
     X_train = apply_scaler(scaler, X_train)
     X_val = apply_scaler(scaler, X_all[val_rows])
@@ -247,13 +239,17 @@ def score_inner_fold(table: FeatureTable, fold_plan, j: int, family: str, featur
     probs = np.empty((len(candidates), val_rows.size))
     unconverged = []
     seed = model_seed(cfg.seed, fold_plan.fold, 0)
-    for fit_params, members in _fit_groups(family, candidates):
-        model = _fit(family, fit_params, X_train, y_all[train_rows], seed, unconverged)
+    for members in _fit_groups(family, candidates):
+        group = [candidates[ci] for ci in members]
         if family == "GBDT":
-            stages = [candidates[ci]["iterations"] for ci in members]
-            member_probs = models.staged_proba_gbdt(model, X_val, stages)
+            params = max(group, key=lambda c: int(c["iterations"]))
+            model = models.fit_gbdt(X_train, y_train, params, seed=seed)
+            member_probs = models.staged_proba_gbdt(model, X_val,
+                                                    [c["iterations"] for c in group])
         else:
-            member_probs = [models.predict_model(model, X_val)]
+            fitted = models.fit_lr_batch(X_train, y_train, group)
+            unconverged += [m.C for m in fitted if not m.converged]
+            member_probs = models.predict_proba_lr_batch(fitted, X_val)
         for ci, member in zip(members, member_probs):
             _, j_stat = calibration.youden_threshold(member, y_all[val_rows])
             uars[ci] = (1.0 + j_stat) / 2.0
@@ -294,8 +290,10 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
 
     X_tuning = X_all[tuning_rows]
     scaler_final = fit_scaler(X_tuning)
-    model_final = _fit(family, best_params, apply_scaler(scaler_final, X_tuning),
-                       y_all[tuning_rows], model_seed(cfg.seed, fold_plan.fold, 1), unconverged)
+    model_final = models.fit_model(family, best_params, apply_scaler(scaler_final, X_tuning),
+                                   y_all[tuning_rows], seed=model_seed(cfg.seed, fold_plan.fold, 1))
+    if isinstance(model_final, models.LRModel) and not model_final.converged:
+        unconverged.append(model_final.C)
 
     # Calibration subset: thresholds and conformal quantiles.
     calib_raw = models.predict_model(model_final, apply_scaler(scaler_final, X_all[calib_rows]))
@@ -410,7 +408,7 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
         results = []
         for fp, (result, unconverged) in zip(plan.folds, finished):
             # logged here, not in a worker, so the caller's handlers receive it;
-            # LR fits only, where each candidate is a fit group of its own
+            # LR fits only, one per candidate and inner fold, then the final fit
             if unconverged:
                 log.warning("outer fold %d (%s): %d of %d LR fits did not converge, at C = %s",
                             fp.fold, feature_mode, len(unconverged),

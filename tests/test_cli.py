@@ -181,6 +181,22 @@ class TestRunCommand:
         assert "alphas" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "5", '"cfg"'])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert run_cli(["run", "--config", str(cfg_path)]) == 2
+        assert "the config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("synthetic", [None, [], 5, "yes"])
+    def test_coughers_with_non_object_synthetic_exit_2(self, tmp_path, capsys, synthetic):
+        out = tmp_path / "exp"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_experiment_doc(out, synthetic=synthetic)))
+        assert run_cli(["run", "--config", str(cfg_path), "--coughers", "5"]) == 2
+        assert "synthetic must be an object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_data_source_exit_2(self):
         assert run_cli(["run"]) == 2
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from coughscreen import models
+from coughscreen import data, features, models
 
 
 def logloss(probs, y, w=None):
@@ -145,6 +145,61 @@ class TestLBFGSOracle:
                 assert (m.n_iter, m.converged) == (n_iter, converged), why
                 if max_iter < models.LR_MAX_ITER:
                     assert m.converged is False and m.n_iter == max_iter, why
+
+
+class TestLRBatch:
+    """``fit_lr_batch`` fits its candidates in lockstep on blocked products."""
+
+    @pytest.mark.parametrize("seed, n, d", [(0, 240, 277), (1, 280, 40), (2, 300, 6)])
+    def test_converged_candidates_match_fit_lr_alone(self, seed, n, d):
+        X, y = lr_problem(seed, n, d)
+        candidates = models.grid_candidates("LR")
+        fitted = models.fit_lr_batch(X, y, candidates)
+        assert [m.C for m in fitted] == [c["C"] for c in candidates]
+        assert all(m.converged for m in fitted)
+        for cand, m in zip(candidates, fitted):
+            alone = models.fit_lr(X, y, cand["C"], cand["class_weight"])
+            assert alone.converged
+            np.testing.assert_allclose(m.theta, alone.theta, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("seed, n, d", [(0, 240, 277), (6, 1000, 277), (7, 130, 20)])
+    def test_byte_equal_alone_and_in_any_batch(self, seed, n, d):
+        # measured with OpenBLAS's gemm kernels, not promised by BLAS: padded
+        # 64-row blocks and a lone row beside its copy keep each row's sums
+        # the same whichever rows share its products
+        X, y = lr_problem(seed, n, d)
+        candidates = models.grid_candidates("LR")
+        fitted = models.fit_lr_batch(X, y, candidates)
+        for batch in (candidates[:1], candidates[3:8], candidates[::-1], candidates * 2):
+            for cand, m in zip(batch, models.fit_lr_batch(X, y, batch)):
+                twin = fitted[candidates.index(cand)]
+                assert np.array_equal(m.theta, twin.theta)
+                assert (m.n_iter, m.converged) == (twin.n_iter, twin.converged)
+
+    def test_predictions_match_per_model_predictions(self):
+        X, y = lr_problem(3, 200, 30)
+        fitted = models.fit_lr_batch(X, y, models.grid_candidates("LR"))
+        probs = models.predict_proba_lr_batch(fitted, X)
+        assert probs.shape == (len(fitted), 200)
+        for row, m in zip(probs, fitted):
+            assert np.array_equal(row, models.predict_proba_lr(m, X))
+
+    def test_iteration_cap_stops_every_candidate(self):
+        X, y = lr_problem(4, 80, 6)
+        fitted = models.fit_lr_batch(X, y, [{"C": 0.05}, {"C": 1e-4}], max_iter=2)
+        assert [(m.n_iter, m.converged) for m in fitted] == [(2, False), (2, False)]
+
+    def test_non_positive_C_rejected(self):
+        X, y = lr_problem(5, 40, 3)
+        with pytest.raises(ValueError, match="C must be positive"):
+            models.fit_lr_batch(X, y, [{"C": 0.05}, {"C": 0.0}])
+
+    def test_block_products_stay_single_threaded(self):
+        # OpenBLAS runs a gemm on the calling thread when m * n * k <= 65,536 * 4:
+        # a block of rows times the 12 grid candidates at the fused width
+        width = features.VECTOR_LENGTH + data.N_CLINICAL
+        assert width == 277
+        assert models.LR_BLOCK_ROWS * len(models.grid_candidates("LR")) * width <= 2 ** 18
 
 
 def stump_oracle(x, residuals):

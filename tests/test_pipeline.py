@@ -259,13 +259,14 @@ class TestStagedGridSearch:
 
 class TestConvergenceWarning:
     def test_one_warning_per_fold_with_unconverged_fits(self, table, monkeypatch, caplog):
-        fit_lr = pipeline.models.fit_lr
+        fit_lr_batch = pipeline.models.fit_lr_batch
 
-        def capped_fit_lr(X, y, C, class_weight=None):
+        def capped_fit_lr_batch(X, y, params_list, max_iter=None):
             # the C = 0.01 fits stop after one iteration; the C = 0.05 fits converge
-            return fit_lr(X, y, C, class_weight, max_iter=1 if C == 0.01 else 10000)
+            return [fit_lr_batch(X, y, [p], max_iter=1 if p["C"] == 0.01 else 10000)[0]
+                    for p in params_list]
 
-        monkeypatch.setattr(pipeline.models, "fit_lr", capped_fit_lr)
+        monkeypatch.setattr(pipeline.models, "fit_lr_batch", capped_fit_lr_batch)
         cfg = pipeline.RunConfig(seed=42, grid=LR_GRID, k_outer=4, k_inner=3, calib_frac=0.2)
         with caplog.at_level(logging.WARNING, logger="coughscreen.pipeline"):
             results, _ = pipeline.run_nested(table, "LR", "audio", cfg)
@@ -275,9 +276,10 @@ class TestConvergenceWarning:
             "did not converge, at C = 0.01" for r in results]
 
     def test_warnings_from_pool_workers_reach_the_caller(self, table, monkeypatch, caplog):
-        fit_lr = pipeline.models.fit_lr
-        monkeypatch.setattr(pipeline.models, "fit_lr", lambda X, y, C, class_weight=None:
-                            fit_lr(X, y, C, class_weight, max_iter=1))
+        fit_lr_batch = pipeline.models.fit_lr_batch
+        monkeypatch.setattr(pipeline.models, "fit_lr_batch",
+                            lambda X, y, params_list, max_iter=None:
+                            fit_lr_batch(X, y, params_list, max_iter=1))
         cfg = pipeline.RunConfig(seed=42, grid=LR_GRID, k_outer=3, k_inner=2, calib_frac=0.2)
         messages = {}
         for jobs in (1, 2):  # a real pool of 2 forked workers, which inherit the cap
