@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.fft import dct
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, vstack
 
 from .dsp import (BIN_FREQS_HZ, HOP_SAMPLES, TARGET_SAMPLE_RATE_HZ, Waveform, frame,
                   magnitude_spectrum)
@@ -31,7 +31,6 @@ N_MEL_FILTERS = 40
 MEL_FMIN_HZ = 0.0
 MEL_FMAX_HZ = 8000.0
 ROLLOFF_FRACTION = 0.85
-BANDWIDTH_ORDER = 2
 FLATNESS_FLOOR = 1e-10
 LOG_FLOOR = 1e-10
 CHROMA_MIN_HZ = 27.5
@@ -46,7 +45,8 @@ FRAME_FEATURE_NAMES = (
     + [f"mfcc{i:02d}" for i in range(N_MFCC)]
     + [f"chroma{i:02d}" for i in range(N_CHROMA)]
 )
-FUNCTIONAL_NAMES = ["mean", "std", "skew", "kurt", "p10", "p25", "p50", "p75", "p90"]
+PERCENTILES = (10, 25, 50, 75, 90)
+FUNCTIONAL_NAMES = ["mean", "std", "skew", "kurt"] + [f"p{q}" for q in PERCENTILES]
 VECTOR_COLUMN_NAMES = [f"{feat}_{func}" for feat in FRAME_FEATURE_NAMES
                        for func in FUNCTIONAL_NAMES]
 N_FRAME_FEATURES = len(FRAME_FEATURE_NAMES)
@@ -67,8 +67,12 @@ def spectral_bandwidth(X: np.ndarray, centroid: np.ndarray | None = None) -> np.
     ``centroid`` is ``spectral_centroid(X)``, computed here when not given."""
     if centroid is None:
         centroid = spectral_centroid(X)
-    dev = np.abs(BIN_FREQS_HZ - centroid[..., None]) ** BANDWIDTH_ORDER
-    return (X * dev).sum(axis=-1) ** (1.0 / BANDWIDTH_ORDER)
+    # one (..., L, 1025) buffer: the signed deviation, squared (|d|^2 = d^2
+    # exactly), then weighted by X
+    dev = BIN_FREQS_HZ - centroid[..., None]
+    np.multiply(dev, dev, out=dev)
+    np.multiply(dev, X, out=dev)
+    return np.sqrt(dev.sum(axis=-1))
 
 
 def spectral_rolloff(P: np.ndarray) -> np.ndarray:
@@ -86,8 +90,8 @@ def spectral_flatness(P: np.ndarray) -> np.ndarray:
     """
     nonzero = P.sum(axis=-1) > 0
     floored = np.maximum(P, FLATNESS_FLOOR)
-    gmean = np.exp(np.mean(np.log(floored), axis=-1))
-    amean = np.mean(floored, axis=-1)
+    amean = floored.mean(axis=-1)
+    gmean = np.exp(np.log(floored, out=floored).mean(axis=-1))
     return np.where(nonzero, gmean / amean, 0.0)
 
 
@@ -132,37 +136,60 @@ def _chroma_fold() -> csr_array:
 
 MEL_FILTERBANK = _mel_filterbank()
 CHROMA_FOLD = _chroma_fold()
+# both folds as one (52, 1025) matrix, so each batch of spectra is transposed
+# and folded once; every row still sums its own stored bins in the same order
+SPECTRAL_FOLD = vstack([MEL_FILTERBANK, CHROMA_FOLD], format="csr")
 MEL_FILTERBANK.data.setflags(write=False)
 CHROMA_FOLD.data.setflags(write=False)
+SPECTRAL_FOLD.data.setflags(write=False)
 
 
-def _fold(M: csr_array, P: np.ndarray) -> np.ndarray:
-    """(..., 1025) spectra folded by the sparse (K, 1025) ``M``: (..., K).
+def fold_spectra(P: np.ndarray) -> np.ndarray:
+    """(..., 1025) power spectra folded by ``SPECTRAL_FOLD``: (..., 52), the 40
+    mel-band energies, then the 12 pitch-class energies.
 
     scipy's CSR-times-dense product is single-threaded and sums each output
     over the row's stored bins in a fixed order, and every frame is its own
     column, so a frame's values depend neither on the BLAS thread count nor
     on the batch its clip is in.
     """
+    M = SPECTRAL_FOLD
     return (M @ P.reshape(-1, P.shape[-1]).T).T.reshape(*P.shape[:-1], M.shape[0])
 
 
-def mfcc(P: np.ndarray) -> np.ndarray:
-    """13 mel-frequency cepstral coefficients per frame.
+def mfcc(P: np.ndarray, folded: np.ndarray | None = None) -> np.ndarray:
+    """13 mel-frequency cepstral coefficients per frame; ``folded`` is
+    ``fold_spectra(P)``, computed here when not given.
 
     Power spectrum -> mel filterbank energies -> floored log -> orthonormal
     DCT-II, keeping the first 13 coefficients (DC included).
     """
-    mel_energy = _fold(MEL_FILTERBANK, P)
-    log_energy = np.log(np.maximum(mel_energy, LOG_FLOOR))
+    if folded is None:
+        folded = fold_spectra(P)
+    log_energy = np.log(np.maximum(folded[..., :N_MEL_FILTERS], LOG_FLOOR))
     return dct(log_energy, type=2, norm="ortho", axis=-1)[..., :N_MFCC]
 
 
-def chroma(P: np.ndarray) -> np.ndarray:
-    """12-class pitch energy profile per frame, max-normalized to [0, 1]."""
-    energy = _fold(CHROMA_FOLD, P)
+def chroma(P: np.ndarray, folded: np.ndarray | None = None) -> np.ndarray:
+    """12-class pitch energy profile per frame, max-normalized to [0, 1];
+    ``folded`` is ``fold_spectra(P)``, computed here when not given."""
+    if folded is None:
+        folded = fold_spectra(P)
+    energy = folded[..., N_MEL_FILTERS:]
     peak = energy.max(axis=-1, keepdims=True)
     return np.divide(energy, peak, out=np.zeros_like(energy), where=peak > 0)
+
+
+def _percentile_points(n: int):
+    """numpy's linear percentile rule at ``PERCENTILES`` for n sorted values:
+    the (lo, hi) positions and the weight ``gamma`` of each percentile."""
+    vi = (n - 1) * np.true_divide(PERCENTILES, 100)
+    lo = np.floor(vi)
+    gamma = vi - lo
+    hi = lo + 1
+    top = vi >= n - 1
+    lo[top] = hi[top] = -1
+    return lo.astype(np.intp), hi.astype(np.intp), gamma
 
 
 def summarize(trajectories) -> np.ndarray:
@@ -176,8 +203,10 @@ def summarize(trajectories) -> np.ndarray:
     (L+1)L/((L-1)^3 (L-2)(L-3)) * sum((x-mu)^4)/s^4 minus the
     3(L-1)^2/((L-2)(L-3)) correction, with s the L-1 standard deviation.
     Both are defined as 0 on constant or too-short trajectories (skew needs
-    L >= 3, kurtosis L >= 4). Percentiles interpolate linearly between
-    order statistics.
+    L >= 3, kurtosis L >= 4). The third and fourth central moments are
+    product moments, (d*d)*d and (d*d)*(d*d) for each deviation d.
+    Percentiles are numpy's linear rule (Hyndman & Fan type 7) applied to
+    each sorted row: they equal ``np.percentile`` byte for byte.
     """
     x = np.asarray(trajectories, dtype=np.float64)
     if x.ndim == 1:
@@ -188,28 +217,34 @@ def summarize(trajectories) -> np.ndarray:
     # one contiguous row per trajectory, so every sum runs along a row in the
     # same order as on a lone 1-D trajectory
     rows = np.ascontiguousarray(np.swapaxes(x, -1, -2))
-    mu = rows.mean(axis=-1)
+    out = np.zeros(rows.shape[:-1] + (len(FUNCTIONAL_NAMES),))
+    mu = out[..., 0] = rows.mean(axis=-1)
     dev = rows - mu[..., None]
-    ss = np.sum(dev ** 2, axis=-1)
-    std = np.sqrt(ss / (n - 1)) if n > 1 else np.zeros_like(mu)
+    sq = dev * dev
+    ss = sq.sum(axis=-1)
+    std = out[..., 1] = np.sqrt(ss / (n - 1)) if n > 1 else np.zeros_like(mu)
     varying = std > 0
 
-    skew = np.zeros_like(mu)
     if n >= 3:
-        m2, m3 = ss[varying] / n, np.mean(dev[varying] ** 3, axis=-1)
+        cube = np.multiply(sq, dev, out=dev)  # dev is not read again
+        m2, m3 = ss[varying] / n, cube.mean(axis=-1)[varying]
         # scalar powers go through libm; numpy's SIMD power can differ by an ulp
         m2_15 = np.array([m ** 1.5 for m in m2.tolist()])
-        skew[varying] = np.sqrt(n * (n - 1)) / (n - 2) * m3 / m2_15
+        out[..., 2][varying] = np.sqrt(n * (n - 1)) / (n - 2) * m3 / m2_15
 
-    kurt = np.zeros_like(mu)
     if n >= 4:
         lead = (n + 1) * n / ((n - 1) ** 3 * (n - 2) * (n - 3))
         std4 = np.array([s ** 4 for s in std[varying].tolist()])
-        kurt[varying] = (lead * np.sum(dev[varying] ** 4, axis=-1) / std4
-                         - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3)))
+        s4 = np.multiply(sq, sq, out=sq).sum(axis=-1)[varying]  # sq is not read again
+        out[..., 3][varying] = lead * s4 / std4 - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
 
-    pct = np.percentile(rows, [10, 25, 50, 75, 90], axis=-1)
-    return np.stack([mu, std, skew, kurt, *pct], axis=-1)
+    lo, hi, gamma = _percentile_points(n)
+    ranked = np.sort(rows, axis=-1)
+    a, b = ranked[..., lo], ranked[..., hi]
+    diff = b - a
+    # numpy's _lerp: from the upper point when gamma >= 0.5
+    out[..., 4:] = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    return out
 
 
 def frame_features(X: np.ndarray) -> np.ndarray:
@@ -217,9 +252,11 @@ def frame_features(X: np.ndarray) -> np.ndarray:
     columns in the documented order."""
     P = X ** 2
     centroid = spectral_centroid(X)
+    folded = fold_spectra(P)
     cols = [centroid, spectral_bandwidth(X, centroid), spectral_rolloff(P),
             spectral_flatness(P)]
-    out = np.concatenate([np.stack(cols, axis=-1), mfcc(P), chroma(P)], axis=-1)
+    out = np.concatenate([np.stack(cols, axis=-1), mfcc(P, folded), chroma(P, folded)],
+                         axis=-1)
     assert out.shape[-1] == N_FRAME_FEATURES
     return out
 

@@ -162,6 +162,19 @@ class TestMfcc:
         np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-8)
 
 
+class TestSpectralFold:
+    def test_stacked_fold_bit_identical_to_separate_folds(self):
+        rng = np.random.default_rng(15)
+        P = rng.uniform(0, 2, (3, 17, 1025)) ** 2
+        P[1, 4] = 0.0
+        folded = features.fold_spectra(P)
+        flat = P.reshape(-1, 1025).T
+        for M, cols in ((features.MEL_FILTERBANK, folded[..., :features.N_MEL_FILTERS]),
+                        (features.CHROMA_FOLD, folded[..., features.N_MEL_FILTERS:])):
+            alone = (M @ flat).T.reshape(3, 17, M.shape[0])
+            assert np.ascontiguousarray(cols).tobytes() == alone.tobytes()
+
+
 class TestChroma:
     def test_single_line_at_a440(self):
         # nearest bin to 440 Hz is 56 (437.5 Hz)
@@ -228,12 +241,12 @@ def reference_summarize(trajectory):
     skew = 0.0
     if n >= 3 and std > 0:
         m2 = np.mean(dev ** 2)
-        m3 = np.mean(dev ** 3)
+        m3 = np.mean(dev * dev * dev)
         skew = float(np.sqrt(n * (n - 1)) / (n - 2) * m3 / m2 ** 1.5)
     kurt = 0.0
     if n >= 4 and std > 0:
         lead = (n + 1) * n / ((n - 1) ** 3 * (n - 2) * (n - 3))
-        kurt = float(lead * np.sum(dev ** 4) / std ** 4
+        kurt = float(lead * np.sum((dev * dev) * (dev * dev)) / std ** 4
                      - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3)))
     p10, p25, p50, p75, p90 = np.percentile(x, [10, 25, 50, 75, 90])
     return np.array([mu, std, skew, kurt, float(p10), float(p25), float(p50), float(p75),
@@ -296,6 +309,27 @@ class TestSummarize:
         three = functionals([1.0, 2.0, 4.0])
         assert three["skew"] != 0.0
         assert three["kurt"] == 0.0
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 31, 32, 33, 63, 64])
+    def test_percentiles_bit_identical_to_numpy(self, n):
+        rng = np.random.default_rng(n)
+        noise = rng.standard_normal((6, n, 4)) * 10.0 ** rng.uniform(-5, 4, (6, 1, 4))
+        ties = rng.integers(0, 3, (6, n, 4)).astype(np.float64)
+        constant = np.full((6, n, 4), -2.7)
+        for x in (noise, ties, constant):
+            expected = np.percentile(x, [10, 25, 50, 75, 90], axis=-2)
+            assert features.summarize(x)[..., 4:].tobytes() == \
+                np.moveaxis(expected, 0, -1).tobytes()
+
+    def test_stack_rows_bit_identical_to_one_dimensional_calls(self):
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3, 4, 32, 63):
+            x = rng.standard_normal((5, n, 7)) * rng.uniform(0.1, 100, (5, 1, 7))
+            x[2, :, 3] = 1.5  # a constant trajectory
+            got = features.summarize(x)
+            for i in range(5):
+                for j in range(7):
+                    assert got[i, j].tobytes() == features.summarize(x[i, :, j]).tobytes()
 
     def test_percentile_monotonicity(self):
         rng = np.random.default_rng(8)
