@@ -109,7 +109,7 @@ def _cmd_features(args) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for rid, cid, vec in zip(table.recording_ids, table.cougher_ids.tolist(), table.audio):
-            writer.writerow([rid, cid] + [repr(v) for v in vec.tolist()])
+            writer.writerow([rid, cid] + vec.tolist())
     finally:
         if args.out:
             out.close()

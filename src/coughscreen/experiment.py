@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 import platform
@@ -26,12 +25,14 @@ class ConfigError(ValueError):
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return isinstance(v, numbers.Integral) and _is_real(v)
 
 
 def _is_real(v) -> bool:
-    """A finite number (NaN fails both comparisons); a bool is not one."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -math.inf < v < math.inf
+    """A number that ``float()`` makes finite: NaN fails both comparisons, and an
+    int is compared exactly, so one beyond the float range fails; a bool is not one."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
 
 
 def _class_weight(v) -> bool:

@@ -7,9 +7,9 @@ functionals (mean, std, skewness, kurtosis, and the 10/25/50/75/90th
 percentiles), producing a fixed 261-value vector per recording. Every
 descriptor takes (..., L, 1025) spectra from ``dsp.magnitude_spectrum``,
 the magnitudes ``X`` or the power ``P = X ** 2``, and returns one value (or
-row) per frame. ``extract_batch`` analyses a stack of equal-length clips;
-``extract_all`` streams any number of recordings through it in batches of
-a bounded number of frames.
+row) per frame. ``extract`` analyses one recording; ``extract_all`` streams
+any number of them in batches of a bounded number of frames, analysing the
+clips of a batch that share a frame count as one stack.
 
 Conventions for degenerate frames (all-zero spectrum): centroid,
 bandwidth, roll-off, flatness, and chroma are all defined as 0 so that
@@ -22,8 +22,7 @@ import numpy as np
 from scipy.fft import dct
 from scipy.sparse import csr_array, vstack
 
-from .dsp import (BIN_FREQS_HZ, HOP_SAMPLES, TARGET_SAMPLE_RATE_HZ, Waveform, frame,
-                  magnitude_spectrum)
+from .dsp import BIN_FREQS_HZ, TARGET_SAMPLE_RATE_HZ, Waveform, frame, magnitude_spectrum
 
 N_MFCC = 13
 N_CHROMA = 12
@@ -261,58 +260,37 @@ def frame_features(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_count(n_samples: int) -> int:
-    """Frames ``extract_batch`` analyses in an n-sample clip, tail pad included."""
-    return 1 + max(n_samples, MIN_SAMPLES) // HOP_SAMPLES
-
-
-def extract_batch(samples) -> np.ndarray:
-    """Feature vectors of N equal-length 16 kHz clips: (N, n) samples -> (N, 261).
-
-    Clips shorter than 0.5 s are tail-padded with zeros first; this is the
-    one place the pipeline pads. Each row is byte-identical to the clip's
-    row in any other batch. The layout is, for each of the 29 frame features
-    in order, its 9 functionals in the order mean, std, skew, kurt, p10..p90.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] == 0:
-        raise ValueError("extract_batch takes a nonempty (N, n) array of clips")
-    short = MIN_SAMPLES - samples.shape[1]
-    if short > 0:
-        samples = np.pad(samples, ((0, 0), (0, short)))
-    X = magnitude_spectrum(frame(samples))
-    return summarize(frame_features(X)).reshape(len(samples), VECTOR_LENGTH)
-
-
-def _samples_16k(w: Waveform) -> np.ndarray:
+def _clip_frames(w: Waveform) -> np.ndarray:
+    """The (L, 512) frames of one 16 kHz clip, tail-padded with zeros to 0.5 s
+    first; this is the one place the pipeline pads."""
     if w.sample_rate_hz != TARGET_SAMPLE_RATE_HZ:
         raise ValueError(f"extraction expects {TARGET_SAMPLE_RATE_HZ} Hz audio, "
                          f"got {w.sample_rate_hz} Hz (resample first)")
-    return w.samples
+    short = MIN_SAMPLES - w.samples.size
+    return frame(np.concatenate((w.samples, np.zeros(short))) if short > 0 else w.samples)
 
 
-def extract(w: Waveform) -> np.ndarray:
-    """Full 261-value feature vector for one 16 kHz recording (see ``extract_batch``)."""
-    return extract_batch(_samples_16k(w)[None, :])[0]
+def _extract_frames(clips: list) -> np.ndarray:
+    """(len(clips), 261) feature rows of per-clip (L, 512) frame arrays.
 
-
-def _extract_grouped(clips: list) -> np.ndarray:
-    """(len(clips), 261) rows of 1-D clips, one ``extract_batch`` call per frame count.
-
-    Clips with the same frame count are zero-extended to one length; the
-    extension only overwrites zeros that centered framing pads the tail with,
-    so no frame changes.
+    Clips with the same frame count L are analysed as one (N, L, 512) stack.
+    Each row is byte-identical to the clip's row in any other batch. The
+    layout is, for each of the 29 frame features in order, its 9 functionals
+    in the order mean, std, skew, kurt, p10..p90.
     """
     out = np.empty((len(clips), VECTOR_LENGTH))
     groups: dict = {}
-    for i, s in enumerate(clips):
-        groups.setdefault(_frame_count(s.size), []).append(i)
+    for i, frames in enumerate(clips):
+        groups.setdefault(len(frames), []).append(i)
     for rows in groups.values():
-        block = np.zeros((len(rows), max(clips[i].size for i in rows)))
-        for r, i in enumerate(rows):
-            block[r, : clips[i].size] = clips[i]
-        out[rows] = extract_batch(block)
+        X = magnitude_spectrum(np.stack([clips[i] for i in rows]))
+        out[rows] = summarize(frame_features(X)).reshape(len(rows), VECTOR_LENGTH)
     return out
+
+
+def extract(w: Waveform) -> np.ndarray:
+    """Full 261-value feature vector for one 16 kHz recording."""
+    return _extract_frames([_clip_frames(w)])[0]
 
 
 def extract_all(waveforms) -> np.ndarray:
@@ -323,11 +301,11 @@ def extract_all(waveforms) -> np.ndarray:
     """
     parts, batch, frames = [], [], 0
     for w in waveforms:
-        batch.append(_samples_16k(w))
-        frames += _frame_count(batch[-1].size)
+        batch.append(_clip_frames(w))
+        frames += len(batch[-1])
         if frames >= BATCH_FRAMES:
-            parts.append(_extract_grouped(batch))
+            parts.append(_extract_frames(batch))
             batch, frames = [], 0
     if batch:
-        parts.append(_extract_grouped(batch))
+        parts.append(_extract_frames(batch))
     return np.concatenate(parts) if parts else np.empty((0, VECTOR_LENGTH))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -47,7 +48,8 @@ class SyntheticConfig:
                     value, numbers.Integral if integral else numbers.Real):
                 raise TypeError(f"{f.name} must be {'an integer' if integral else 'a number'}, "
                                 f"got {value!r}")
-            if not -math.inf < value < math.inf:
+            # an int is compared exactly, so one that float() would overflow fails
+            if not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.n_coughers < 1:
             raise ValueError("n_coughers must be >= 1")

@@ -35,12 +35,14 @@ class TestSynthAndFeatures:
         assert rows[0][:2] == ["recording_id", "cougher_id"]
         assert len(rows[0]) == 2 + 261
         assert len(rows) > 1
-        # every cell is a plain float literal that reads back to the extracted value
+        # every cell is the shortest float literal that reads back to the extracted value
         waveforms = {rec.id: rec.audio() for c in load_manifest(ds / "manifest.csv")
                      for rec in c.recordings}
         assert sorted(r[0] for r in rows[1:]) == sorted(waveforms)
         for row in rows[1:]:
-            assert [float(cell) for cell in row[2:]] == extract(waveforms[row[0]]).tolist()
+            values = extract(waveforms[row[0]]).tolist()
+            assert [float(cell) for cell in row[2:]] == values
+            assert row[2:] == [repr(v) for v in values]
 
     def test_features_missing_manifest_exit_3(self, tmp_path):
         assert run_cli(["features", str(tmp_path / "nope.csv")]) == 3
@@ -251,6 +253,22 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps(tiny_experiment_doc(out, **override)))
         assert run_cli(["run", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, field", [
+        ("LR", "C"), ("GBDT", "learning_rate"), ("GBDT", "l2_leaf_reg"),
+        ("synthetic", "coughs_mean")])
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys, where, field):
+        # -inf < 10**400 < inf holds for a Python int, but float() of it overflows
+        out = tmp_path / "exp"
+        doc = json.loads(json.dumps(tiny_experiment_doc(out)))  # a copy: the grids are shared
+        target = doc["synthetic"] if where == "synthetic" else doc["grids"][where][0]
+        target[field] = 10 ** 400
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert run_cli(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{field} must be" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("override, reason", [

@@ -445,12 +445,24 @@ class TestBatchedExtraction:
 
     @pytest.mark.parametrize("n_samples", [4800, 8000, 8001, 16000])
     def test_batch_rows_bit_identical_to_extract(self, n_samples):
+        # 7 clips of one length, one of them silent, analysed as one stack
         rng = np.random.default_rng(n_samples)
         block = 0.2 * rng.standard_normal((7, n_samples))
         block[3] = 0.0
-        rows = features.extract_batch(block)
-        for x, row in zip(block, rows):
-            assert row.tobytes() == features.extract(dsp.Waveform(x, 16000)).tobytes()
+        waves = [dsp.Waveform(x, 16000) for x in block]
+        rows = features.extract_all(waves)
+        for w, row in zip(waves, rows):
+            assert row.tobytes() == reference_extract(w).tobytes()
+            assert row.tobytes() == features.extract(w).tobytes()
+
+    def test_sample_counts_of_one_frame_count_in_one_batch(self):
+        # 8,000, 8,100 and 8,191 samples all make 32 frames: one stack, no zero-extension
+        rng = np.random.default_rng(8191)
+        waves = [dsp.Waveform(0.2 * rng.standard_normal(n), 16000) for n in (8000, 8100, 8191)]
+        assert {len(dsp.frame(w.samples)) for w in waves} == {32}
+        rows = features.extract_all(waves)
+        for w, row in zip(waves, rows):
+            assert row.tobytes() == reference_extract(w).tobytes()
 
     def test_empty_stream(self):
         assert features.extract_all([]).shape == (0, 261)
