@@ -12,12 +12,17 @@ Manifest format (CSV, UTF-8, header row): recording_id, cougher_id,
 tb_label, wav_path, then the 16 clinical columns in ``ClinicalRecord``
 field order (``CLINICAL_FIELDS``). wav_path is resolved against the audio
 root. Clinical values must all be present; a missing cell is a hard error.
+
+``check_object`` checks every config object against its rule table and raises
+``ConfigError``, the config error that sits beside ``ManifestError``.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import numbers
+import sys
 import wave
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -43,6 +48,59 @@ _RANGES = {
 class ManifestError(ValueError):
     """Raised for malformed manifests, inconsistent rows, undecodable audio, or a
     cohort too small for the fold plan."""
+
+
+class ConfigError(ValueError):
+    """Invalid experiment or synthetic-generator configuration."""
+
+
+def _is_real(v) -> bool:
+    """A number that ``float()`` makes finite: NaN fails both comparisons, and an
+    int is compared exactly, so one beyond the float range fails; a bool is not one."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and _is_real(v)
+
+
+def _int_at_least(low: int) -> tuple:
+    return (lambda v: _is_int(v) and v >= low, f"an integer >= {low}")
+
+
+def check_object(rules: dict, doc, where: str = "", required=()) -> None:
+    """Raise ``ConfigError``, naming ``where``, unless ``doc`` is an object with a rule for
+    every key, every ``required`` key, and every value passing its (check, want) rule."""
+    prefix = f"{where}: " if where else ""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(doc) - set(rules)
+    if unknown:
+        raise ConfigError(f"{prefix}unknown keys {sorted(unknown)}")
+    missing = set(required) - set(doc)
+    if missing:
+        raise ConfigError(f"{prefix}missing keys {sorted(missing)}")
+    for key, value in doc.items():
+        check, want = rules[key]
+        if not check(value):
+            raise ConfigError(f"{prefix}{key} must be {want}, got {value!r}")
+
+
+def read_csv_rows(path, columns: list, what: str):
+    """Yield (line number, row dict) for every row of the CSV at ``path``; raise
+    ``ManifestError``, naming ``what``, for a header that lacks one of ``columns`` or a
+    row with more or fewer cells than the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ManifestError(f"{what} is missing columns: {missing}")
+        for row in reader:
+            if None in row or None in row.values():
+                raise ManifestError(f"{what} line {reader.line_num}: the row does not have "
+                                    f"the header's {len(reader.fieldnames)} cells")
+            yield reader.line_num, row
 
 
 @dataclass(frozen=True)
@@ -138,7 +196,7 @@ class Cougher:
 
 def _parse_row(row: dict, line_no: int) -> dict:
     for col in MANIFEST_COLUMNS:
-        if row.get(col) in (None, ""):
+        if not row[col]:
             raise ManifestError(f"manifest line {line_no}: missing value for {col!r}")
     out = {"recording_id": row["recording_id"], "cougher_id": row["cougher_id"],
            "wav_path": row["wav_path"]}
@@ -171,13 +229,8 @@ def load_manifest(manifest_path, audio_root=None) -> list:
         raise ManifestError(f"manifest not found: {manifest_path}")
     root = Path(audio_root) if audio_root is not None else manifest_path.parent
 
-    with open(manifest_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in MANIFEST_COLUMNS if c not in header]
-        if missing:
-            raise ManifestError(f"manifest is missing columns: {missing}")
-        rows = [_parse_row(row, i) for i, row in enumerate(reader, start=2)]
+    rows = [_parse_row(row, line_no)
+            for line_no, row in read_csv_rows(manifest_path, MANIFEST_COLUMNS, "manifest")]
     if not rows:
         raise ManifestError("manifest has no data rows")
     counts = Counter(r["recording_id"] for r in rows)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 import os
 import platform
 import sys
@@ -13,26 +12,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import ManifestError, load_manifest
+from .data import (ConfigError, ManifestError, _int_at_least, _is_real, check_object,
+                   load_manifest)
 from .pipeline import FAMILIES, FEATURE_MODES, RunConfig, build_feature_table, run_nested
 from .reports import RunReport, write_report
 from .splits import build_nested_plan
-from .synth import SyntheticConfig, cohort_shape, iter_synthetic
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and _is_real(v)
-
-
-def _is_real(v) -> bool:
-    """A number that ``float()`` makes finite: NaN fails both comparisons, and an
-    int is compared exactly, so one beyond the float range fails; a bool is not one."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and -sys.float_info.max <= v <= sys.float_info.max)
+from .synth import _SYNTH_RULES, SyntheticConfig, cohort_shape, iter_synthetic
 
 
 def _class_weight(v) -> bool:
@@ -40,11 +25,11 @@ def _class_weight(v) -> bool:
 
 
 def _is_path(v) -> bool:
-    return isinstance(v, (str, os.PathLike))
-
-
-def _int_at_least(low: int) -> tuple:
-    return (lambda v: _is_int(v) and v >= low, f"an integer >= {low}")
+    """A str or path-like the OS takes as a file name: no NUL, nothing it cannot encode."""
+    try:
+        return isinstance(v, (str, os.PathLike)) and b"\0" not in os.fsencode(v)
+    except UnicodeEncodeError:
+        return False
 
 
 # config field -> (check, what it must be); alphas, synthetic and grids have
@@ -77,28 +62,6 @@ _GRID_RULES = {
 _GRID_REQUIRED = {"LR": {"C"}, "GBDT": set(_GRID_RULES["GBDT"])}
 
 
-def _check(rules: dict, values: dict, where: str = "") -> None:
-    """Raise ``ConfigError`` for the first value its rule rejects."""
-    for key, value in values.items():
-        check, want = rules[key]
-        if not check(value):
-            raise ConfigError(f"{where}{key} must be {want}, got {value!r}")
-
-
-def _check_candidate(family: str, cand: dict) -> None:
-    rules = _GRID_RULES[family]
-    unknown = set(cand) - set(rules)
-    missing = _GRID_REQUIRED[family] - set(cand)
-    if unknown:
-        raise ConfigError(f"{family} grid candidate {cand!r}: unknown keys {sorted(unknown)}")
-    if missing:
-        raise ConfigError(f"{family} grid candidate {cand!r}: missing keys {sorted(missing)}")
-    _check(rules, cand, f"{family} grid candidate {cand!r}: ")
-
-
-_SYNTH_KEYS = {f.name for f in fields(SyntheticConfig)}
-
-
 @dataclass
 class ExperimentConfig:
     manifest: str | None = None
@@ -119,7 +82,7 @@ class ExperimentConfig:
         if (self.manifest is None) == (self.synthetic is None):
             raise ConfigError("exactly one data source is required: "
                               "'manifest' or 'synthetic'")
-        _check(_FIELD_RULES, {name: getattr(self, name) for name in _FIELD_RULES})
+        check_object(_FIELD_RULES, {name: getattr(self, name) for name in _FIELD_RULES})
         if not isinstance(self.alphas, (list, tuple)) or not all(map(_is_real, self.alphas)):
             raise ConfigError(f"alphas must be a list of numbers, got {self.alphas!r}")
         for a in self.alphas:
@@ -135,23 +98,18 @@ class ExperimentConfig:
             raise ConfigError(f"alphas {list(self.alphas)!r} must differ in their first two "
                               "decimals")
         if self.synthetic is not None:
-            if not isinstance(self.synthetic, dict):
-                raise ConfigError("synthetic must be an object of generator settings")
-            unknown = set(self.synthetic) - _SYNTH_KEYS
-            if unknown:
-                raise ConfigError(f"unknown synthetic config keys: {sorted(unknown)}")
-            self.synthetic_config()
+            check_object(_SYNTH_RULES, self.synthetic, "synthetic")
+            self.synthetic_config()  # coughs_min <= coughs_max
         if not isinstance(self.grids, dict):
             raise ConfigError("grids must map a family to its candidate list")
         for fam, grid in self.grids.items():
             if fam not in FAMILIES:
                 raise ConfigError(f"grid override for unknown family {fam!r}")
-            if not isinstance(grid, (list, tuple)) or not all(isinstance(c, dict) for c in grid):
-                raise ConfigError(f"grid for {fam} must be a list of parameter objects")
-            if not grid:
-                raise ConfigError(f"grid for {fam} must list at least one candidate")
+            if not isinstance(grid, (list, tuple)) or not grid:
+                raise ConfigError(f"grid for {fam} must be a nonempty list of parameter objects")
             for cand in grid:
-                _check_candidate(fam, cand)
+                check_object(_GRID_RULES[fam], cand, f"{fam} grid candidate {cand!r}",
+                             _GRID_REQUIRED[fam])
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -173,12 +131,7 @@ class ExperimentConfig:
         return FEATURE_MODES if self.feature_mode == "both" else (self.feature_mode,)
 
     def synthetic_config(self) -> SyntheticConfig:
-        doc = dict(self.synthetic or {})
-        doc.setdefault("seed", self.seed)
-        try:
-            return SyntheticConfig(**doc)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return SyntheticConfig(**{"seed": self.seed, **(self.synthetic or {})})
 
     def run_config(self, family: str) -> RunConfig:
         grid = self.grids.get(family)

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_csv_rows
+
 ROLE_TEST = "test"
 ROLE_CALIB = "calib"
 ROLE_TUNING = "tuning"
@@ -257,10 +259,5 @@ def audit_plan_rows(rows) -> list:
 
 
 def load_plan_csv(path) -> list:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in PLAN_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"plan file is missing columns: {missing}")
-        return [(row["cougher_id"], int(row["outer_fold"]), row["role"],
-                 int(row["inner_fold"])) for row in reader]
+    return [(row["cougher_id"], int(row["outer_fold"]), row["role"], int(row["inner_fold"]))
+            for _, row in read_csv_rows(path, PLAN_COLUMNS, f"plan file {path}")]

@@ -16,16 +16,38 @@ bytes).
 from __future__ import annotations
 
 import math
-import numbers
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
 
 from . import dsp
-from .data import ClinicalRecord, Cougher, CoughRecording, write_manifest
+from .data import (ClinicalRecord, ConfigError, Cougher, CoughRecording, _int_at_least,
+                   _is_int, _is_real, check_object, write_manifest)
+
+# Upper bounds on the cohort's size, far above the paper's 1,105 coughers and
+# 50 coughs each; they keep the shape draw small and its counts inside int64.
+MAX_COUGHERS = 10 ** 6
+MAX_COUGHS = 10 ** 4
+
+
+def _int_in(low: int, high: int) -> tuple:
+    return (lambda v: _is_int(v) and low <= v <= high, f"an integer in [{low}, {high}]")
+
+
+# SyntheticConfig field -> (check, what it must be)
+_SYNTH_RULES = {
+    "n_coughers": _int_in(1, MAX_COUGHERS),
+    "prevalence": (lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
+    "coughs_mean": (_is_real, "a number"),
+    "coughs_std": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+    "coughs_min": _int_in(1, MAX_COUGHS),
+    "coughs_max": _int_in(1, MAX_COUGHS),
+    "signal_strength_audio": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+    "signal_strength_clinical": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+    "seed": _int_at_least(0),
+}
 
 
 @dataclass(frozen=True)
@@ -41,30 +63,9 @@ class SyntheticConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            integral = f.type == "int"  # annotations are strings in this module
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral if integral else numbers.Real):
-                raise TypeError(f"{f.name} must be {'an integer' if integral else 'a number'}, "
-                                f"got {value!r}")
-            # an int is compared exactly, so one that float() would overflow fails
-            if not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.n_coughers < 1:
-            raise ValueError("n_coughers must be >= 1")
-        if not 0.0 < self.prevalence < 1.0:
-            raise ValueError("prevalence must lie in (0, 1)")
-        if self.coughs_std < 0:
-            raise ValueError("coughs_std must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.coughs_min < 1:
-            raise ValueError("coughs_min must be >= 1")
+        check_object(_SYNTH_RULES, vars(self))
         if self.coughs_min > self.coughs_max:
-            raise ValueError("coughs_min exceeds coughs_max")
-        if self.signal_strength_audio < 0 or self.signal_strength_clinical < 0:
-            raise ValueError("signal strengths must be >= 0")
+            raise ConfigError(f"coughs_min {self.coughs_min} exceeds coughs_max {self.coughs_max}")
 
 
 def _cough_audio(rng: np.random.Generator, label: int, strength: float,

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import time
 import wave
 import xml.etree.ElementTree as ET
 
@@ -50,11 +51,32 @@ class TestSynthAndFeatures:
     @pytest.mark.parametrize("flag, value", [
         ("--coughers", "0"), ("--prevalence", "1.5"), ("--coughs-std", "-1"),
         ("--coughs-mean", "nan"), ("--coughs-std", "nan"), ("--signal-audio", "inf"),
-        ("--seed", "-1")])
+        ("--seed", "-1"), ("--coughers", "1000000000000")])
     def test_bad_synth_flag_exit_2(self, tmp_path, capsys, flag, value):
+        start = time.monotonic()  # an oversized cohort is refused before any draw
         assert run_cli(["synth", "--out", str(tmp_path / "ds"), flag, value]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert time.monotonic() - start < 1.0
+        assert f"config error: {cli._SYNTH_FLAGS[flag]} must be" in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("command, change", [
+        ("audit", "short"), ("audit", "long"), ("features", "short"), ("features", "long")])
+    def test_row_with_wrong_cell_count_exit_3(self, tmp_path, capsys, command, change):
+        if command == "audit":
+            path = tmp_path / "plan.csv"
+            lines = ["cougher_id,outer_fold,role,inner_fold", "c1,0,test,-1"]
+        else:
+            ds = tmp_path / "ds"
+            assert run_cli(["synth", "--out", str(ds), "--coughers", "2", "--coughs-mean", "3",
+                            "--coughs-std", "0", "--coughs-max", "3"]) == 0
+            path = ds / "manifest.csv"
+            lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] if change == "short" else lines[1] + ",x"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli([command, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "line 2: the row does not have the header's" in err
 
 
 def parser_flags(command):
@@ -269,6 +291,31 @@ class TestRunCommand:
         assert run_cli(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{field} must be" in err
+        assert not out.exists()
+
+    def test_out_the_os_cannot_name_exit_2(self, tmp_path, capsys):
+        # unchecked, the whole experiment would run and writing the report would raise
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_experiment_doc(str(tmp_path / "exp") + "\x00")))
+        assert run_cli(["run", "--config", str(cfg_path)]) == 2
+        assert "config error: out must be a path" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_coughers", 10 ** 12), ("coughs_max", 10 ** 300), ("coughs_min", 2 ** 63)],
+        ids=["n_coughers-10**12", "coughs_max-10**300", "coughs_min-2**63"])
+    def test_oversized_synthetic_cohort_exit_2(self, tmp_path, capsys, field, value):
+        # unbounded, these would allocate terabytes or overflow the int64 cough counts
+        out = tmp_path / "exp"
+        doc = tiny_experiment_doc(out)
+        doc["synthetic"][field] = value
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps(doc))
+        start = time.monotonic()
+        assert run_cli(["run", "--config", str(cfg_path)]) == 2
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"config error: synthetic: {field} must be an integer in [1, " in err
         assert not out.exists()
 
     @pytest.mark.parametrize("override, reason", [
