@@ -123,8 +123,8 @@ def _cmd_run(args) -> int:
                 doc = json.load(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"config file {args.config} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"the config must be a JSON object, got {type(doc).__name__}")
     # a flag sets the config field named by its dest
@@ -148,10 +148,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        rows = load_plan_csv(args.plan)
-    except ValueError as exc:  # an outer_fold or inner_fold that is not an integer
-        raise ManifestError(str(exc)) from exc
+    rows = load_plan_csv(args.plan)
     violations = audit_plan_rows(rows)
     if violations:
         for v in violations:

@@ -88,19 +88,42 @@ def check_object(rules: dict, doc, where: str = "", required=()) -> None:
 
 
 def read_csv_rows(path, columns: list, what: str):
-    """Yield (line number, row dict) for every row of the CSV at ``path``; raise
-    ``ManifestError``, naming ``what``, for a header that lacks one of ``columns`` or a
-    row with more or fewer cells than the header."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Yield (line number, row dict) for every row of the CSV at ``path``.
+
+    Raise ``ManifestError``, naming ``what``, the file and the line, for a header
+    that lacks one of ``columns``, a row with more or fewer cells than the header,
+    bytes that are not UTF-8, or a cell the csv module refuses (one longer than its
+    field size limit). Undecodable bytes are read as surrogate escapes, so the row
+    that holds them is found exactly.
+    """
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ManifestError(f"{what} is missing columns: {missing}")
-        for row in reader:
-            if None in row or None in row.values():
-                raise ManifestError(f"{what} line {reader.line_num}: the row does not have "
-                                    f"the header's {len(reader.fieldnames)} cells")
-            yield reader.line_num, row
+        try:
+            header = reader.fieldnames or []
+            if not _is_utf8(header):
+                raise ManifestError(f"{what} {path} line 1: the header is not UTF-8 text")
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ManifestError(f"{what} {path} is missing columns: {missing}")
+            for row in reader:
+                if None in row or None in row.values():
+                    raise ManifestError(f"{what} {path} line {reader.line_num}: the row does "
+                                        f"not have the header's {len(header)} cells")
+                if not _is_utf8(row.values()):
+                    raise ManifestError(f"{what} {path} line {reader.line_num}: the row is "
+                                        "not UTF-8 text")
+                yield reader.line_num, row
+        except csv.Error as exc:  # the DictReader's own line_num stops at the last good row
+            raise ManifestError(f"{what} {path} line {reader.reader.line_num}: {exc}") from exc
+
+
+def _is_utf8(cells) -> bool:
+    """Whether ``cells``, decoded with surrogate escapes, held only UTF-8 text."""
+    try:
+        "".join(cells).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,9 @@ class ExperimentConfig:
             raise ConfigError("exactly one data source is required: "
                               "'manifest' or 'synthetic'")
         check_object(_FIELD_RULES, {name: getattr(self, name) for name in _FIELD_RULES})
-        if not isinstance(self.alphas, (list, tuple)) or not all(map(_is_real, self.alphas)):
-            raise ConfigError(f"alphas must be a list of numbers, got {self.alphas!r}")
+        if (not isinstance(self.alphas, (list, tuple)) or not self.alphas
+                or not all(map(_is_real, self.alphas))):
+            raise ConfigError(f"alphas must be a nonempty list of numbers, got {self.alphas!r}")
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alpha {a} outside (0, 1)")

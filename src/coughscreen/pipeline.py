@@ -28,8 +28,9 @@ import contextlib
 import itertools
 import logging
 import math
+import types
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +45,8 @@ log = logging.getLogger(__name__)
 FAMILIES = ("LR", "GBDT")
 FEATURE_MODES = ("audio", "fused")
 DEFAULT_ALPHAS = (0.10, 0.05)
+# evaluation level -> (its tag in the fold record's keys, the key of its threshold)
+LEVELS = {"waveform": ("wf", "tau_w"), "cougher": ("cg", "tau_s")}
 
 
 @dataclass(frozen=True)
@@ -128,11 +131,16 @@ def _rows_for(table: FeatureTable, coughers) -> np.ndarray:
     return np.flatnonzero(np.isin(table.cougher_ids, list(coughers)))
 
 
-def _cougher_level(table, rows, probs):
-    """Aggregate waveform probabilities to (ids, mean prob, label) per cougher."""
-    ids, agg = metrics.aggregate_cougher(probs, table.cougher_ids[rows])
+def _at_level(table: FeatureTable, rows, level: str, *probs) -> tuple:
+    """Each of ``probs``, the probabilities of the recordings at ``rows``, at ``level``,
+    then the labels and ids there: as they are at the waveform level, and averaged
+    per cougher at the cougher level."""
+    if level == "waveform":
+        return (*probs, table.labels[rows], [table.recording_ids[r] for r in rows])
+    means = [metrics.aggregate_cougher(p, table.cougher_ids[rows]) for p in probs]
+    ids = means[0][0]
     labels = np.array([table.cougher_label[c] for c in ids], dtype=int)
-    return ids, agg, labels
+    return (*(mean for _, mean in means), labels, list(ids))
 
 
 def json_clean(obj):
@@ -150,46 +158,13 @@ def json_clean(obj):
     return obj
 
 
-@dataclass
-class FoldResult:
-    fold: int
-    family: str
-    feature_mode: str
-    best_params: dict
-    best_inner_uar: float
-    tau_w: float
-    tau_s: float
-    waveform: metrics.MetricSuite
-    cougher: metrics.MetricSuite
-    brier_raw_wf: float
-    brier_cal_wf: float
-    ece_raw_wf: float
-    ece_cal_wf: float
-    brier_raw_cg: float
-    brier_cal_cg: float
-    ece_raw_cg: float
-    ece_cal_cg: float
-    conformal: dict  # alpha -> {qhat, coverage, mean_size, singleton_rate, empty_rate}
-    selective: dict  # alpha -> selective_metrics output
-    n_test_coughers: int
-    n_calib_coughers: int
-    n_tuning_coughers: int
-    oof_recording_ids: list = field(default_factory=list)
-    oof_probs: np.ndarray | None = None
-    test_recording_ids: list = field(default_factory=list)
-    test_wf_raw: np.ndarray | None = None
-    test_wf_cal: np.ndarray | None = None
-    test_wf_labels: np.ndarray | None = None
-    test_cg_ids: list = field(default_factory=list)
-    test_cg_raw: np.ndarray | None = None
-    test_cg_cal: np.ndarray | None = None
-    test_cg_labels: np.ndarray | None = None
-    test_sets: dict = field(default_factory=dict)  # alpha -> {has_pos, has_neg}
-    audit: dict = field(default_factory=dict)
+class FoldResult(types.SimpleNamespace):
+    """One outer fold's record, holding the keys ``run_fold`` sets; at each of ``LEVELS``
+    a ``metrics.MetricSuite`` of the test fold."""
 
     def to_dict(self) -> dict:
-        return json_clean(dict(self.__dict__, waveform=asdict(self.waveform),
-                               cougher=asdict(self.cougher)))
+        return json_clean(dict(vars(self), **{level: asdict(getattr(self, level))
+                                              for level in LEVELS}))
 
 
 def _fit_groups(family: str, candidates: list) -> list:
@@ -295,24 +270,29 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
     if isinstance(model_final, models.LRModel) and not model_final.converged:
         unconverged.append(model_final.C)
 
-    # Calibration subset: thresholds and conformal quantiles.
-    calib_raw = models.predict_model(model_final, apply_scaler(scaler_final, X_all[calib_rows]))
-    calib_cal = calibration.apply_isotonic(iso, calib_raw)
-    tau_w, _ = calibration.youden_threshold(calib_cal, y_all[calib_rows])
-    _, calib_cg_cal, calib_cg_labels = _cougher_level(table, calib_rows, calib_cal)
-    tau_s, _ = calibration.youden_threshold(calib_cg_cal, calib_cg_labels)
-    conf = conformal.fit_conformal(calib_cg_cal, calib_cg_labels, cfg.alphas)
-
-    # Untouched outer test fold.
+    # Score the calibration subset and the untouched outer test fold once each.
+    calib_cal = calibration.apply_isotonic(
+        iso, models.predict_model(model_final, apply_scaler(scaler_final, X_all[calib_rows])))
     test_raw = models.predict_model(model_final, apply_scaler(scaler_final, X_all[test_rows]))
     test_cal = calibration.apply_isotonic(iso, test_raw)
-    y_test = y_all[test_rows]
-    wf_suite = metrics.full_suite(test_cal, y_test, tau_w)
 
-    cg_ids, cg_raw, cg_labels = _cougher_level(table, test_rows, test_raw)
-    _, cg_cal = metrics.aggregate_cougher(test_cal, table.cougher_ids[test_rows])
-    cg_suite = metrics.full_suite(cg_cal, cg_labels, tau_s)
+    # Per level: the Youden threshold on the calibration subset, then the test fold's
+    # metric suite, and Brier and ECE before and after calibration.
+    record, at, test_ids = {}, {}, {}
+    for level, (tag, threshold_key) in LEVELS.items():
+        calib_p, calib_y, _ = _at_level(table, calib_rows, level, calib_cal)
+        raw, cal, y, test_ids[level] = _at_level(table, test_rows, level, test_raw, test_cal)
+        tau, _ = calibration.youden_threshold(calib_p, calib_y)
+        at[level] = calib_p, calib_y, cal, y, tau
+        record.update({threshold_key: tau, level: metrics.full_suite(cal, y, tau),
+                       f"test_{tag}_raw": raw, f"test_{tag}_cal": cal, f"test_{tag}_labels": y})
+        for stage, p in (("raw", raw), ("cal", cal)):
+            record[f"brier_{stage}_{tag}"] = calibration.brier(p, y)
+            record[f"ece_{stage}_{tag}"] = calibration.ece(p, y)
 
+    # Conformal sets and selective correctness, at the cougher level.
+    calib_cg, calib_cg_y, cg_cal, cg_labels, tau_s = at["cougher"]
+    conf = conformal.fit_conformal(calib_cg, calib_cg_y, cfg.alphas)
     conf_out, sel_out, sets_out = {}, {}, {}
     point_preds = (cg_cal >= tau_s).astype(int)
     for alpha in cfg.alphas:
@@ -334,25 +314,13 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
 
     return FoldResult(
         fold=fold_plan.fold, family=family, feature_mode=feature_mode,
-        best_params=best_params, best_inner_uar=best_uar,
-        tau_w=tau_w, tau_s=tau_s, waveform=wf_suite, cougher=cg_suite,
-        brier_raw_wf=calibration.brier(test_raw, y_test),
-        brier_cal_wf=calibration.brier(test_cal, y_test),
-        ece_raw_wf=calibration.ece(test_raw, y_test),
-        ece_cal_wf=calibration.ece(test_cal, y_test),
-        brier_raw_cg=calibration.brier(cg_raw, cg_labels),
-        brier_cal_cg=calibration.brier(cg_cal, cg_labels),
-        ece_raw_cg=calibration.ece(cg_raw, cg_labels),
-        ece_cal_cg=calibration.ece(cg_cal, cg_labels),
+        best_params=best_params, best_inner_uar=best_uar, **record,
         conformal=conf_out, selective=sel_out,
         n_test_coughers=len(test_c), n_calib_coughers=len(calib_c),
         n_tuning_coughers=len(tuning_c),
         oof_recording_ids=[table.recording_ids[r] for r in tuning_rows],
-        oof_probs=best_oof,
-        test_recording_ids=[table.recording_ids[r] for r in test_rows],
-        test_wf_raw=test_raw, test_wf_cal=test_cal, test_wf_labels=y_test,
-        test_cg_ids=list(cg_ids), test_cg_raw=cg_raw, test_cg_cal=cg_cal,
-        test_cg_labels=cg_labels, test_sets=sets_out, audit=audit,
+        oof_probs=best_oof, test_recording_ids=test_ids["waveform"],
+        test_cg_ids=test_ids["cougher"], test_sets=sets_out, audit=audit,
     ), unconverged
 
 

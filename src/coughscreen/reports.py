@@ -28,24 +28,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import calibration
+from . import calibration, pipeline
 from .conformal import evaluate_sets
 from .metrics import pr_curve, roc_curve
 from .pipeline import json_clean
 from .splits import NestedPlan, export_plan_csv
 
-LEVELS = ["waveform", "cougher"]
-LEVEL_TAGS = {"waveform": "wf", "cougher": "cg"}
-THRESHOLDS = {"waveform": "tau_w", "cougher": "tau_s"}
+LEVELS = list(pipeline.LEVELS)
+LEVEL_TAGS = {level: tag for level, (tag, _) in pipeline.LEVELS.items()}
+THRESHOLDS = {level: key for level, (_, key) in pipeline.LEVELS.items()}
 # classification metric -> its key in a fold's waveform/cougher metric suite
 SUITE_KEYS = {"roc_auc": "roc_auc", "pr_auc": "pr_auc", "uar": "uar",
               "sensitivity": "sens", "specificity": "spec", "ppv": "ppv", "npv": "npv"}
 CLASSIFICATION_METRICS = ["threshold", *SUITE_KEYS]  # the threshold is in THRESHOLDS
 # calibration metric -> its (raw, isotonic) keys in a fold
-CALIBRATION_KEYS = {"waveform_brier": ("brier_raw_wf", "brier_cal_wf"),
-                    "waveform_ece": ("ece_raw_wf", "ece_cal_wf"),
-                    "cougher_brier": ("brier_raw_cg", "brier_cal_cg"),
-                    "cougher_ece": ("ece_raw_cg", "ece_cal_cg")}
+CALIBRATION_KEYS = {f"{level}_{m}": (f"{m}_raw_{tag}", f"{m}_cal_{tag}")
+                    for level, tag in LEVEL_TAGS.items() for m in ("brier", "ece")}
 # selective metric -> (its key in a fold's selective block, its folds.csv
 # column before the alpha tag)
 SELECTIVE_KEYS = {"overall_accuracy": ("accuracy", "sel_accuracy"),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_csv_rows
+from .data import ManifestError, read_csv_rows
 
 ROLE_TEST = "test"
 ROLE_CALIB = "calib"
@@ -259,5 +259,13 @@ def audit_plan_rows(rows) -> list:
 
 
 def load_plan_csv(path) -> list:
-    return [(row["cougher_id"], int(row["outer_fold"]), row["role"], int(row["inner_fold"]))
-            for _, row in read_csv_rows(path, PLAN_COLUMNS, f"plan file {path}")]
+    """The (cougher_id, outer_fold, role, inner_fold) rows of a plan CSV; a fold cell
+    that is not an integer raises ``ManifestError`` naming the file and line."""
+    rows = []
+    for line_no, row in read_csv_rows(path, PLAN_COLUMNS, "plan file"):
+        try:
+            rows.append((row["cougher_id"], int(row["outer_fold"]), row["role"],
+                         int(row["inner_fold"])))
+        except ValueError as exc:
+            raise ManifestError(f"plan file {path} line {line_no}: {exc}") from exc
+    return rows

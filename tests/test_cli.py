@@ -78,6 +78,22 @@ class TestSynthAndFeatures:
         err = capsys.readouterr().err
         assert "data error" in err and "line 2: the row does not have the header's" in err
 
+    @pytest.mark.parametrize("command", ["features", "run"])
+    def test_manifest_not_utf8_exit_3(self, tmp_path, capsys, command):
+        ds = tmp_path / "ds"
+        assert run_cli(["synth", "--out", str(ds), "--coughers", "2", "--coughs-mean", "3",
+                        "--coughs-std", "0", "--coughs-max", "3"]) == 0
+        path = ds / "manifest.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b",", b",\xff", 1)  # once a UnicodeDecodeError, exit 1
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        args = ["--out", str(tmp_path / "out")]
+        args = [str(path)] + args if command == "features" else ["--manifest", str(path)] + args
+        assert run_cli([command] + args) == 3
+        err = capsys.readouterr().err
+        assert f"data error: manifest {path} line 3: the row is not UTF-8 text" in err
+
 
 def parser_flags(command):
     """flag -> (type, default, choices) of one subcommand's parser."""
@@ -224,6 +240,12 @@ class TestRunCommand:
     def test_no_data_source_exit_2(self):
         assert run_cli(["run"]) == 2
 
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "latin1.json"
+        cfg_path.write_bytes(b'{"synthetic": {}, "out": "r\xe9sultats"}')
+        assert run_cli(["run", "--config", str(cfg_path)]) == 2
+        assert f"config error: config file {cfg_path} is not UTF-8 JSON" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"synthetic": {}, "bogus": 1}))
@@ -261,6 +283,7 @@ class TestRunCommand:
         {"ece_bins": 10},
         {"scale_binary_clinical": True},
         {"synthetic": {"coughs_std": -1}},
+        {"alphas": []},
     ], ids=["calib_frac-str", "n_coughers-str", "alphas-scalar", "alphas-str", "seed-str",
             "k_outer-float", "lr-no-C", "lr-C-zero", "lr-C-inf", "lr-C-str",
             "lr-class_weight", "lr-solver", "lr-unknown-key", "gbdt-no-rsm",
@@ -268,7 +291,8 @@ class TestRunCommand:
             "gbdt-learning_rate-inf", "gbdt-l2-negative", "gbdt-subsample-zero",
             "gbdt-rsm-above-1", "gbdt-class_weights", "gbdt-unknown-key", "gbdt-empty-grid",
             "alphas-repeated", "alphas-same-tag", "alpha-tag-0.00", "alpha-tag-1.00",
-            "removed-ece_bins", "removed-scale_binary_clinical", "synthetic-coughs_std-negative"])
+            "removed-ece_bins", "removed-scale_binary_clinical", "synthetic-coughs_std-negative",
+            "alphas-empty"])
     def test_config_type_error_exit_2(self, tmp_path, capsys, override):
         out = tmp_path / "exp"
         cfg_path = tmp_path / "bad.json"
@@ -377,6 +401,16 @@ class TestAuditCommand:
 
     def test_missing_plan_exit_3(self, tmp_path):
         assert run_cli(["audit", str(tmp_path / "none.csv")]) == 3
+
+    @pytest.mark.parametrize("rows, message", [
+        ("c1,x,test,-1", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("c1,0,test,-1\nc2,0," + "x" * 140_000 + ",-1", "line 3: field larger than field limit"),
+    ], ids=["not-an-integer", "oversized-field"])
+    def test_bad_plan_cell_exit_3_naming_file_and_line(self, tmp_path, capsys, rows, message):
+        plan = tmp_path / "plan.csv"
+        plan.write_text(f"cougher_id,outer_fold,role,inner_fold\n{rows}\n")
+        assert run_cli(["audit", str(plan)]) == 3
+        assert f"data error: plan file {plan} {message}" in capsys.readouterr().err
 
 
 class TestPlotCommand:

@@ -1,6 +1,8 @@
-"""Property tests of the config contract: every value a rule table checks, every
+"""Property tests of the exit-code contract. Every value a rule table checks, every
 alpha and every ``synth`` flag is rejected with ``ConfigError`` (or argparse's
-exit 2) or accepted as a value the run can use."""
+exit 2) or accepted as a value the run can use. Every cell of a fold-plan CSV or
+a manifest row, text or raw bytes, ends ``audit`` or ``features`` with exit 0, 3
+or 4, never a traceback."""
 
 import json
 import math
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import TINY_GBDT_GRID, TINY_LR_GRID, tiny_experiment_doc
 from coughscreen import cli
+from coughscreen.data import MANIFEST_COLUMNS
 from coughscreen.experiment import _FIELD_RULES, _GRID_RULES, ConfigError, ExperimentConfig
 from coughscreen.synth import MAX_COUGHERS, MAX_COUGHS, SyntheticConfig, cohort_shape
 
@@ -149,13 +152,14 @@ def test_rule_table_value_rejected_or_usable(field, value):
 @given(alphas=st.lists(st.one_of(st.floats(0, 1), JSON_VALUES), max_size=4))
 @example(alphas=[0.1, 0.104])
 @example(alphas=[[0.1]])
+@example(alphas=[])
 def test_alphas_rejected_or_usable(alphas):
     try:
         cfg = ExperimentConfig.from_dict(_doc_with("config", "alphas", alphas))
     except ConfigError:
         return
     tags = [f"{a:.2f}" for a in cfg.alphas]
-    assert all(type(a) is float and 0 < a < 1 for a in cfg.alphas)
+    assert cfg.alphas and all(type(a) is float and 0 < a < 1 for a in cfg.alphas)
     assert len(set(tags)) == len(tags) and not {"0.00", "1.00"} & set(tags)
 
 
@@ -228,3 +232,61 @@ def test_synthetic_rule_reaches_every_entry_point(tmp_path, capsys, name):
     assert cli.main(["synth", "--out", str(ds), f"{flag}={text}"]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists() and not ds.exists()
+
+
+# a CSV cell: any text (written as UTF-8, lone surrogates as their invalid bytes),
+# raw bytes, numbers, and cells that once ended in a traceback or named no line
+CSV_CELLS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=12),
+    st.binary(max_size=12),
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30).map(str),
+    st.floats().map(repr),
+    st.sampled_from([b"\xff", b"\x00", "\x00", "x" * 140_000, "9" * 5000, "1.5", "",
+                     '"', "\r\n", ".", "nan", "1e999"]))
+
+
+def _csv_with(lines: list, row: int, col: int, cell) -> bytes:
+    """The CSV ``lines`` (header first) as bytes, with cell ``col`` of data row ``row``
+    replaced by ``cell`` unquoted, so a comma, quote or newline in it reshapes the file."""
+    raw = cell if isinstance(cell, bytes) else cell.encode("utf-8", "surrogatepass")
+    out = [line.encode() for line in lines]
+    cells = out[row].split(b",")
+    cells[col % len(cells)] = raw
+    out[row] = b",".join(cells)
+    return b"\n".join(out) + b"\n"
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    """A two-recording synthetic dataset, and room for the fuzzed CSVs."""
+    root = tmp_path_factory.mktemp("csv_contract")
+    assert cli.main(["synth", "--out", str(root / "ds"), "--coughers", "2",
+                     "--coughs-mean", "1", "--coughs-std", "0", "--coughs-min", "1",
+                     "--coughs-max", "1"]) == 0
+    return root
+
+
+PLAN_LINES = ["cougher_id,outer_fold,role,inner_fold", "c1,0,test,-1", "c2,0,calib,-1",
+              "c3,0,tuning,0", "c1,1,tuning,0", "c2,1,test,-1", "c3,1,calib,-1"]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(row=st.integers(1, len(PLAN_LINES) - 1), col=st.integers(0, 3), cell=CSV_CELLS)
+@example(row=1, col=1, cell="x")
+@example(row=2, col=2, cell="x" * 140_000)
+@example(row=1, col=0, cell=b"\xff")
+def test_plan_cell_exit_0_3_or_4(csv_dir, row, col, cell):
+    plan = csv_dir / "plan.csv"
+    plan.write_bytes(_csv_with(PLAN_LINES, row, col, cell))
+    assert cli.main(["audit", str(plan)]) in (0, 3, 4)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(row=st.integers(1, 2), col=st.integers(0, len(MANIFEST_COLUMNS) - 1), cell=CSV_CELLS)
+@example(row=1, col=4, cell=b"\xff")
+@example(row=2, col=0, cell="x" * 140_000)
+def test_manifest_cell_exit_0_3_or_4(csv_dir, row, col, cell):
+    lines = (csv_dir / "ds" / "manifest.csv").read_text().splitlines()
+    manifest = csv_dir / "ds" / "fuzzed.csv"
+    manifest.write_bytes(_csv_with(lines, row, col, cell))
+    assert cli.main(["features", str(manifest), "--out", str(csv_dir / "features.csv")]) in (0, 3)

@@ -48,6 +48,22 @@ class TestEmittedFiles:
             "sel_accuracy_a0.05", "sel_acc_singleton_a0.05", "sel_acc_ambiguous_a0.05",
             "sel_p_singleton_correct_a0.05"]
 
+    def test_fold_record_keys(self, tiny_run):
+        _, out = tiny_run
+        doc = json.loads((out / "report.json").read_text())
+        keys = sorted([
+            "fold", "family", "feature_mode", "best_params", "best_inner_uar", "tau_w", "tau_s",
+            "waveform", "cougher", "brier_raw_wf", "brier_cal_wf", "ece_raw_wf", "ece_cal_wf",
+            "brier_raw_cg", "brier_cal_cg", "ece_raw_cg", "ece_cal_cg", "conformal",
+            "selective", "n_test_coughers", "n_calib_coughers", "n_tuning_coughers",
+            "oof_recording_ids", "oof_probs", "test_recording_ids", "test_wf_raw",
+            "test_wf_cal", "test_wf_labels", "test_cg_ids", "test_cg_raw", "test_cg_cal",
+            "test_cg_labels", "test_sets", "audit"])
+        assert len(keys) == 34
+        for block in doc["blocks"].values():
+            for fold in block["folds"]:
+                assert sorted(fold) == keys
+
     def test_config_echo_reproduces_run(self, tiny_run):
         report, out = tiny_run
         doc = json.loads((out / "report.json").read_text())
