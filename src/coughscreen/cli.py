@@ -99,6 +99,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise OSError(f"cannot write {args.out}: --out must name a file in an existing directory")
     table = build_feature_table(load_manifest(args.manifest, args.audio_root))
     header = ["recording_id", "cougher_id"] + VECTOR_COLUMN_NAMES
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -121,8 +124,8 @@ def _cmd_run(args) -> int:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"config file {args.config} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(doc, dict):

@@ -32,12 +32,22 @@ def _is_path(v) -> bool:
         return False
 
 
+def _is_out_dir(v) -> bool:
+    """A nonempty path that is, or whose nearest existing ancestor is, a directory."""
+    if not _is_path(v) or not os.fspath(v):
+        return False
+    path = os.fspath(v)
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    return os.path.isdir(path or ".")
+
+
 # config field -> (check, what it must be); alphas, synthetic and grids have
 # rules of their own in ``validate``
 _FIELD_RULES = {
     "manifest": (lambda v: v is None or _is_path(v), "a path"),
     "audio_root": (lambda v: v is None or _is_path(v), "a path"),
-    "out": (_is_path, "a path"),
+    "out": (_is_out_dir, "a path that is, or whose nearest existing ancestor is, a directory"),
     "family": (lambda v: v in FAMILIES + ("both",), "LR, GBDT, or both"),
     "feature_mode": (lambda v: v in FEATURE_MODES + ("both",), "audio, fused, or both"),
     "calib_frac": (lambda v: _is_real(v) and 0.0 < v <= 0.5, "a number in (0, 0.5]"),

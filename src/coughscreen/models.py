@@ -290,13 +290,11 @@ def predict_proba_lr(model: LRModel, X) -> np.ndarray:
 # Gradient-boosted decision trees
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TreeNode:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
+# A tree is one array of these in level order, the root at index 0, so its depth
+# is bounded only by its rows: n rows make at most 2n - 1 nodes. A split node's
+# children are adjacent, at ``left`` and ``left + 1``; a leaf has feature -1.
+NODE = np.dtype([("feature", np.intp), ("threshold", np.float64), ("value", np.float64),
+                 ("left", np.intp)])
 
 
 @dataclass
@@ -367,38 +365,41 @@ def _best_split(X, ranks, t, total, rows, feats):
     return f, float(0.5 * (X[left_rows[-1], f] + X[right_rows[0], f])), left_rows, right_rows
 
 
-def _fit_tree(X, ranks, targets, rows, feats, depth, l2) -> TreeNode:
-    node = TreeNode(value=float(targets[rows].sum() / (rows.size + l2)))
-    if depth <= 0 or rows.size < 2:
-        return node
-    t = targets[rows]
-    total = t.sum()
-    sse_parent = float(np.sum(t * t) - total * total / rows.size)
-    if sse_parent <= 0:
-        return node
-    # the search's (F, n) arrays are freed before the children are grown
-    split = _best_split(X, ranks, t, total, rows, feats)
-    if split is None:
-        return node
-    node.feature, node.threshold, left_rows, right_rows = split
-    node.left = _fit_tree(X, ranks, targets, left_rows, feats, depth - 1, l2)
-    node.right = _fit_tree(X, ranks, targets, right_rows, feats, depth - 1, l2)
-    return node
+def _fit_tree(X, ranks, targets, rows, feats, depth, l2) -> np.ndarray:
+    """The ``NODE`` array of the tree grown on ``rows``, one level at a time. A node
+    is split while depth remains, it has 2 or more rows and their SSE is > 0."""
+    nodes, level, remaining = [], [rows], depth
+    while level:
+        first_child, children = len(nodes) + len(level), []
+        for rows in level:
+            t = targets[rows]
+            total = t.sum()
+            value, split = float(total / (rows.size + l2)), None
+            if remaining > 0 and rows.size >= 2 \
+                    and float(np.sum(t * t) - total * total / rows.size) > 0:
+                # the search's (F, n) arrays are freed before the next node's search
+                split = _best_split(X, ranks, t, total, rows, feats)
+            if split is None:
+                nodes.append((-1, 0.0, value, -1))
+            else:
+                nodes.append((*split[:2], value, first_child + len(children)))
+                children += split[2:]
+        level, remaining = children, remaining - 1
+    return np.array(nodes, dtype=NODE)
 
 
-def _predict_tree(node: TreeNode, X) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    idx = np.arange(X.shape[0])
-    stack = [(node, idx)]
-    while stack:
-        nd, rows = stack.pop()
-        if nd.feature < 0:
-            out[rows] = nd.value
-            continue
-        go_left = X[rows, nd.feature] <= nd.threshold
-        stack.append((nd.left, rows[go_left]))
-        stack.append((nd.right, rows[~go_left]))
-    return out
+def _predict_tree(tree: np.ndarray, X) -> np.ndarray:
+    """Every row's leaf value. All rows start at the root and go down one level per
+    gather, left when x <= threshold, until every row is at a leaf."""
+    feature, threshold, left = tree["feature"], tree["threshold"], tree["left"]
+    at, live = np.zeros(X.shape[0], dtype=np.intp), np.arange(X.shape[0])
+    while live.size:
+        node = at[live]
+        f = feature[node]
+        inner = f >= 0
+        live, node, f = live[inner], node[inner], f[inner]
+        at[live] = left[node] + ~(X[live, f] <= threshold[node])
+    return tree["value"][at]
 
 
 def fit_gbdt(X, y, params: dict, seed: int = 0) -> GBDTModel:
@@ -425,16 +426,9 @@ def fit_gbdt(X, y, params: dict, seed: int = 0) -> GBDTModel:
     trees = []
     for _ in range(iterations):
         residuals = w * (y - expit(scores))
-        if subsample < 1.0:
-            rows = np.sort(rng.choice(n, size=max(1, int(round(subsample * n))),
-                                      replace=False))
-        else:
-            rows = np.arange(n)
-        if rsm < 1.0:
-            feats = np.sort(rng.choice(d, size=max(1, int(round(rsm * d))),
-                                       replace=False))
-        else:
-            feats = np.arange(d)
+        # rows are drawn before features
+        rows, feats = (np.sort(rng.choice(m, size=max(1, int(round(frac * m))), replace=False))
+                       if frac < 1.0 else np.arange(m) for m, frac in ((n, subsample), (d, rsm)))
         tree = _fit_tree(X, ranks[feats], residuals, rows, feats, depth, l2)
         trees.append(tree)
         scores += eta * _predict_tree(tree, X)

@@ -260,7 +260,7 @@ def audit_plan_rows(rows) -> list:
 
 def load_plan_csv(path) -> list:
     """The (cougher_id, outer_fold, role, inner_fold) rows of a plan CSV; a fold cell
-    that is not an integer raises ``ManifestError`` naming the file and line."""
+    that is not an integer, or no data rows, raises ``ManifestError`` naming the file."""
     rows = []
     for line_no, row in read_csv_rows(path, PLAN_COLUMNS, "plan file"):
         try:
@@ -268,4 +268,6 @@ def load_plan_csv(path) -> list:
                          int(row["inner_fold"])))
         except ValueError as exc:
             raise ManifestError(f"plan file {path} line {line_no}: {exc}") from exc
+    if not rows:
+        raise ManifestError(f"plan file {path} has no data rows")
     return rows

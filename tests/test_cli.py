@@ -48,6 +48,18 @@ class TestSynthAndFeatures:
     def test_features_missing_manifest_exit_3(self, tmp_path):
         assert run_cli(["features", str(tmp_path / "nope.csv")]) == 3
 
+    @pytest.mark.parametrize("out", ["missing/f.csv", "."], ids=["no-directory", "a-directory"])
+    def test_features_unwritable_out_exit_3_before_extracting(self, tmp_path, capsys,
+                                                             monkeypatch, out):
+        ds = tmp_path / "ds"
+        assert run_cli(["synth", "--out", str(ds), "--coughers", "4", "--coughs-mean", "3",
+                        "--coughs-std", "0.5", "--coughs-min", "3", "--coughs-max", "3"]) == 0
+        monkeypatch.setattr(cli, "build_feature_table", lambda *a: pytest.fail("extracted"))
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(["features", str(ds / "manifest.csv"), "--out", str(tmp_path / out)]) == 3
+        assert f"data error: cannot write {tmp_path / out}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("flag, value", [
         ("--coughers", "0"), ("--prevalence", "1.5"), ("--coughs-std", "-1"),
         ("--coughs-mean", "nan"), ("--coughs-std", "nan"), ("--signal-audio", "inf"),
@@ -317,6 +329,23 @@ class TestRunCommand:
         assert "config error" in err and f"{field} must be" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_that_cannot_be_a_directory_exit_2(self, tmp_path, capsys, out):
+        # unchecked, the whole experiment would run before makedirs raised
+        (tmp_path / "taken").write_text("a file")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_experiment_doc(tmp_path / out)))
+        start = time.monotonic()
+        assert run_cli(["run", "--config", str(cfg_path)]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "config error: out must be a path that is, or whose nearest existing " \
+            "ancestor is, a directory" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == "a file"
+
+    def test_config_a_directory_exit_2(self, tmp_path, capsys):
+        assert run_cli(["run", "--config", str(tmp_path)]) == 2
+        assert f"config error: cannot read config file {tmp_path}" in capsys.readouterr().err
+
     def test_out_the_os_cannot_name_exit_2(self, tmp_path, capsys):
         # unchecked, the whole experiment would run and writing the report would raise
         cfg_path = tmp_path / "cfg.json"
@@ -401,6 +430,13 @@ class TestAuditCommand:
 
     def test_missing_plan_exit_3(self, tmp_path):
         assert run_cli(["audit", str(tmp_path / "none.csv")]) == 3
+
+    def test_header_only_plan_exit_3(self, tmp_path, capsys):
+        # a truncated export must not pass as "0 rows, cougher-disjoint"
+        plan = tmp_path / "plan.csv"
+        plan.write_text("cougher_id,outer_fold,role,inner_fold\n")
+        assert run_cli(["audit", str(plan)]) == 3
+        assert f"data error: plan file {plan} has no data rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows, message", [
         ("c1,x,test,-1", "line 2: invalid literal for int() with base 10: 'x'"),

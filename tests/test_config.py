@@ -8,6 +8,7 @@ import json
 import math
 import numbers
 import os
+import pathlib
 from dataclasses import fields
 
 import pytest
@@ -89,13 +90,21 @@ def _is_file_name(value) -> bool:
     return True
 
 
+def _can_be_made_a_directory(value) -> bool:
+    """Whether the first of ``value`` and its parents that exists is a directory."""
+    path = pathlib.Path(value)
+    return next(p for p in (path, *path.parents) if p.exists()).is_dir()
+
+
 def _usable(key: str, value) -> bool:
     """Whether the run can use ``value`` for ``key``, decided without the rule tables."""
     if key in CHOICES:
         return value in CHOICES[key]
+    if key == "out":
+        return isinstance(value, str) and value != "" and _is_file_name(value) \
+            and _can_be_made_a_directory(value)
     if key in PATHS:
-        return (value is None and key != "out") or (isinstance(value, str)
-                                                   and _is_file_name(value))
+        return value is None or (isinstance(value, str) and _is_file_name(value))
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(float(value)))
 
@@ -136,6 +145,9 @@ def test_numeric_value_rejected_or_finite(field, value):
 @given(field=st.sampled_from(RULE_FIELDS), value=JSON_VALUES)
 @example(field=("config", "out"), value="runs\x00")
 @example(field=("config", "out"), value="\ud800")
+@example(field=("config", "out"), value=__file__)
+@example(field=("config", "out"), value="")
+@example(field=("config", "out"), value=os.path.join(__file__, "sub"))
 @example(field=("config", "audio_root"), value="a\x00b")
 @example(field=("config", "family"), value=["LR"])
 @example(field=("GBDT", "depth"), value={"depth": 2})

@@ -221,10 +221,11 @@ def stump_oracle(x, residuals):
 
 def reference_fit_tree(X, targets, rows, feats, depth, l2):
     """The per-feature split search: argsort each sampled feature in turn and
-    keep the first strictly larger gain. The oracle for ``models._fit_tree``."""
-    node = models.TreeNode(value=float(targets[rows].sum() / (rows.size + l2)))
+    keep the first strictly larger gain. The oracle for ``models._fit_tree``,
+    as nested (feature, threshold, value, left, right) tuples, (value,) at a leaf."""
+    leaf = (float(targets[rows].sum() / (rows.size + l2)),)
     if depth <= 0 or rows.size < 2:
-        return node
+        return leaf
     t = targets[rows]
     total = t.sum()
     sse_parent = float(np.sum(t * t) - total * total / rows.size)
@@ -249,13 +250,27 @@ def reference_fit_tree(X, targets, rows, feats, depth, l2):
             best_gain = gain
             best = (f, 0.5 * (sv[j] + sv[j + 1]), order[: j + 1], order[j + 1:])
     if best is None or sse_parent <= 0:
-        return node
+        return leaf
     f, thr, left_idx, right_idx = best
-    node.feature = int(f)
-    node.threshold = float(thr)
-    node.left = reference_fit_tree(X, targets, rows[left_idx], feats, depth - 1, l2)
-    node.right = reference_fit_tree(X, targets, rows[right_idx], feats, depth - 1, l2)
-    return node
+    return (int(f), float(thr), leaf[0],
+            reference_fit_tree(X, targets, rows[left_idx], feats, depth - 1, l2),
+            reference_fit_tree(X, targets, rows[right_idx], feats, depth - 1, l2))
+
+
+def nested(tree, i=0):
+    """The node array ``tree`` from node i down, in ``reference_fit_tree``'s form."""
+    feature, threshold, value, left = tree[i].tolist()
+    if feature < 0:
+        return (value,)
+    return (feature, threshold, value, nested(tree, left), nested(tree, left + 1))
+
+
+def walk(tree, row):
+    """The leaf value one row reaches in a nested tree."""
+    while len(tree) > 1:
+        feature, threshold, _, left, right = tree
+        tree = left if row[feature] <= threshold else right
+    return tree[0]
 
 
 def tied_matrix(rng, n, d):
@@ -283,14 +298,20 @@ def edge_tie_matrix(rng, n):
 
 
 def assert_fits_match_oracle(monkeypatch, X, y, params, seed):
-    """fit_gbdt grows the trees it grows with ``reference_fit_tree`` in place of
-    ``_fit_tree``."""
-    got = models.fit_gbdt(X, y, params, seed=seed)
+    """Every tree fit_gbdt grows is the one ``reference_fit_tree`` grows on the same
+    inputs, and it grows ``iterations`` of them."""
+    fit_tree, grown = models._fit_tree, []
+
+    def checked(X, ranks, *args):
+        tree = fit_tree(X, ranks, *args)
+        assert nested(tree) == reference_fit_tree(X, *args)
+        grown.append(tree)
+        return tree
+
     with monkeypatch.context() as m:
-        m.setattr(models, "_fit_tree",
-                  lambda X, ranks, *args: reference_fit_tree(X, *args))
-        want = models.fit_gbdt(X, y, params, seed=seed)
-    assert got.trees == want.trees
+        m.setattr(models, "_fit_tree", checked)
+        models.fit_gbdt(X, y, params, seed=seed)
+    assert len(grown) == params["iterations"]
 
 
 def gbdt_params(**overrides):
@@ -305,13 +326,13 @@ class TestGBDT:
         X = np.arange(10, dtype=float)[:, None]
         y = (X[:, 0] >= 5).astype(float)
         m = models.fit_gbdt(X, y, gbdt_params(depth=1, iterations=1), seed=0)
-        tree = m.trees[0]
-        assert tree.feature == 0
+        feature, threshold, *_ = nested(m.trees[0])
+        assert feature == 0
         # oracle: the step is the best of all enumerated split points
         p0 = expit(m.base_score)
         thr, _ = stump_oracle(X[:, 0], y - p0)
-        assert tree.threshold == pytest.approx(thr)
-        assert tree.threshold == pytest.approx(4.5)
+        assert threshold == pytest.approx(thr)
+        assert threshold == pytest.approx(4.5)
         probs = models.predict_proba_gbdt(m, X)
         base = logloss(np.full(10, p0), y)
         assert logloss(probs, y) < base
@@ -338,18 +359,14 @@ class TestGBDT:
         assert np.all(diffs <= 1e-9)
 
     def test_prediction_matches_tree_walk_oracle(self):
-        def walk(node, row):
-            while node.feature >= 0:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            return node.value
-
         rng = np.random.default_rng(5)
         X = rng.standard_normal((120, 6))
         y = (rng.random(120) < expit(X[:, 0])).astype(float)
         m = models.fit_gbdt(X, y, gbdt_params(iterations=10, depth=3), seed=1)
         X_new = rng.standard_normal((100, 6))
         got = models.predict_proba_gbdt(m, X_new)
-        expected = expit(np.array([m.base_score + m.eta * sum(walk(t, row) for t in m.trees)
+        trees = [nested(t) for t in m.trees]
+        expected = expit(np.array([m.base_score + m.eta * sum(walk(t, row) for t in trees)
                                    for row in X_new]))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -380,11 +397,32 @@ class TestGBDT:
         y = np.array([0.0, 1.0])
         m = models.fit_gbdt(X, y, gbdt_params(depth=1, iterations=1, l2_leaf_reg=3.0),
                             seed=0)
-        tree = m.trees[0]
+        *_, (left,), (right,) = nested(m.trees[0])
         # leaf = sum(residual) / (count + l2) with one sample per leaf
         p0 = expit(m.base_score)
-        assert tree.left.value == pytest.approx((0.0 - p0) / (1 + 3.0))
-        assert tree.right.value == pytest.approx((1.0 - p0) / (1 + 3.0))
+        assert left == pytest.approx((0.0 - p0) / (1 + 3.0))
+        assert right == pytest.approx((1.0 - p0) / (1 + 3.0))
+
+    def test_deep_chain_fits(self):
+        # alternating labels on one column: every split peels off one row, so
+        # the tree is a chain about as deep as the column is long
+        n = 1200
+        X = np.arange(n, dtype=float)[:, None]
+        y = (np.arange(n) % 2).astype(float)
+        m = models.fit_gbdt(X, y, gbdt_params(depth=2000, iterations=1), seed=0)
+        (tree,) = m.trees
+        assert n < tree.size <= 2 * n - 1
+        # a per-row walk of the node array (too deep a chain for ``nested``)
+        feature, threshold, value, left = (tree[k].tolist() for k in models.NODE.names)
+
+        def leaf_value(row):
+            i = 0
+            while feature[i] >= 0:
+                i = left[i] if row[feature[i]] <= threshold[i] else left[i] + 1
+            return value[i]
+
+        np.testing.assert_array_equal(models._predict_tree(tree, X),
+                                      [leaf_value(row) for row in X])
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -405,7 +443,7 @@ class TestSplitSearchOracle:
         got = models._fit_tree(X, models._column_ranks(X)[feats], targets, rows,
                                feats, depth, 1.0)
         want = reference_fit_tree(X, targets, rows, feats, depth, 1.0)
-        assert got == want
+        assert nested(got) == want
 
     @pytest.mark.parametrize("X", [np.array([[0.0, 1.0], [1.0, 1.0]]),
                                    np.array([[3.0, 3.0], [3.0, 3.0]])])
@@ -414,13 +452,13 @@ class TestSplitSearchOracle:
         rows, feats = np.arange(2), np.arange(2)
         got = models._fit_tree(X, models._column_ranks(X)[feats], targets, rows,
                                feats, 3, 0.0)
-        assert got == reference_fit_tree(X, targets, rows, feats, 3, 0.0)
+        assert nested(got) == reference_fit_tree(X, targets, rows, feats, 3, 0.0)
 
     def test_zero_targets_stay_a_leaf(self):
         X = np.random.default_rng(11).standard_normal((20, 3))
         tree = models._fit_tree(X, models._column_ranks(X), np.zeros(20), np.arange(20),
                                 np.arange(3), 4, 1.0)
-        assert tree.feature == -1 and tree.value == 0.0
+        assert nested(tree) == (0.0,)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("subsample,rsm", [(1.0, 1.0), (0.7, 0.6), (0.5, 1.0)])
@@ -443,7 +481,7 @@ class TestSplitSearchOracle:
         got = models._fit_tree(X, models._column_ranks(X)[feats], targets, rows,
                                feats, depth, 1.0)
         want = reference_fit_tree(X, targets, rows, feats, depth, 1.0)
-        assert got == want
+        assert nested(got) == want
         y = (rng.random(n) < 0.4).astype(float)
         y[:2] = 0.0, 1.0
         params = gbdt_params(depth=depth, iterations=3, subsample=0.7, rsm=0.6,
@@ -463,8 +501,8 @@ class TestSplitSearchOracle:
         feats = np.arange(3)
         got = models._fit_tree(X, ranks, targets, rows, feats, depth, 1.0)
         want = reference_fit_tree(X, targets, rows, feats, depth, 1.0)
-        assert got.feature >= 0
-        assert got == want
+        assert len(want) > 1
+        assert nested(got) == want
 
 
 class TestColumnRanks:
