@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import isotonic_regression
 
+from .metrics import score_sweep
+
 N_BINS = 10  # equal-width probability bins of the ECE and the reliability tables
 
 
@@ -88,28 +90,19 @@ def youden_threshold(probs, labels):
     Candidates are 0, 1, and the midpoints between consecutive distinct
     probabilities; prediction is positive at p >= tau. Ties in J break
     toward the lower threshold (higher sensitivity), matching a screening
-    operating point. Returns (tau, J).
+    operating point. Returns (tau, J). Labels must be 0 or 1 and
+    probabilities finite (``metrics.score_sweep``).
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if probs.shape != labels.shape or probs.size == 0:
-        raise ValueError("probs and labels must be nonempty and aligned")
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
+    thresholds, tp, fp = score_sweep(probs, labels)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise ValueError("Youden threshold needs both classes present")
 
-    distinct = np.unique(probs)
+    distinct = thresholds[::-1]
     candidates = np.concatenate([[0.0], 0.5 * (distinct[:-1] + distinct[1:]), [1.0]])
-    # suffix counts of positives/negatives with prob >= v for each distinct v
-    order = np.argsort(probs, kind="stable")
-    sorted_labels = labels[order]
-    sorted_probs = probs[order]
-    pos_suffix = np.concatenate([np.cumsum((sorted_labels == 1)[::-1])[::-1], [0]])
-    neg_suffix = np.concatenate([np.cumsum((sorted_labels == 0)[::-1])[::-1], [0]])
-    idx = np.searchsorted(sorted_probs, candidates, side="left")
-    tp = pos_suffix[idx].astype(np.int64)
-    fp = neg_suffix[idx].astype(np.int64)
+    # counts at p >= c: the number of distinct scores >= c indexes the sweep
+    at = np.searchsorted(-thresholds, -candidates, side="right")
+    tp, fp = np.append(0, tp)[at], np.append(0, fp)[at]
     # J = tp/n_pos - fp/n_neg; compare via the integer numerator over the
     # common denominator so ties are detected exactly, free of float noise
     numerator = tp * n_neg - fp * n_pos

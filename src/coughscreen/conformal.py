@@ -91,14 +91,25 @@ def evaluate_sets(sets, labels) -> dict:
     }
 
 
+def selective_ratios(counts) -> dict:
+    """The four selective ratios from ``selective_metrics``' counts: overall point
+    accuracy, accuracy conditional on singleton and on ambiguous (two-label) sets,
+    and the fraction of correct point predictions returned as singletons. A ratio
+    is a NaN sentinel when its denominator is 0."""
+    def ratio(num, den):
+        return counts[num] / counts[den] if counts[den] else math.nan
+
+    return {"accuracy": ratio("n_correct", "n"),
+            "accuracy_singleton": ratio("n_correct_singleton", "n_singleton"),
+            "accuracy_ambiguous": ratio("n_correct_ambiguous", "n_ambiguous"),
+            "p_singleton_given_correct": ratio("n_correct_singleton", "n_correct")}
+
+
 def selective_metrics(point_preds, sets, labels) -> dict:
     """Selective (reject-option) evaluation treating singletons as accepted.
 
-    ``sets`` is the (n, 2) membership matrix of ``prediction_sets``.
-    Returns overall point accuracy, accuracy conditional on singleton and
-    on ambiguous (two-label) sets, and the fraction of correct point
-    predictions returned as singletons. Conditional accuracies are NaN
-    sentinels when their condition never occurs.
+    ``sets`` is the (n, 2) membership matrix of ``prediction_sets``. Returns
+    the ``selective_ratios`` of the counts, then the counts.
     """
     point_preds = np.asarray(point_preds)
     sets, labels = np.asarray(sets, dtype=bool), np.asarray(labels)
@@ -107,21 +118,8 @@ def selective_metrics(point_preds, sets, labels) -> dict:
     correct = point_preds == labels
     sizes = sets.sum(axis=1)
     singleton, ambiguous = sizes == 1, sizes == 2
-
-    def _cond(mask):
-        return float(correct[mask].mean()) if mask.any() else math.nan
-
-    n_correct = int(correct.sum())
-    return {
-        "accuracy": float(correct.mean()),
-        "accuracy_singleton": _cond(singleton),
-        "accuracy_ambiguous": _cond(ambiguous),
-        "p_singleton_given_correct": (float(singleton[correct].mean())
-                                      if n_correct else math.nan),
-        "n": int(labels.size),
-        "n_singleton": int(singleton.sum()),
-        "n_ambiguous": int(ambiguous.sum()),
-        "n_correct": n_correct,
-        "n_correct_singleton": int(np.sum(correct & singleton)),
-        "n_correct_ambiguous": int(np.sum(correct & ambiguous)),
-    }
+    counts = {"n": int(labels.size), "n_singleton": int(singleton.sum()),
+              "n_ambiguous": int(ambiguous.sum()), "n_correct": int(correct.sum()),
+              "n_correct_singleton": int(np.sum(correct & singleton)),
+              "n_correct_ambiguous": int(np.sum(correct & ambiguous))}
+    return {**selective_ratios(counts), **counts}

@@ -3,7 +3,8 @@
 Thresholding is boundary-inclusive: a sample is predicted positive when
 its probability is >= tau. PPV and NPV are undefined (NaN sentinel) when
 their denominators are empty; aggregation layers must exclude sentinels
-from means rather than substituting zeros.
+from means rather than substituting zeros. The ROC and PR curves, ROC
+AUC and ``calibration.youden_threshold`` all read one ``score_sweep``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -72,51 +72,57 @@ def metric_suite(c: ConfusionCounts) -> MetricSuite:
                        youden_j=sens + spec - 1.0)
 
 
-def roc_auc(probs, labels) -> float:
-    """Area under the ROC curve via the Mann-Whitney statistic, ties counted 1/2."""
+def score_sweep(probs, labels):
+    """Every threshold's counts from one sort: ``(thresholds, tp, fp)``.
+
+    ``thresholds`` are the distinct scores, highest first; ``tp[k]`` and
+    ``fp[k]`` count the positives and negatives scoring >= ``thresholds[k]``,
+    so ``tp[-1]`` and ``fp[-1]`` are the class sizes. Labels must be 0 or 1
+    and scores finite.
+    """
     probs, labels = _check_aligned(probs, labels)
+    if probs.size == 0:
+        raise ValueError("a score sweep needs at least one score")
+    if not np.isfinite(probs).all():
+        raise ValueError("scores must be finite")
     pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = probs.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if not np.all(pos | (labels == 0)):
+        raise ValueError("labels must be 0 or 1")
+    order = np.argsort(-probs, kind="stable")
+    sorted_probs = probs[order]
+    last = np.flatnonzero(np.append(sorted_probs[:-1] != sorted_probs[1:], True))
+    tp = np.cumsum(pos[order])[last]
+    return sorted_probs[last], tp, last + 1 - tp
+
+
+def roc_auc(probs, labels) -> float:
+    """Area under the ROC curve: the Mann-Whitney U over n_pos * n_neg, ties counted 1/2.
+
+    2U is counted in integers (each negative scores 2 per positive above it and
+    1 per tied positive), so the result is the correctly rounded quotient.
+    """
+    _, tp, fp = score_sweep(probs, labels)
+    if tp[-1] == 0 or fp[-1] == 0:
         raise ValueError("ROC AUC needs both classes present")
-    ranks = rankdata(probs, method="average")  # ties share their group's mean rank
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    u2 = int(np.dot(np.diff(fp, prepend=0), 2 * tp - np.diff(tp, prepend=0)))
+    return u2 / (2 * int(tp[-1]) * int(fp[-1]))
 
 
 def roc_curve(probs, labels) -> CurvePoints:
     """ROC operating points over thresholds induced by the distinct scores."""
-    probs, labels = _check_aligned(probs, labels)
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = probs.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    _, tp, fp = score_sweep(probs, labels)
+    if tp[-1] == 0 or fp[-1] == 0:
         raise ValueError("ROC curve needs both classes present")
-    order = np.argsort(-probs, kind="stable")
-    sorted_probs = probs[order]
-    tp = np.cumsum(pos[order])
-    fp = np.cumsum(~pos[order])
-    boundary = np.concatenate([sorted_probs[:-1] != sorted_probs[1:], [True]])
-    tpr = np.concatenate([[0.0], tp[boundary] / n_pos])
-    fpr = np.concatenate([[0.0], fp[boundary] / n_neg])
-    return CurvePoints(xs=fpr, ys=tpr)
+    return CurvePoints(xs=np.concatenate([[0.0], fp / fp[-1]]),
+                       ys=np.concatenate([[0.0], tp / tp[-1]]))
 
 
 def pr_curve(probs, labels) -> CurvePoints:
     """Precision-recall operating points over descending score thresholds."""
-    probs, labels = _check_aligned(probs, labels)
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    if n_pos == 0:
+    _, tp, fp = score_sweep(probs, labels)
+    if tp[-1] == 0:
         raise ValueError("PR curve needs at least one positive")
-    order = np.argsort(-probs, kind="stable")
-    sorted_probs = probs[order]
-    tp = np.cumsum(pos[order])
-    n_pred = np.arange(1, probs.size + 1)
-    boundary = np.concatenate([sorted_probs[:-1] != sorted_probs[1:], [True]])
-    recall = tp[boundary] / n_pos
-    precision = tp[boundary] / n_pred[boundary]
-    return CurvePoints(xs=recall, ys=precision)
+    return CurvePoints(xs=tp / tp[-1], ys=tp / (tp + fp))
 
 
 def pr_auc(probs, labels) -> float:

@@ -25,9 +25,11 @@ aborts the run with ``LeakageError``.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import logging
 import math
+import os
 import types
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -336,26 +338,68 @@ def _call_on_worker_table(fn, args):
     return fn(_worker_table, *args)
 
 
+# the thread-count setter of each OpenBLAS build numpy and scipy may bundle
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads")
+
+
+def pin_blas_threads() -> None:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    Nothing here needs a second BLAS thread, and each bundled OpenBLAS starts
+    one per CPU, so worker processes would oversubscribe the cores. The
+    libraries are found in ``/proc/self/maps``; without that file, a library
+    or a setter, this does nothing. The setting is process-wide.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
+                     if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in _BLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+def worker_count(jobs: int, units: int) -> int:
+    """Workers for ``jobs`` requested and ``units`` to run: at most one per unit
+    and one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, units, cpus)
+
+
 def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConfig,
                jobs: int = 1, plan: NestedPlan | None = None):
     """Run the full nested protocol on a feature table; returns (fold_results, plan).
 
     Each (outer fold, inner fold) unit runs ``score_inner_fold``, then each outer
     fold ``run_fold``. At ``jobs=1`` both run lazily in this process, one fold at
-    a time; otherwise on one pool of ``min(jobs, units)`` workers that each get
-    the table once. Numerical results do not depend on ``jobs``.
+    a time; otherwise on one pool of ``worker_count(jobs, units)`` workers that
+    each get the table once. Numerical results do not depend on ``jobs``. Every
+    loaded OpenBLAS is first pinned to one thread (``pin_blas_threads``).
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if feature_mode not in FEATURE_MODES:
         raise ValueError(f"feature_mode must be one of {FEATURE_MODES}, got {feature_mode!r}")
+    pin_blas_threads()
     if plan is None:
         ids = table.all_coughers
         plan = build_nested_plan(ids, [table.cougher_label[c] for c in ids],
                                  [table.cougher_rec_count[c] for c in ids],
                                  cfg.k_outer, cfg.k_inner, cfg.calib_frac, cfg.seed)
     n_units = sum(fp.inner.k for fp in plan.folds)
-    workers = min(jobs, n_units)
+    workers = worker_count(jobs, n_units)
     log.info("%d inner-fold units, %d outer folds, %d workers", n_units, len(plan.folds),
              workers)
     with contextlib.ExitStack() as stack:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calibration, pipeline
-from .conformal import evaluate_sets
+from .conformal import evaluate_sets, selective_ratios
 from .metrics import pr_curve, roc_curve
 from .pipeline import json_clean
 from .splits import NestedPlan, export_plan_csv
@@ -115,17 +115,8 @@ def _pooled_selective(folds, alpha: str) -> dict:
     tot = {k: sum(f["selective"][alpha][k] for f in folds)
            for k in ("n", "n_singleton", "n_ambiguous", "n_correct",
                      "n_correct_singleton", "n_correct_ambiguous")}
-
-    def ratio(num, den):
-        return num / den if den else None
-
-    return {
-        "overall_accuracy": ratio(tot["n_correct"], tot["n"]),
-        "accuracy_singleton": ratio(tot["n_correct_singleton"], tot["n_singleton"]),
-        "accuracy_ambiguous": ratio(tot["n_correct_ambiguous"], tot["n_ambiguous"]),
-        "p_singleton_given_correct": ratio(tot["n_correct_singleton"], tot["n_correct"]),
-        **tot,
-    }
+    ratios = selective_ratios(tot)
+    return {**{m: ratios[key] for m, (key, _) in SELECTIVE_KEYS.items()}, **tot}
 
 
 @dataclass

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coughscreen import metrics
 from coughscreen.calibration import youden_threshold
@@ -198,3 +201,104 @@ class TestCrossModule:
     def test_suite_reproducible_from_counts(self):
         c = metrics.ConfusionCounts(tp=3, fp=1, tn=4, fn=2)
         assert metrics.metric_suite(c) == metrics.metric_suite(c)
+
+
+# Scores with ties, adjacent floats (whose midpoints round onto a neighbour),
+# the smallest subnormal and values outside [0, 1].
+SCORES = st.one_of(
+    st.sampled_from([0.0, 0.3, 0.5, float(np.nextafter(0.5, 0.0)), float(np.nextafter(0.5, 1.0)),
+                     float(np.nextafter(np.nextafter(0.5, 1.0), 1.0)), 1.0, 5e-324]),
+    st.floats(0.0, 1.0), st.floats(-2.0, 3.0))
+SAMPLES = st.lists(st.tuples(SCORES, st.integers(0, 1)), min_size=2, max_size=40)
+ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+def split(samples):
+    probs = np.array([p for p, _ in samples], dtype=np.float64)
+    labels = np.array([y for _, y in samples])
+    return probs, labels
+
+
+def counts_at(probs, labels, tau):
+    """(tp, fp) at p >= tau, as Python ints."""
+    pred = probs >= tau
+    return int(np.sum(pred & (labels == 1))), int(np.sum(pred & (labels == 0)))
+
+
+class TestExactOracles:
+    """Each threshold statistic equals its brute-force definition exactly."""
+
+    @ORACLE_SETTINGS
+    @given(SAMPLES)
+    def test_roc_auc_is_the_rounded_pair_count(self, samples):
+        probs, labels = split(samples)
+        pos, neg = probs[labels == 1], probs[labels == 0]
+        assume(pos.size and neg.size)
+        # twice U: 2 for every positive above a negative, 1 for every tie
+        u2 = sum(2 * (p > q) + (p == q) for p in pos for q in neg)
+        assert metrics.roc_auc(probs, labels) == float(Fraction(u2, 2 * pos.size * neg.size))
+
+    @ORACLE_SETTINGS
+    @given(SAMPLES)
+    def test_curves_are_the_counts_at_every_distinct_score(self, samples):
+        probs, labels = split(samples)
+        n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+        assume(n_pos)
+        counts = [counts_at(probs, labels, t) for t in sorted(set(probs), reverse=True)]
+        pr = metrics.pr_curve(probs, labels)
+        assert pr.xs.tolist() == [tp / n_pos for tp, _ in counts]
+        assert pr.ys.tolist() == [tp / (tp + fp) for tp, fp in counts]
+        assume(n_neg)
+        roc = metrics.roc_curve(probs, labels)
+        assert roc.xs.tolist() == [0.0] + [fp / n_neg for _, fp in counts]
+        assert roc.ys.tolist() == [0.0] + [tp / n_pos for tp, _ in counts]
+
+    @ORACLE_SETTINGS
+    @given(SAMPLES)
+    def test_youden_is_the_exhaustive_scan(self, samples):
+        probs, labels = split(samples)
+        n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+        assume(n_pos and n_neg)
+        distinct = sorted(set(probs))
+        candidates = [0.0, *(0.5 * (a + b) for a, b in zip(distinct, distinct[1:])), 1.0]
+        # J = (tp * n_neg - fp * n_pos) / (n_pos * n_neg): compare integer numerators
+        numerator = {}
+        for tau in candidates:
+            tp, fp = counts_at(probs, labels, tau)
+            numerator[tau] = tp * n_neg - fp * n_pos
+        best = max(numerator.values())
+        tau, j = youden_threshold(probs, labels)
+        assert numerator[tau] == best
+        tp, fp = counts_at(probs, labels, tau)
+        assert j == tp / n_pos - fp / n_neg
+        if 0.0 <= probs.min() and probs.max() <= 1.0:  # candidates ascend: the lowest tau wins
+            assert tau == min(t for t, v in numerator.items() if v == best)
+
+
+THRESHOLD_STATISTICS = [metrics.roc_auc, metrics.roc_curve, metrics.pr_curve, metrics.pr_auc,
+                        youden_threshold]
+
+
+class TestInputRule:
+    @pytest.mark.parametrize("fn", THRESHOLD_STATISTICS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1], [0, 1, 0.5]])
+    def test_label_outside_zero_one_rejected(self, fn, labels):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            fn([0.2, 0.6, 0.4], labels)
+
+    @pytest.mark.parametrize("fn", THRESHOLD_STATISTICS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, fn, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            fn([0.2, bad, 0.4], [0, 1, 1])
+
+    @pytest.mark.parametrize("fn", THRESHOLD_STATISTICS, ids=lambda fn: fn.__name__)
+    def test_empty_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn([], [])
+
+    def test_sweep_counts_each_distinct_score_once(self):
+        thresholds, tp, fp = metrics.score_sweep([0.2, 0.9, 0.2, 0.5, 0.9], [0, 1, 1, 0, 0])
+        assert thresholds.tolist() == [0.9, 0.5, 0.2]
+        assert tp.tolist() == [1, 1, 2]
+        assert fp.tolist() == [1, 2, 3]

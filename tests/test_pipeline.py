@@ -178,11 +178,24 @@ class TestScheduling:
                                  calib_frac=0.2)
         with caplog.at_level(logging.INFO, logger="coughscreen.pipeline"):
             pooled, _ = pipeline.run_nested(table, "LR", "audio", cfg, jobs=10_000)
-        assert sizes == [8]
+        workers = pipeline.worker_count(10_000, 8)  # 8 units, and no more than the CPUs
+        assert sizes == ([workers] if workers > 1 else [])
         assert [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO] == [
-            "8 inner-fold units, 4 outer folds, 8 workers"]
+            f"8 inner-fold units, 4 outer folds, {workers} workers"]
         serial, _ = pipeline.run_nested(table, "LR", "audio", cfg)
         assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+
+    def test_workers_capped_at_jobs_units_and_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert [pipeline.worker_count(jobs, units)
+                for jobs, units in [(10_000, 8), (2, 8), (10_000, 1), (1, 50)]] == [3, 2, 1, 1]
+        # where the affinity call does not exist, the CPU count stands in for it
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 6)
+        assert pipeline.worker_count(10_000, 50) == 6
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
+        assert pipeline.worker_count(10_000, 50) == 1
 
 
 class TestGbdtPath:

@@ -1,10 +1,14 @@
-"""Features, calibration, LR fits and LR reports do not depend on the BLAS thread count."""
+"""Features, calibration, LR fits and LR reports do not depend on the BLAS thread count,
+and ``run_nested`` pins every loaded OpenBLAS to one thread."""
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from coughscreen import features
 
@@ -60,10 +64,46 @@ LR_REPORT = textwrap.dedent("""
 """)
 
 
-def outputs_at(threads: int, program: str = OUTPUTS, *args) -> list:
+BLAS_THREADS = textwrap.dedent("""
+    import ctypes
+    import json
+    from coughscreen import pipeline, synth
+    GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+               "openblas_get_num_threads")
+
+    def blas_threads():
+        # each loaded OpenBLAS and its thread count, found without pipeline's helper
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.lower() and len(line.split()) == 6})
+        found = {}
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            getter = next(getattr(lib, g) for g in GETTERS if hasattr(lib, g))
+            getter.restype, getter.argtypes = ctypes.c_int, []
+            found[path] = getter()
+        return found
+
+    cfg = synth.SyntheticConfig(n_coughers=20, prevalence=0.4, coughs_mean=3, coughs_std=1,
+                                coughs_min=2, coughs_max=4, seed=0)
+    table = pipeline.build_feature_table(synth.generate_synthetic(cfg))
+    print("before", json.dumps(sorted(blas_threads().values())))
+    pipeline.run_nested(table, "LR", "audio", pipeline.RunConfig(
+        seed=1, grid=({"C": 0.05, "class_weight": "balanced"},), k_outer=3, k_inner=2,
+        calib_frac=0.2), jobs=1)
+    print("after", json.dumps(sorted(blas_threads().values())))
+""")
+
+
+def outputs_at(threads, program: str = OUTPUTS, *args) -> list:
+    """``program``'s output lines at ``threads`` BLAS threads, or unset for None."""
     src = str(Path(features.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
+        if threads is not None:
+            env[var] = str(threads)
     out = subprocess.run([sys.executable, "-c", program, *args], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
     return out.stdout.splitlines()
@@ -82,6 +122,8 @@ def test_lr_fits_byte_equal_at_one_and_two_blas_threads():
 
 
 def test_lr_report_byte_equal_at_one_and_two_blas_threads(tmp_path):
+    # run_nested pins BLAS to one thread, so here only the steps before it run at
+    # two; test_lr_fits_byte_equal_at_one_and_two_blas_threads covers unpinned fits
     runs = [tmp_path / "one", tmp_path / "two"]
     for run in runs:
         run.mkdir()
@@ -90,3 +132,14 @@ def test_lr_report_byte_equal_at_one_and_two_blas_threads(tmp_path):
                  if line.startswith("report.json")] for threads, run in zip((1, 2), runs))
     assert len(one) == 1
     assert one == two
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_run_nested_pins_every_openblas_to_one_thread():
+    # BLAS thread counts left unset, as most callers leave them
+    lines = outputs_at(None, BLAS_THREADS)
+    before, after = (json.loads(line.split(" ", 1)[1]) for line in lines[-2:])
+    if not after:
+        pytest.skip("no OpenBLAS is loaded in this environment")
+    assert len(after) == len(before)
+    assert after == [1] * len(after)
