@@ -303,13 +303,12 @@ def write_manifest(coughers, manifest_path, wav_paths: dict) -> None:
 class StandardScaler:
     """Column-wise z-scoring with parameters frozen at fit time.
 
-    The population std (N denominator) is used. Constant columns pass
-    through unchanged and are flagged.
+    The population std (N denominator) is used. A constant column gets
+    mean 0 and std 1, so it passes through unchanged.
     """
 
     means: np.ndarray
     stds: np.ndarray
-    passthrough: np.ndarray  # boolean mask of untouched columns
 
     @property
     def n_features(self) -> int:
@@ -328,7 +327,7 @@ def fit_scaler(X) -> StandardScaler:
                   int(np.sum(passthrough)))
     means = np.where(passthrough, 0.0, means)
     stds = np.where(passthrough, 1.0, stds)
-    return StandardScaler(means, stds, passthrough)
+    return StandardScaler(means, stds)
 
 
 def apply_scaler(scaler: StandardScaler, X) -> np.ndarray:

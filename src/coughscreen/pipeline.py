@@ -15,8 +15,9 @@ Per outer fold the protocol is:
    Brier/ECE before and after calibration, conformal sets, and selective
    correctness — all at both waveform and cougher level where defined.
 
-``score_inner_fold`` runs step 2 on one inner fold, ``run_fold`` runs the
-other steps on the inner folds' outputs, and ``run_nested`` schedules both.
+``score_inner_fold`` runs step 2 on one inner fold, here or in a worker
+process; ``run_fold`` runs the other steps on the inner folds' outputs, always
+in the calling process; ``run_nested`` schedules both.
 Scalers and models only ever see tuning rows (inner-train rows during the
 grid search); every boundary is re-asserted at run time and a violation
 aborts the run with ``LeakageError``.
@@ -38,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from . import calibration, conformal, metrics, models
-from .data import apply_scaler, fit_scaler, fuse
+from .data import ManifestError, apply_scaler, fit_scaler, fuse
 from .features import extract_all
 from .splits import LeakageError, NestedPlan, assert_cougher_disjoint, build_nested_plan, model_seed
 
@@ -68,19 +69,18 @@ class RunConfig:
 
 @dataclass
 class FeatureTable:
-    """Per-recording feature rows plus cougher bookkeeping, extracted once."""
+    """Per-recording feature rows, extracted once; cougher facts derive from the rows."""
 
     recording_ids: list
     cougher_ids: np.ndarray
     labels: np.ndarray
     audio: np.ndarray
     clinical: np.ndarray
-    cougher_label: dict
-    cougher_rec_count: dict
 
-    @property
-    def all_coughers(self) -> list:
-        return sorted(self.cougher_label)
+    def coughers(self) -> tuple:
+        """(ids, labels, recording counts) of the table's coughers, as lists in id order."""
+        ids, first, counts = np.unique(self.cougher_ids, return_index=True, return_counts=True)
+        return ids.tolist(), self.labels[first].tolist(), counts.tolist()
 
     @cached_property
     def fused(self) -> np.ndarray:
@@ -96,12 +96,11 @@ def build_feature_table(coughers) -> FeatureTable:
     (``features.extract_all``), so no more than one batch of waveforms is
     decoded at a time. Rows are ordered by cougher id, then recording id.
     """
-    keys, clinical, cougher_label, rec_count = [], {}, {}, {}
+    keys, clinical, label = [], {}, {}
 
     def waveforms():
         for c in coughers:
-            cougher_label[c.id] = c.tb_label
-            rec_count[c.id] = len(c.recordings)
+            label[c.id] = c.tb_label
             clinical[c.id] = c.clinical.to_vector()
             for rec in c.recordings:
                 keys.append((c.id, rec.id))
@@ -113,11 +112,9 @@ def build_feature_table(coughers) -> FeatureTable:
     return FeatureTable(
         recording_ids=[keys[i][1] for i in order],
         cougher_ids=np.asarray(cids),
-        labels=np.asarray([cougher_label[c] for c in cids], dtype=int),
+        labels=np.asarray([label[c] for c in cids], dtype=int),
         audio=audio[order],
         clinical=np.vstack([clinical[c] for c in cids]),
-        cougher_label=cougher_label,
-        cougher_rec_count=rec_count,
     )
 
 
@@ -141,7 +138,8 @@ def _at_level(table: FeatureTable, rows, level: str, *probs) -> tuple:
         return (*probs, table.labels[rows], [table.recording_ids[r] for r in rows])
     means = [metrics.aggregate_cougher(p, table.cougher_ids[rows]) for p in probs]
     ids = means[0][0]
-    labels = np.array([table.cougher_label[c] for c in ids], dtype=int)
+    label_of = dict(zip(*table.coughers()[:2]))
+    labels = np.array([label_of[c] for c in ids], dtype=int)
     return (*(mean for _, mean in means), labels, list(ids))
 
 
@@ -235,10 +233,10 @@ def score_inner_fold(table: FeatureTable, fold_plan, j: int, family: str, featur
 
 
 def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
-             cfg: RunConfig, inner) -> tuple[FoldResult, list]:
+             cfg: RunConfig, inner) -> FoldResult:
     """Steps (1) and (3)-(6) of the protocol for one outer fold, given in ``inner``
-    the ``score_inner_fold`` output of each of its inner folds, in order. Returns
-    the ``FoldResult`` and the C of each of the fold's LR fits that stopped unconverged."""
+    the ``score_inner_fold`` output of each of its inner folds, in order. The
+    fold's LR fits that stopped unconverged are logged as one warning."""
     test_c, calib_c, tuning_c = fold_plan.test, fold_plan.calib, fold_plan.tuning
     assert_cougher_disjoint(test=test_c, calib=calib_c, tuning=tuning_c)
 
@@ -271,6 +269,11 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
                                    y_all[tuning_rows], seed=model_seed(cfg.seed, fold_plan.fold, 1))
     if isinstance(model_final, models.LRModel) and not model_final.converged:
         unconverged.append(model_final.C)
+    if unconverged:  # LR fits only, one per candidate and inner fold, then the final fit
+        log.warning("outer fold %d (%s): %d of %d LR fits did not converge, at C = %s",
+                    fold_plan.fold, feature_mode, len(unconverged),
+                    len(candidates) * fold_plan.inner.k + 1,
+                    ", ".join(map(repr, sorted(set(unconverged)))))
 
     # Score the calibration subset and the untouched outer test fold once each.
     calib_cal = calibration.apply_isotonic(
@@ -323,7 +326,7 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
         oof_recording_ids=[table.recording_ids[r] for r in tuning_rows],
         oof_probs=best_oof, test_recording_ids=test_ids["waveform"],
         test_cg_ids=test_ids["cougher"], test_sets=sets_out, audit=audit,
-    ), unconverged
+    )
 
 
 _worker_table = None  # a pool worker's FeatureTable, set once by _init_worker
@@ -334,8 +337,9 @@ def _init_worker(table: FeatureTable) -> None:
     _worker_table = table
 
 
-def _call_on_worker_table(fn, args):
-    return fn(_worker_table, *args)
+def _score_on_worker_table(unit: tuple):
+    """``score_inner_fold`` on one unit's arguments, in a pool worker."""
+    return score_inner_fold(_worker_table, *unit)
 
 
 # the thread-count setter of each OpenBLAS build numpy and scipy may bundle
@@ -382,52 +386,41 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
                jobs: int = 1, plan: NestedPlan | None = None):
     """Run the full nested protocol on a feature table; returns (fold_results, plan).
 
-    Each (outer fold, inner fold) unit runs ``score_inner_fold``, then each outer
-    fold ``run_fold``. At ``jobs=1`` both run lazily in this process, one fold at
-    a time; otherwise on one pool of ``worker_count(jobs, units)`` workers that
-    each get the table once. Numerical results do not depend on ``jobs``. Every
-    loaded OpenBLAS is first pinned to one thread (``pin_blas_threads``).
+    A given ``plan`` must cover exactly the table's coughers (else ``ManifestError``,
+    before any fit). Each (outer fold, inner fold) unit runs ``score_inner_fold``:
+    at ``jobs=1`` lazily here, otherwise on one pool of ``worker_count(jobs, units)``
+    workers that each get the table once. This process runs ``run_fold`` on each
+    outer fold as its units' scores arrive. Numerical results do not depend on
+    ``jobs``. Every loaded OpenBLAS is first pinned to one thread (``pin_blas_threads``).
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if feature_mode not in FEATURE_MODES:
         raise ValueError(f"feature_mode must be one of {FEATURE_MODES}, got {feature_mode!r}")
-    pin_blas_threads()
+    ids, labels, counts = table.coughers()
     if plan is None:
-        ids = table.all_coughers
-        plan = build_nested_plan(ids, [table.cougher_label[c] for c in ids],
-                                 [table.cougher_rec_count[c] for c in ids],
-                                 cfg.k_outer, cfg.k_inner, cfg.calib_frac, cfg.seed)
-    n_units = sum(fp.inner.k for fp in plan.folds)
-    workers = worker_count(jobs, n_units)
-    log.info("%d inner-fold units, %d outer folds, %d workers", n_units, len(plan.folds),
+        plan = build_nested_plan(ids, labels, counts, cfg.k_outer, cfg.k_inner, cfg.calib_frac,
+                                 cfg.seed)
+    planned = set(plan.outer.assignment)
+    if planned != set(ids):
+        raise ManifestError(f"the fold plan does not cover the table's coughers: "
+                            f"{len(set(ids) - planned)} of the table's are not in the plan, "
+                            f"{len(planned - set(ids))} of the plan's are not in the table")
+    pin_blas_threads()
+    units = [(fp, j, family, feature_mode, cfg) for fp in plan.folds for j in range(fp.inner.k)]
+    workers = worker_count(jobs, len(units))
+    log.info("%d inner-fold units, %d outer folds, %d workers", len(units), len(plan.folds),
              workers)
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            def mapper(fn, arg_tuples):
-                return (fn(table, *args) for args in arg_tuples)
+            scores = (score_inner_fold(table, *unit) for unit in units)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(table,)))
-
-            def mapper(fn, arg_tuples):
-                return pool.map(_call_on_worker_table, itertools.repeat(fn), arg_tuples)
-        units = iter(mapper(score_inner_fold, ((fp, j, family, feature_mode, cfg)
-                                               for fp in plan.folds for j in range(fp.inner.k))))
-        inner = (list(itertools.islice(units, fp.inner.k)) for fp in plan.folds)
-        finished = mapper(run_fold, ((fp, family, feature_mode, cfg, scores)
-                                     for fp, scores in zip(plan.folds, inner)))
-        results = []
-        for fp, (result, unconverged) in zip(plan.folds, finished):
-            # logged here, not in a worker, so the caller's handlers receive it;
-            # LR fits only, one per candidate and inner fold, then the final fit
-            if unconverged:
-                log.warning("outer fold %d (%s): %d of %d LR fits did not converge, at C = %s",
-                            fp.fold, feature_mode, len(unconverged),
-                            len(cfg.candidates(family)) * fp.inner.k + 1,
-                            ", ".join(map(repr, sorted(set(unconverged)))))
-            results.append(result)
-    rates = plan.outer.positive_rates(table.cougher_label)
+            scores = iter(pool.map(_score_on_worker_table, units))
+        results = [run_fold(table, fp, family, feature_mode, cfg,
+                            list(itertools.islice(scores, fp.inner.k))) for fp in plan.folds]
+    rates = plan.outer.positive_rates(dict(zip(ids, labels)))
     for r in results:
         r.audit["outer_positive_rates"] = rates
     return results, plan

@@ -250,46 +250,58 @@ def selective_table(doc: dict, mode: str) -> list:
     return rows
 
 
+def _write_files(texts: dict, outdir) -> list:
+    """Write each (file name, text) of ``texts`` into ``outdir``; returns the paths, in order."""
+    os.makedirs(outdir, exist_ok=True)
+    written = [os.path.join(outdir, name) for name in texts]
+    for path, text in zip(written, texts.values()):
+        _atomic_write(path, text)
+    return written
+
+
 def write_report(report: RunReport, outdir) -> list:
     """Write report.json, meta.json, the fold plan, and every file rendered from report.json.
 
-    Returns the list of written paths. meta.json (environment, wall clock)
-    is the only volatile file and is not in the list.
+    Every CSV is rendered before the first file is written. Returns the list of
+    written paths. meta.json (environment, wall clock) is the only volatile file
+    and is not in the list.
     """
-    os.makedirs(outdir, exist_ok=True)
     doc = report_doc(report)
-    path = os.path.join(outdir, "report.json")
-    _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    written = [path]
-
-    meta = {"environment": report.environment, "wall_clock_s": report.wall_clock_s}
-    meta_path = os.path.join(outdir, "meta.json")
-    _atomic_write(meta_path, json.dumps(json_clean(meta), indent=1, sort_keys=True) + "\n")
-
-    plan_path = os.path.join(outdir, "fold_plan.csv")
-    export_plan_csv(report.plan, plan_path)
-    written.append(plan_path)
-
     cells = [list(_fold_cells(f, doc["alphas"]))
              for _, _, block in _blocks(doc) for f in block["folds"]]
     rows = [[column for column, _ in cells[0]]] + [[cell for _, cell in c] for c in cells]
-    path = os.path.join(outdir, "folds.csv")
-    _atomic_write(path, _csv_text(rows))
-    written.append(path)
-
+    texts = {"folds.csv": _csv_text(rows)}
     for mode in sorted({mode for _, mode, _ in _blocks(doc)}):
         for name, builder in (("classification", classification_table),
                               ("calibration", calibration_table),
                               ("conformal", conformal_table),
                               ("selective", selective_table)):
-            path = os.path.join(outdir, f"{name}_{mode}.csv")
-            _atomic_write(path, _csv_text(builder(doc, mode)))
-            written.append(path)
-
+            texts[f"{name}_{mode}.csv"] = _csv_text(builder(doc, mode))
     for fam, mode, block in _blocks(doc):
-        written += _write_reliability(block["folds"], fam, mode, outdir)
-        written.append(_write_curves(block["folds"], fam, mode, outdir))
-    return written
+        folds = block["folds"]
+        for level in LEVELS:
+            for stage, key in (("raw", "raw"), ("isotonic", "cal")):
+                rows = [["bin_center", "mean_confidence", "empirical_accuracy", "count"]]
+                for center, conf, acc, count in calibration.reliability_bins(
+                        *_test_set(folds, level, key)):
+                    rows.append([f"{center:.3f}", "" if math.isnan(conf) else repr(conf),
+                                 "" if math.isnan(acc) else repr(acc), count])
+                texts[f"reliability_{fam}_{mode}_{level}_{stage}.csv"] = _csv_text(rows)
+        rows = [["kind", "level", "fold", "x", "y"]]
+        for level, tag, kind, curve in _curves(folds):
+            rows += [[kind, level, tag, repr(float(x)), repr(float(y))]
+                     for x, y in zip(curve.xs, curve.ys)]
+        texts[f"curves_{fam}_{mode}.csv"] = _csv_text(rows)
+
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, "report.json")
+    _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    meta = {"environment": report.environment, "wall_clock_s": report.wall_clock_s}
+    _atomic_write(os.path.join(outdir, "meta.json"),
+                  json.dumps(json_clean(meta), indent=1, sort_keys=True) + "\n")
+    plan_path = os.path.join(outdir, "fold_plan.csv")
+    export_plan_csv(report.plan, plan_path)
+    return [path, plan_path, *_write_files(texts, outdir)]
 
 
 def _test_set(folds, level: str, stage: str = "cal"):
@@ -305,33 +317,13 @@ def _curve_sources(folds, level: str) -> list:
             + [("pooled", *_test_set(folds, level))])
 
 
-def _write_reliability(folds, fam, mode, outdir) -> list:
-    written = []
-    for level in LEVELS:
-        for stage in ("raw", "isotonic"):
-            probs, labels = _test_set(folds, level, "raw" if stage == "raw" else "cal")
-            rows = [["bin_center", "mean_confidence", "empirical_accuracy", "count"]]
-            for center, conf, acc, count in calibration.reliability_bins(probs, labels):
-                rows.append([f"{center:.3f}",
-                             "" if math.isnan(conf) else repr(conf),
-                             "" if math.isnan(acc) else repr(acc), count])
-            path = os.path.join(outdir, f"reliability_{fam}_{mode}_{level}_{stage}.csv")
-            _atomic_write(path, _csv_text(rows))
-            written.append(path)
-    return written
-
-
-def _write_curves(folds, fam, mode, outdir) -> str:
-    rows = [["kind", "level", "fold", "x", "y"]]
+def _curves(folds):
+    """(level, fold number or "pooled", kind, curve) at each level, for each of
+    ``_curve_sources``: its ROC curve, then its PR curve."""
     for level in LEVELS:
         for tag, probs, labels in _curve_sources(folds, level):
             for kind, fn in (("roc", roc_curve), ("pr", pr_curve)):
-                curve = fn(probs, labels)
-                rows += [[kind, level, tag, repr(float(x)), repr(float(y))]
-                         for x, y in zip(curve.xs, curve.ys)]
-    path = os.path.join(outdir, f"curves_{fam}_{mode}.csv")
-    _atomic_write(path, _csv_text(rows))
-    return path
+                yield level, tag, kind, fn(probs, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +408,18 @@ def emit_plots(doc: dict, outdir) -> list:
     svgs = {}
     for fam, mode, block in _blocks(doc):
         folds = block["folds"]
+        curves = {}
+        for level, tag, kind, curve in _curves(folds):
+            curves.setdefault((level, kind), []).append(
+                _series(tag, curve.xs, curve.ys, "#9ecae1", "#08519c"))
         for level in LEVELS:
-            sources = _curve_sources(folds, level)
-            for kind, fn, xlab, ylab in (("roc", roc_curve, "false positive rate",
-                                          "true positive rate"),
-                                         ("pr", pr_curve, "recall", "precision")):
-                series = []
-                for tag, probs, labels in sources:
-                    curve = fn(probs, labels)
-                    series.append(_series(tag, curve.xs, curve.ys, "#9ecae1", "#08519c"))
+            for kind, xlab, ylab in (("roc", "false positive rate", "true positive rate"),
+                                     ("pr", "recall", "precision")):
                 svgs[f"{kind}_{fam}_{mode}_{level}.svg"] = svg_line_plot(
-                    series, f"{kind.upper()} {fam} {mode} ({level})", xlab, ylab,
+                    curves[level, kind], f"{kind.upper()} {fam} {mode} ({level})", xlab, ylab,
                     xlim=(0, 1), ylim=(0, 1))
             series = []
-            for tag, probs, labels in sources:
+            for tag, probs, labels in _curve_sources(folds, level):
                 bins = [(conf, acc) for _, conf, acc, n in
                         calibration.reliability_bins(probs, labels) if n > 0]
                 series.append(_series(tag, [b[0] for b in bins], [b[1] for b in bins],
@@ -447,8 +437,4 @@ def emit_plots(doc: dict, outdir) -> list:
                  ("target 1-alpha", alphas, target, "#999999", 1)],
                 f"Coverage vs alpha {fam} {mode} (cougher)", "alpha", "coverage",
                 ylim=(0, 1))
-    os.makedirs(outdir, exist_ok=True)
-    written = [os.path.join(outdir, name) for name in svgs]
-    for path, text in zip(written, svgs.values()):
-        _atomic_write(path, text)
-    return written
+    return _write_files(svgs, outdir)

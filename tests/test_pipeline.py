@@ -1,10 +1,12 @@
 import logging
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from coughscreen import data, pipeline, synth
+from coughscreen.data import ManifestError
 from coughscreen.splits import build_nested_plan
 
 LR_GRID = ({"C": 0.05, "class_weight": "balanced"},
@@ -39,13 +41,13 @@ class TestRunNested:
     def test_fold_sizes(self, results_and_plan, table):
         results, _ = results_and_plan
         sizes = [r.n_test_coughers for r in results]
-        assert sum(sizes) == len(table.all_coughers)
+        assert sum(sizes) == len(table.coughers()[0])
         assert max(sizes) - min(sizes) <= 2
 
     def test_every_test_cougher_scored_exactly_once(self, results_and_plan, table):
         results, _ = results_and_plan
         seen = [c for r in results for c in r.test_cg_ids]
-        assert sorted(seen) == table.all_coughers
+        assert sorted(seen) == table.coughers()[0]
 
     def test_probabilities_in_unit_interval(self, results_and_plan):
         results, _ = results_and_plan
@@ -78,6 +80,28 @@ class TestRunNested:
             for a, block in r.conformal.items():
                 assert 0.0 <= block["coverage"] <= 1.0
                 assert 0.0 <= block["mean_size"] <= 2.0
+
+    def test_coughers_derived_from_rows(self, table):
+        cohort = sorted(small_dataset(), key=lambda c: c.id)
+        assert table.coughers() == ([c.id for c in cohort], [c.tb_label for c in cohort],
+                                    [len(c.recordings) for c in cohort])
+
+    @pytest.mark.parametrize("drop, add", [(15, 0), (0, 6)])
+    def test_plan_must_cover_exactly_the_tables_coughers(self, table, monkeypatch, drop, add):
+        def fail(*args):
+            pytest.fail("an inner fold was scored")
+
+        monkeypatch.setattr(pipeline, "score_inner_fold", fail)
+        ids, labels, counts = table.coughers()
+        keep = len(ids) - drop
+        plan = build_nested_plan(ids[:keep] + [f"zz{i}" for i in range(add)],
+                                 labels[:keep] + [i % 2 for i in range(add)],
+                                 counts[:keep] + [1] * add,
+                                 k_outer=4, k_inner=2, calib_frac=0.2, master_seed=3)
+        cfg = pipeline.RunConfig(seed=3, grid=LR_GRID[:1], k_outer=4, k_inner=2, calib_frac=0.2)
+        with pytest.raises(ManifestError, match=f"{drop} of the table's are not in the plan, "
+                                                f"{add} of the plan's are not in the table"):
+            pipeline.run_nested(table, "LR", "audio", cfg, plan=plan)
 
     def test_unknown_family_rejected(self, table):
         with pytest.raises(ValueError):
@@ -128,14 +152,12 @@ class TestNoTestDependence:
     def run(table, fold_plan, cfg):
         inner = [pipeline.score_inner_fold(table, fold_plan, j, "LR", "fused", cfg)
                  for j in range(fold_plan.inner.k)]
-        return inner, pipeline.run_fold(table, fold_plan, "LR", "fused", cfg, inner)[0]
+        return inner, pipeline.run_fold(table, fold_plan, "LR", "fused", cfg, inner)
 
     def test_dropping_test_cougher_keeps_training_artifacts(self, table):
         cfg = pipeline.RunConfig(seed=5, grid=LR_GRID)
-        ids = table.all_coughers
-        plan = build_nested_plan(ids, [table.cougher_label[c] for c in ids],
-                                 [table.cougher_rec_count[c] for c in ids],
-                                 k_outer=10, k_inner=5, calib_frac=0.15, master_seed=5)
+        plan = build_nested_plan(*table.coughers(), k_outer=10, k_inner=5, calib_frac=0.15,
+                                 master_seed=5)
         fp = plan.folds[0]
         reduced_plan = type(fp)(fold=fp.fold, test=fp.test[1:], calib=fp.calib,
                                 tuning=fp.tuning, inner=fp.inner)
@@ -152,38 +174,77 @@ class TestNoTestDependence:
             assert full.conformal[a]["qhat"] == reduced.conformal[a]["qhat"]
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stands in for the process pool; returns the record of each pool's size and of
+    every task's (function, arguments). Tasks run here, in order."""
+    record = {"sizes": [], "tasks": []}
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            record["sizes"].append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            tasks = list(zip(*iterables))  # Executor.map submits every task at once
+            record["tasks"] += [(fn, args) for args in tasks]
+            return (fn(*args) for args in tasks)  # an iterator, as Executor.map returns
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(pipeline, "_worker_table", None)
+    return record
+
+
+def record_run_fold_pids(monkeypatch) -> list:
+    """Patch ``pipeline.run_fold`` to append the calling process's pid to the returned
+    list. A forked worker appends to its own copy, which this process never sees."""
+    pids, run_fold = [], pipeline.run_fold
+
+    def recording_run_fold(*args):
+        pids.append(os.getpid())
+        return run_fold(*args)
+
+    monkeypatch.setattr(pipeline, "run_fold", recording_run_fold)
+    return pids
+
+
 class TestScheduling:
-    def test_pool_capped_at_unit_count(self, table, monkeypatch, caplog):
-        sizes = []
+    CFG = pipeline.RunConfig(seed=3, grid=LR_GRID[:1], k_outer=4, k_inner=2, calib_frac=0.2)
 
-        class InProcessPool:
-            """Stands in for the process pool: records its size, runs each task here."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return list(map(fn, *iterables))
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(pipeline, "_worker_table", None)
-        cfg = pipeline.RunConfig(seed=3, grid=LR_GRID[:1], k_outer=4, k_inner=2,
-                                 calib_frac=0.2)
+    def test_pool_capped_at_unit_count(self, table, in_process_pool, caplog):
         with caplog.at_level(logging.INFO, logger="coughscreen.pipeline"):
-            pooled, _ = pipeline.run_nested(table, "LR", "audio", cfg, jobs=10_000)
+            pooled, _ = pipeline.run_nested(table, "LR", "audio", self.CFG, jobs=10_000)
         workers = pipeline.worker_count(10_000, 8)  # 8 units, and no more than the CPUs
-        assert sizes == ([workers] if workers > 1 else [])
+        assert in_process_pool["sizes"] == ([workers] if workers > 1 else [])
         assert [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO] == [
             f"8 inner-fold units, 4 outer folds, {workers} workers"]
-        serial, _ = pipeline.run_nested(table, "LR", "audio", cfg)
+        serial, _ = pipeline.run_nested(table, "LR", "audio", self.CFG)
         assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+
+    def test_pool_scores_units_and_the_caller_finishes_folds(self, table, monkeypatch,
+                                                             in_process_pool):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        pids = record_run_fold_pids(monkeypatch)
+        results, plan = pipeline.run_nested(table, "LR", "audio", self.CFG, jobs=10_000)
+        assert in_process_pool["sizes"] == [8]  # one worker per unit
+        tasks = in_process_pool["tasks"]
+        assert {fn for fn, _ in tasks} == {pipeline._score_on_worker_table}
+        assert [(fp.fold, j, rest) for _, ((fp, j, *rest),) in tasks] == [
+            (f, j, ["LR", "audio", self.CFG]) for f in range(4) for j in range(2)]
+        assert pids == [os.getpid()] * 4
+        assert [r.fold for r in results] == [fp.fold for fp in plan.folds]
+
+    def test_folds_finish_in_the_calling_process_with_real_workers(self, table, monkeypatch):
+        pids = record_run_fold_pids(monkeypatch)
+        results, _ = pipeline.run_nested(table, "LR", "audio", self.CFG, jobs=2)
+        assert len(results) == 4 and pids == [os.getpid()] * 4
 
     def test_workers_capped_at_jobs_units_and_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 2, 5},

@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from coughscreen.reports import emit_plots, report_doc
+from coughscreen import reports
+from coughscreen.reports import emit_plots, report_doc, write_report
 
 
 def read_csv(path):
@@ -23,6 +24,15 @@ class TestEmittedFiles:
                          ("classification", "calibration", "conformal", "selective")]
         for name in expected:
             assert (out / name).exists(), name
+
+    def test_report_that_fails_to_render_writes_nothing(self, tiny_run, tmp_path, monkeypatch):
+        def fail(folds):
+            raise RuntimeError("curves failed to render")
+
+        monkeypatch.setattr(reports, "_curves", fail)  # the curves CSVs render last
+        with pytest.raises(RuntimeError, match="curves failed"):
+            write_report(tiny_run[0], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_four_blocks_each_with_ten_fold_rows(self, tiny_run):
         report, out = tiny_run
