@@ -15,9 +15,8 @@ Per outer fold the protocol is:
    Brier/ECE before and after calibration, conformal sets, and selective
    correctness — all at both waveform and cougher level where defined.
 
-``score_inner_fold`` runs step 2 on one inner fold, here or in a worker
-process; ``run_fold`` runs the other steps on the inner folds' outputs, always
-in the calling process; ``run_nested`` schedules both.
+``score_inner_fold`` runs step 2 on one inner fold, ``run_fold`` runs the
+other steps on the inner folds' outputs, and ``run_nested`` schedules both.
 Scalers and models only ever see tuning rows (inner-train rows during the
 grid search); every boundary is re-asserted at run time and a violation
 aborts the run with ``LeakageError``.
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import itertools
 import logging
 import math
@@ -136,11 +136,11 @@ def _at_level(table: FeatureTable, rows, level: str, *probs) -> tuple:
     per cougher at the cougher level."""
     if level == "waveform":
         return (*probs, table.labels[rows], [table.recording_ids[r] for r in rows])
-    means = [metrics.aggregate_cougher(p, table.cougher_ids[rows]) for p in probs]
-    ids = means[0][0]
-    label_of = dict(zip(*table.coughers()[:2]))
-    labels = np.array([label_of[c] for c in ids], dtype=int)
-    return (*(mean for _, mean in means), labels, list(ids))
+    # a cougher's rows share its label, so the label's mean is the label
+    aggregated = [metrics.aggregate_cougher(p, table.cougher_ids[rows])
+                  for p in (*probs, table.labels[rows])]
+    *means, labels = (mean for _, mean in aggregated)
+    return (*means, labels.astype(int), list(aggregated[0][0]))
 
 
 def json_clean(obj):
@@ -233,10 +233,10 @@ def score_inner_fold(table: FeatureTable, fold_plan, j: int, family: str, featur
 
 
 def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
-             cfg: RunConfig, inner) -> FoldResult:
+             cfg: RunConfig, inner) -> tuple[FoldResult, list]:
     """Steps (1) and (3)-(6) of the protocol for one outer fold, given in ``inner``
-    the ``score_inner_fold`` output of each of its inner folds, in order. The
-    fold's LR fits that stopped unconverged are logged as one warning."""
+    the ``score_inner_fold`` output of each of its inner folds, in order. Returns
+    the ``FoldResult`` and the C of each of the fold's LR fits that stopped unconverged."""
     test_c, calib_c, tuning_c = fold_plan.test, fold_plan.calib, fold_plan.tuning
     assert_cougher_disjoint(test=test_c, calib=calib_c, tuning=tuning_c)
 
@@ -269,11 +269,6 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
                                    y_all[tuning_rows], seed=model_seed(cfg.seed, fold_plan.fold, 1))
     if isinstance(model_final, models.LRModel) and not model_final.converged:
         unconverged.append(model_final.C)
-    if unconverged:  # LR fits only, one per candidate and inner fold, then the final fit
-        log.warning("outer fold %d (%s): %d of %d LR fits did not converge, at C = %s",
-                    fold_plan.fold, feature_mode, len(unconverged),
-                    len(candidates) * fold_plan.inner.k + 1,
-                    ", ".join(map(repr, sorted(set(unconverged)))))
 
     # Score the calibration subset and the untouched outer test fold once each.
     calib_cal = calibration.apply_isotonic(
@@ -326,7 +321,7 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
         oof_recording_ids=[table.recording_ids[r] for r in tuning_rows],
         oof_probs=best_oof, test_recording_ids=test_ids["waveform"],
         test_cg_ids=test_ids["cougher"], test_sets=sets_out, audit=audit,
-    )
+    ), unconverged
 
 
 _worker_table = None  # a pool worker's FeatureTable, set once by _init_worker
@@ -340,6 +335,11 @@ def _init_worker(table: FeatureTable) -> None:
 def _score_on_worker_table(unit: tuple):
     """``score_inner_fold`` on one unit's arguments, in a pool worker."""
     return score_inner_fold(_worker_table, *unit)
+
+
+def _finish_on_worker_table(*args):
+    """``run_fold`` on one outer fold's arguments, in a pool worker."""
+    return run_fold(_worker_table, *args)
 
 
 # the thread-count setter of each OpenBLAS build numpy and scipy may bundle
@@ -387,11 +387,13 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
     """Run the full nested protocol on a feature table; returns (fold_results, plan).
 
     A given ``plan`` must cover exactly the table's coughers (else ``ManifestError``,
-    before any fit). Each (outer fold, inner fold) unit runs ``score_inner_fold``:
-    at ``jobs=1`` lazily here, otherwise on one pool of ``worker_count(jobs, units)``
-    workers that each get the table once. This process runs ``run_fold`` on each
-    outer fold as its units' scores arrive. Numerical results do not depend on
-    ``jobs``. Every loaded OpenBLAS is first pinned to one thread (``pin_blas_threads``).
+    before any fit). Each (outer fold, inner fold) unit runs ``score_inner_fold``,
+    then each outer fold ``run_fold`` on its units' outputs, handed on as soon as
+    they arrive. At ``jobs=1`` both run lazily in this process, one fold at a time;
+    otherwise on one pool of ``worker_count(jobs, units)`` workers that each get
+    the table once, every fold's ``run_fold`` queued behind the units. Numerical
+    results do not depend on ``jobs``. Every loaded OpenBLAS is first pinned to one
+    thread (``pin_blas_threads``).
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -401,8 +403,8 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
     if plan is None:
         plan = build_nested_plan(ids, labels, counts, cfg.k_outer, cfg.k_inner, cfg.calib_frac,
                                  cfg.seed)
-    planned = set(plan.outer.assignment)
-    if planned != set(ids):
+    elif set(plan.outer.assignment) != set(ids):
+        planned = set(plan.outer.assignment)
         raise ManifestError(f"the fold plan does not cover the table's coughers: "
                             f"{len(set(ids) - planned)} of the table's are not in the plan, "
                             f"{len(planned - set(ids))} of the plan's are not in the table")
@@ -414,12 +416,26 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
     with contextlib.ExitStack() as stack:
         if workers == 1:
             scores = (score_inner_fold(table, *unit) for unit in units)
+            finish = functools.partial(run_fold, table)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(table,)))
             scores = iter(pool.map(_score_on_worker_table, units))
-        results = [run_fold(table, fp, family, feature_mode, cfg,
-                            list(itertools.islice(scores, fp.inner.k))) for fp in plan.folds]
+            finish = functools.partial(pool.submit, _finish_on_worker_table)
+        finished = (finish(fp, family, feature_mode, cfg,
+                           list(itertools.islice(scores, fp.inner.k))) for fp in plan.folds)
+        if workers > 1:  # every fold is queued before any is awaited
+            finished = [future.result() for future in list(finished)]
+        results = []
+        for fp, (result, unconverged) in zip(plan.folds, finished):
+            # logged here, not in a worker, so the caller's handlers receive it;
+            # LR fits only, one per candidate and inner fold, then the final fit
+            if unconverged:
+                log.warning("outer fold %d (%s): %d of %d LR fits did not converge, at C = %s",
+                            fp.fold, feature_mode, len(unconverged),
+                            len(cfg.candidates(family)) * fp.inner.k + 1,
+                            ", ".join(map(repr, sorted(set(unconverged)))))
+            results.append(result)
     rates = plan.outer.positive_rates(dict(zip(ids, labels)))
     for r in results:
         r.audit["outer_positive_rates"] = rates

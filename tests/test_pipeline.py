@@ -1,6 +1,7 @@
 import logging
 import os
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ class TestNoTestDependence:
     def run(table, fold_plan, cfg):
         inner = [pipeline.score_inner_fold(table, fold_plan, j, "LR", "fused", cfg)
                  for j in range(fold_plan.inner.k)]
-        return inner, pipeline.run_fold(table, fold_plan, "LR", "fused", cfg, inner)
+        return inner, pipeline.run_fold(table, fold_plan, "LR", "fused", cfg, inner)[0]
 
     def test_dropping_test_cougher_keeps_training_artifacts(self, table):
         cfg = pipeline.RunConfig(seed=5, grid=LR_GRID)
@@ -196,6 +197,12 @@ def in_process_pool(monkeypatch):
             record["tasks"] += [(fn, args) for args in tasks]
             return (fn(*args) for args in tasks)  # an iterator, as Executor.map returns
 
+        def submit(self, fn, *args):
+            record["tasks"].append((fn, args))
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(pipeline, "_worker_table", None)
     return record
@@ -227,24 +234,32 @@ class TestScheduling:
         serial, _ = pipeline.run_nested(table, "LR", "audio", self.CFG)
         assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
 
-    def test_pool_scores_units_and_the_caller_finishes_folds(self, table, monkeypatch,
-                                                             in_process_pool):
+    def test_pool_scores_units_then_finishes_each_fold(self, table, monkeypatch,
+                                                       in_process_pool):
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(64)),
                             raising=False)
-        pids = record_run_fold_pids(monkeypatch)
         results, plan = pipeline.run_nested(table, "LR", "audio", self.CFG, jobs=10_000)
         assert in_process_pool["sizes"] == [8]  # one worker per unit
         tasks = in_process_pool["tasks"]
-        assert {fn for fn, _ in tasks} == {pipeline._score_on_worker_table}
-        assert [(fp.fold, j, rest) for _, ((fp, j, *rest),) in tasks] == [
+        # the 4 x 2 units, mapped at once, then one run_fold per outer fold, in fold order
+        assert [fn for fn, _ in tasks] == ([pipeline._score_on_worker_table] * 8
+                                           + [pipeline._finish_on_worker_table] * 4)
+        assert [(fp.fold, j, rest) for _, ((fp, j, *rest),) in tasks[:8]] == [
             (f, j, ["LR", "audio", self.CFG]) for f in range(4) for j in range(2)]
-        assert pids == [os.getpid()] * 4
+        assert [(fp.fold, rest, len(inner)) for _, (fp, *rest, inner) in tasks[8:]] == [
+            (f, ["LR", "audio", self.CFG], 2) for f in range(4)]
         assert [r.fold for r in results] == [fp.fold for fp in plan.folds]
 
-    def test_folds_finish_in_the_calling_process_with_real_workers(self, table, monkeypatch):
+    def test_folds_finish_on_real_workers(self, table, monkeypatch):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)  # 2 workers even on a 1-CPU machine
         pids = record_run_fold_pids(monkeypatch)
-        results, _ = pipeline.run_nested(table, "LR", "audio", self.CFG, jobs=2)
-        assert len(results) == 4 and pids == [os.getpid()] * 4
+        serial, _ = pipeline.run_nested(table, "LR", "audio", self.CFG)
+        assert pids == [os.getpid()] * 4
+        pids.clear()
+        pooled, _ = pipeline.run_nested(table, "LR", "audio", self.CFG, jobs=2)
+        assert pids == []  # every run_fold ran in a worker
+        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
 
     def test_workers_capped_at_jobs_units_and_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 2, 5},
