@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.signal import firwin, resample_poly
 
 TARGET_SAMPLE_RATE_HZ = 16000
 WINDOW_SAMPLES = 512
@@ -83,6 +82,7 @@ def write_wav(path, w: Waveform) -> None:
 def _antialias_fir(max_rate: int) -> np.ndarray:
     """The low-pass FIR that ``resample_poly`` designs for a reduced up/down pair
     with max(up, down) = max_rate."""
+    from scipy.signal import firwin  # loaded on first use: it doubles the CLI's start time
     h = firwin(2 * 10 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
     h.setflags(write=False)
     return h
@@ -104,6 +104,7 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
         return w
     g = np.gcd(target_hz, w.sample_rate_hz)
     up, down = target_hz // g, w.sample_rate_hz // g
+    from scipy.signal import resample_poly  # loaded on first use: it doubles the CLI's start time
     out = resample_poly(w.samples, up, down, window=_antialias_fir(max(up, down)))
     return Waveform(out, target_hz)
 

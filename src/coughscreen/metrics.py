@@ -101,7 +101,11 @@ def roc_auc(probs, labels) -> float:
     2U is counted in integers (each negative scores 2 per positive above it and
     1 per tied positive), so the result is the correctly rounded quotient.
     """
-    _, tp, fp = score_sweep(probs, labels)
+    return _roc_auc(*score_sweep(probs, labels)[1:])
+
+
+def _roc_auc(tp, fp) -> float:
+    """``roc_auc`` from a ``score_sweep``'s counts."""
     if tp[-1] == 0 or fp[-1] == 0:
         raise ValueError("ROC AUC needs both classes present")
     u2 = int(np.dot(np.diff(fp, prepend=0), 2 * tp - np.diff(tp, prepend=0)))
@@ -119,7 +123,11 @@ def roc_curve(probs, labels) -> CurvePoints:
 
 def pr_curve(probs, labels) -> CurvePoints:
     """Precision-recall operating points over descending score thresholds."""
-    _, tp, fp = score_sweep(probs, labels)
+    return _pr_curve(*score_sweep(probs, labels)[1:])
+
+
+def _pr_curve(tp, fp) -> CurvePoints:
+    """``pr_curve`` from a ``score_sweep``'s counts."""
     if tp[-1] == 0:
         raise ValueError("PR curve needs at least one positive")
     return CurvePoints(xs=tp / tp[-1], ys=tp / (tp + fp))
@@ -131,15 +139,22 @@ def pr_auc(probs, labels) -> float:
     Step-wise summation is used instead of trapezoids, which are
     optimistically biased on PR curves.
     """
-    curve = pr_curve(probs, labels)
+    return _pr_auc(*score_sweep(probs, labels)[1:])
+
+
+def _pr_auc(tp, fp) -> float:
+    """``pr_auc`` from a ``score_sweep``'s counts."""
+    curve = _pr_curve(tp, fp)
     recall = np.concatenate([[0.0], curve.xs])
     return float(np.sum(np.diff(recall) * curve.ys))
 
 
 def full_suite(probs, labels, tau: float) -> MetricSuite:
-    """Threshold-dependent metrics at tau plus both threshold-free areas."""
-    return replace(metric_suite(confusion_at(probs, labels, tau)),
-                   roc_auc=roc_auc(probs, labels), pr_auc=pr_auc(probs, labels))
+    """Threshold-dependent metrics at tau plus both threshold-free areas, read off
+    one ``score_sweep``; ROC AUC's class check comes first."""
+    suite = metric_suite(confusion_at(probs, labels, tau))
+    _, tp, fp = score_sweep(probs, labels)
+    return replace(suite, roc_auc=_roc_auc(tp, fp), pr_auc=_pr_auc(tp, fp))
 
 
 def aggregate_cougher(probs, cougher_ids):

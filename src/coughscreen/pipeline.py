@@ -17,9 +17,10 @@ Per outer fold the protocol is:
 
 ``score_inner_fold`` runs step 2 on one inner fold, ``run_fold`` runs the
 other steps on the inner folds' outputs, and ``run_nested`` schedules both.
-Scalers and models only ever see tuning rows (inner-train rows during the
-grid search); every boundary is re-asserted at run time and a violation
-aborts the run with ``LeakageError``.
+Rows are picked by their cougher's role code in the fold plan, so scalers and
+models only ever see tuning rows (inner-train rows during the grid search).
+``run_nested`` audits every plan before any fit, and a violation aborts the run
+with ``LeakageError``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import numpy as np
 from . import calibration, conformal, metrics, models
 from .data import ManifestError, apply_scaler, fit_scaler, fuse
 from .features import extract_all
-from .splits import LeakageError, NestedPlan, assert_cougher_disjoint, build_nested_plan, model_seed
+from .splits import (CALIB, TEST, LeakageError, NestedPlan, audit_plan_rows, build_nested_plan,
+                     model_seed)
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +89,11 @@ class FeatureTable:
         """The audio then the clinical block of every row, built once, on first use."""
         return fuse(self.audio, self.clinical)
 
+    @cached_property
+    def cougher_pos(self) -> np.ndarray:
+        """Each row's cougher's index in the ids of ``coughers()``, and so in their plan."""
+        return np.unique(self.cougher_ids, return_inverse=True)[1]
+
 
 def build_feature_table(coughers) -> FeatureTable:
     """Extract the 261-value audio vector and clinical encoding per recording.
@@ -124,10 +131,6 @@ def _design_matrix(table: FeatureTable, feature_mode: str) -> np.ndarray:
     if feature_mode == "fused":
         return table.fused
     raise ValueError(f"unknown feature_mode {feature_mode!r}")
-
-
-def _rows_for(table: FeatureTable, coughers) -> np.ndarray:
-    return np.flatnonzero(np.isin(table.cougher_ids, list(coughers)))
 
 
 def _at_level(table: FeatureTable, rows, level: str, *probs) -> tuple:
@@ -184,26 +187,21 @@ def _fit_groups(family: str, candidates: list) -> list:
     return list(groups.values())
 
 
-def score_inner_fold(table: FeatureTable, fold_plan, j: int, family: str, feature_mode: str,
-                     cfg: RunConfig):
-    """Step (2) of the protocol on inner fold ``j`` of one outer fold.
+def score_inner_fold(table: FeatureTable, codes: np.ndarray, fold: int, j: int, family: str,
+                     feature_mode: str, cfg: RunConfig):
+    """Step (2) of the protocol on inner fold ``j`` of outer fold ``fold``, whose role
+    codes (``NestedPlan.codes[fold]``) are ``codes``.
 
     Returns plain picklable values: each candidate's UAR at its Youden
     threshold, the validation rows' positions among the tuning rows, the
     (candidates x validation rows) probabilities, and the C of each LR fit
     that stopped unconverged.
     """
-    val_c = fold_plan.inner.fold_members(j)
-    train_c = sorted(set(fold_plan.tuning) - set(val_c))
-    assert_cougher_disjoint(inner_train=train_c, inner_val=val_c, test=fold_plan.test,
-                            calib=fold_plan.calib)
     X_all, y_all = _design_matrix(table, feature_mode), table.labels
-    tuning_rows, val_rows = _rows_for(table, fold_plan.tuning), _rows_for(table, val_c)
-    train_rows = np.setdiff1d(tuning_rows, val_rows, assume_unique=True)
-    oof_pos = np.searchsorted(tuning_rows, val_rows)
-    if not np.array_equal(tuning_rows[np.minimum(oof_pos, tuning_rows.size - 1)], val_rows):
-        raise LeakageError(f"fold {fold_plan.fold}: inner validation rows outside "
-                           "the tuning pool")
+    role = codes[table.cougher_pos]
+    tuning = role >= 0
+    train_rows, val_rows = np.flatnonzero(tuning & (role != j)), np.flatnonzero(role == j)
+    oof_pos = np.flatnonzero(role[tuning] == j)
     # the scaler does not depend on the candidate, so every candidate shares it
     X_train, y_train = X_all[train_rows], y_all[train_rows]
     scaler = fit_scaler(X_train)
@@ -213,7 +211,7 @@ def score_inner_fold(table: FeatureTable, fold_plan, j: int, family: str, featur
     uars = np.empty(len(candidates))
     probs = np.empty((len(candidates), val_rows.size))
     unconverged = []
-    seed = model_seed(cfg.seed, fold_plan.fold, 0)
+    seed = model_seed(cfg.seed, fold, 0)
     for members in _fit_groups(family, candidates):
         group = [candidates[ci] for ci in members]
         if family == "GBDT":
@@ -232,21 +230,20 @@ def score_inner_fold(table: FeatureTable, fold_plan, j: int, family: str, featur
     return uars, oof_pos, probs, unconverged
 
 
-def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
-             cfg: RunConfig, inner) -> tuple[FoldResult, list]:
-    """Steps (1) and (3)-(6) of the protocol for one outer fold, given in ``inner``
-    the ``score_inner_fold`` output of each of its inner folds, in order. Returns
-    the ``FoldResult`` and the C of each of the fold's LR fits that stopped unconverged."""
-    test_c, calib_c, tuning_c = fold_plan.test, fold_plan.calib, fold_plan.tuning
-    assert_cougher_disjoint(test=test_c, calib=calib_c, tuning=tuning_c)
-
+def run_fold(table: FeatureTable, codes: np.ndarray, fold: int, family: str,
+             feature_mode: str, cfg: RunConfig, inner) -> tuple[FoldResult, list]:
+    """Steps (1) and (3)-(6) of the protocol for outer fold ``fold``, whose role codes
+    are ``codes``, given in ``inner`` the ``score_inner_fold`` output of each of its
+    inner folds, in order. Returns the ``FoldResult`` and the C of each of the fold's
+    LR fits that stopped unconverged."""
     X_all, y_all = _design_matrix(table, feature_mode), table.labels
-    tuning_rows = _rows_for(table, tuning_c)
-    calib_rows = _rows_for(table, calib_c)
-    test_rows = _rows_for(table, test_c)
+    role = codes[table.cougher_pos]
+    tuning_rows = np.flatnonzero(role >= 0)
+    calib_rows = np.flatnonzero(role == CALIB)
+    test_rows = np.flatnonzero(role == TEST)
     candidates = cfg.candidates(family)
     oof = np.full((len(candidates), tuning_rows.size), np.nan)
-    uars = np.empty((len(candidates), fold_plan.inner.k))
+    uars = np.empty((len(candidates), len(inner)))
     unconverged = []  # C of each LR fit of this fold that stopped unconverged
     for j, (unit_uars, oof_pos, probs, unit_unconverged) in enumerate(inner):
         uars[:, j] = unit_uars
@@ -266,7 +263,7 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
     X_tuning = X_all[tuning_rows]
     scaler_final = fit_scaler(X_tuning)
     model_final = models.fit_model(family, best_params, apply_scaler(scaler_final, X_tuning),
-                                   y_all[tuning_rows], seed=model_seed(cfg.seed, fold_plan.fold, 1))
+                                   y_all[tuning_rows], seed=model_seed(cfg.seed, fold, 1))
     if isinstance(model_final, models.LRModel) and not model_final.converged:
         unconverged.append(model_final.C)
 
@@ -303,21 +300,20 @@ def run_fold(table: FeatureTable, fold_plan, family: str, feature_mode: str,
         sel_out[float(alpha)] = conformal.selective_metrics(point_preds, sets, cg_labels)
         sets_out[float(alpha)] = {"has_pos": sets[:, 1], "has_neg": sets[:, 0]}
 
+    # true by construction: run_nested audits the plan, and rows are picked by role code
     audit = {
         "boundaries_disjoint": True,
         "scaler_fit_coughers": sorted(set(table.cougher_ids[tuning_rows])),
-        "scaler_fit_within_tuning": set(table.cougher_ids[tuning_rows]) <= set(tuning_c),
+        "scaler_fit_within_tuning": True,
         "outer_positive_rates": None,  # filled by run_nested
     }
-    if not audit["scaler_fit_within_tuning"]:
-        raise LeakageError(f"fold {fold_plan.fold}: scaler saw rows outside the tuning pool")
 
     return FoldResult(
-        fold=fold_plan.fold, family=family, feature_mode=feature_mode,
+        fold=fold, family=family, feature_mode=feature_mode,
         best_params=best_params, best_inner_uar=best_uar, **record,
         conformal=conf_out, selective=sel_out,
-        n_test_coughers=len(test_c), n_calib_coughers=len(calib_c),
-        n_tuning_coughers=len(tuning_c),
+        n_test_coughers=int(np.sum(codes == TEST)), n_calib_coughers=int(np.sum(codes == CALIB)),
+        n_tuning_coughers=int(np.sum(codes >= 0)),
         oof_recording_ids=[table.recording_ids[r] for r in tuning_rows],
         oof_probs=best_oof, test_recording_ids=test_ids["waveform"],
         test_cg_ids=test_ids["cougher"], test_sets=sets_out, audit=audit,
@@ -386,14 +382,16 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
                jobs: int = 1, plan: NestedPlan | None = None):
     """Run the full nested protocol on a feature table; returns (fold_results, plan).
 
-    A given ``plan`` must cover exactly the table's coughers (else ``ManifestError``,
-    before any fit). Each (outer fold, inner fold) unit runs ``score_inner_fold``,
-    then each outer fold ``run_fold`` on its units' outputs, handed on as soon as
-    they arrive. At ``jobs=1`` both run lazily in this process, one fold at a time;
-    otherwise on one pool of ``worker_count(jobs, units)`` workers that each get
-    the table once, every fold's ``run_fold`` queued behind the units. Numerical
-    results do not depend on ``jobs``. Every loaded OpenBLAS is first pinned to one
-    thread (``pin_blas_threads``).
+    A given ``plan`` must cover exactly the table's coughers (else ``ManifestError``),
+    and every plan, built or given, must pass ``audit_plan_rows`` (else
+    ``LeakageError``), both before any fit. Each (outer fold, inner fold) unit runs
+    ``score_inner_fold``, then each outer fold ``run_fold`` on its units' outputs,
+    handed on as soon as they arrive. At ``jobs=1`` both run lazily in this process,
+    one fold at a time; otherwise on one pool of ``worker_count(jobs, units)``
+    workers that each get the table once, every fold's ``run_fold`` queued behind
+    the units, and an error drops every queued task. Numerical results do not
+    depend on ``jobs``. Every loaded OpenBLAS is first pinned to one thread
+    (``pin_blas_threads``).
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -403,15 +401,20 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
     if plan is None:
         plan = build_nested_plan(ids, labels, counts, cfg.k_outer, cfg.k_inner, cfg.calib_frac,
                                  cfg.seed)
-    elif set(plan.outer.assignment) != set(ids):
-        planned = set(plan.outer.assignment)
+    elif not np.array_equal(plan.ids, ids):
+        planned = set(plan.ids.tolist())
         raise ManifestError(f"the fold plan does not cover the table's coughers: "
                             f"{len(set(ids) - planned)} of the table's are not in the plan, "
                             f"{len(planned - set(ids))} of the plan's are not in the table")
+    if violations := audit_plan_rows(plan.rows()):
+        raise LeakageError(f"the fold plan fails the leakage audit with {len(violations)} "
+                           f"violation(s), the first: {violations[0]}")
     pin_blas_threads()
-    units = [(fp, j, family, feature_mode, cfg) for fp in plan.folds for j in range(fp.inner.k)]
+    k_inner = int(plan.codes.max()) + 1
+    units = [(codes, f, j, family, feature_mode, cfg)
+             for f, codes in enumerate(plan.codes) for j in range(k_inner)]
     workers = worker_count(jobs, len(units))
-    log.info("%d inner-fold units, %d outer folds, %d workers", len(units), len(plan.folds),
+    log.info("%d inner-fold units, %d outer folds, %d workers", len(units), len(plan.codes),
              workers)
     with contextlib.ExitStack() as stack:
         if workers == 1:
@@ -420,23 +423,26 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
         else:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(table,)))
+            # runs before the pool's own exit, which would wait for every queued task
+            stack.callback(pool.shutdown, cancel_futures=True)
             scores = iter(pool.map(_score_on_worker_table, units))
             finish = functools.partial(pool.submit, _finish_on_worker_table)
-        finished = (finish(fp, family, feature_mode, cfg,
-                           list(itertools.islice(scores, fp.inner.k))) for fp in plan.folds)
+        finished = (finish(codes, f, family, feature_mode, cfg,
+                           list(itertools.islice(scores, k_inner)))
+                    for f, codes in enumerate(plan.codes))
         if workers > 1:  # every fold is queued before any is awaited
             finished = [future.result() for future in list(finished)]
         results = []
-        for fp, (result, unconverged) in zip(plan.folds, finished):
+        for f, (result, unconverged) in enumerate(finished):
             # logged here, not in a worker, so the caller's handlers receive it;
             # LR fits only, one per candidate and inner fold, then the final fit
             if unconverged:
                 log.warning("outer fold %d (%s): %d of %d LR fits did not converge, at C = %s",
-                            fp.fold, feature_mode, len(unconverged),
-                            len(cfg.candidates(family)) * fp.inner.k + 1,
+                            f, feature_mode, len(unconverged),
+                            len(cfg.candidates(family)) * k_inner + 1,
                             ", ".join(map(repr, sorted(set(unconverged)))))
             results.append(result)
-    rates = plan.outer.positive_rates(dict(zip(ids, labels)))
+    rates = [float(np.mean(np.asarray(labels)[codes == TEST])) for codes in plan.codes]
     for r in results:
         r.audit["outer_positive_rates"] = rates
     return results, plan

@@ -32,7 +32,7 @@ from . import calibration, pipeline
 from .conformal import evaluate_sets, selective_ratios
 from .metrics import pr_curve, roc_curve
 from .pipeline import json_clean
-from .splits import NestedPlan, export_plan_csv
+from .splits import NestedPlan, plan_csv_text
 
 LEVELS = list(pipeline.LEVELS)
 LEVEL_TAGS = {level: tag for level, (tag, _) in pipeline.LEVELS.items()}
@@ -158,7 +158,7 @@ def _mode_blocks(doc, mode: str) -> dict:
 
 def _atomic_write(path, text: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open(tmp, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
 
@@ -262,15 +262,15 @@ def _write_files(texts: dict, outdir) -> list:
 def write_report(report: RunReport, outdir) -> list:
     """Write report.json, meta.json, the fold plan, and every file rendered from report.json.
 
-    Every CSV is rendered before the first file is written. Returns the list of
-    written paths. meta.json (environment, wall clock) is the only volatile file
-    and is not in the list.
+    Every CSV, the fold plan's included, is rendered before the first file is
+    written. Returns the list of written paths. meta.json (environment, wall
+    clock) is the only volatile file and is not in the list.
     """
     doc = report_doc(report)
     cells = [list(_fold_cells(f, doc["alphas"]))
              for _, _, block in _blocks(doc) for f in block["folds"]]
     rows = [[column for column, _ in cells[0]]] + [[cell for _, cell in c] for c in cells]
-    texts = {"folds.csv": _csv_text(rows)}
+    texts = {"fold_plan.csv": plan_csv_text(report.plan), "folds.csv": _csv_text(rows)}
     for mode in sorted({mode for _, mode, _ in _blocks(doc)}):
         for name, builder in (("classification", classification_table),
                               ("calibration", calibration_table),
@@ -299,9 +299,7 @@ def write_report(report: RunReport, outdir) -> list:
     meta = {"environment": report.environment, "wall_clock_s": report.wall_clock_s}
     _atomic_write(os.path.join(outdir, "meta.json"),
                   json.dumps(json_clean(meta), indent=1, sort_keys=True) + "\n")
-    plan_path = os.path.join(outdir, "fold_plan.csv")
-    export_plan_csv(report.plan, plan_path)
-    return [path, plan_path, *_write_files(texts, outdir)]
+    return [path, *_write_files(texts, outdir)]
 
 
 def _test_set(folds, level: str, stage: str = "cal"):

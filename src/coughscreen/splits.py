@@ -8,15 +8,18 @@ leak across a boundary. The nested plan is, per outer fold:
     calib (disjoint calibration subset carved from the training pool)
     tuning (remaining coughers), partitioned again into inner folds
 
-The three roles are pairwise disjoint and cover the cohort; violations
-raise ``LeakageError``. Plans export to CSV so the disjointness can be
-re-verified bit-exactly by external tools.
+A plan holds one role code per cougher and outer fold, so the three roles
+are disjoint and cover the cohort by construction. Plans export to CSV, and
+``audit_plan_rows`` re-verifies the disjointness of the exported rows; it is
+the check ``coughscreen audit`` runs and the one ``pipeline.run_nested`` runs
+on every plan before any fit.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import io
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +29,8 @@ ROLE_TEST = "test"
 ROLE_CALIB = "calib"
 ROLE_TUNING = "tuning"
 PLAN_COLUMNS = ["cougher_id", "outer_fold", "role", "inner_fold"]
+# the role codes of a NestedPlan; a tuning cougher's code is its inner fold
+TEST, CALIB = -1, -2
 
 # Fixed tags for deriving independent per-purpose RNG streams from one master seed.
 _STREAM_OUTER, _STREAM_CALIB, _STREAM_INNER, _STREAM_MODEL = 0, 1, 2, 3
@@ -41,26 +46,10 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-@dataclass
-class GroupedFoldPlan:
-    k: int
-    assignment: dict  # cougher_id -> fold index
-
-    def fold_members(self, fold: int) -> list:
-        return sorted(cid for cid, f in self.assignment.items() if f == fold)
-
-    def positive_rates(self, labels: dict) -> list:
-        """Per-fold positive-cougher rate (soft balance diagnostic)."""
-        rates = []
-        for f in range(self.k):
-            members = self.fold_members(f)
-            rates.append(sum(labels[c] for c in members) / len(members))
-        return rates
-
-
 def stratified_group_kfold(cougher_ids, labels, k: int, seed: int,
-                           recording_counts=None) -> GroupedFoldPlan:
-    """Greedy stratified assignment of coughers to k folds.
+                           recording_counts=None) -> np.ndarray:
+    """Greedy stratified assignment of coughers to k folds: each cougher's fold index,
+    in input order.
 
     Coughers are shuffled with the seed, then visited in descending
     recording count; each goes to the fold with the fewest coughers of its
@@ -85,14 +74,14 @@ def stratified_group_kfold(cougher_ids, labels, k: int, seed: int,
 
     fold_class = [[0, 0] for _ in range(k)]
     fold_recs = [0] * k
-    assignment = {}
+    folds = np.empty(len(ids), dtype=int)
     for i in order:
         y = labels[i]
         best = min(range(k), key=lambda f: (fold_class[f][y], fold_recs[f], f))
-        assignment[ids[i]] = best
+        folds[i] = best
         fold_class[best][y] += 1
         fold_recs[best] += counts[i]
-    return GroupedFoldPlan(k=k, assignment=assignment)
+    return folds
 
 
 def carve_calibration(cougher_ids, labels, frac: float, seed: int):
@@ -138,71 +127,53 @@ def carve_calibration(cougher_ids, labels, frac: float, seed: int):
             sorted(ids[i] for i in range(n) if i not in calib))
 
 
-@dataclass
-class OuterFoldPlan:
-    fold: int
-    test: list
-    calib: list
-    tuning: list
-    inner: GroupedFoldPlan
-
-
-@dataclass
+@dataclass(frozen=True)
 class NestedPlan:
-    outer: GroupedFoldPlan
-    folds: list = field(default_factory=list)
+    """The nested plan: ``ids``, the coughers sorted by id, and ``codes``, a
+    ``(k_outer, len(ids))`` integer array of each cougher's role code in each outer
+    fold: ``TEST``, ``CALIB`` or, in the tuning role, its inner fold."""
+
+    ids: np.ndarray
+    codes: np.ndarray
 
     def rows(self) -> list:
-        """Flatten to (cougher_id, outer_fold, role, inner_fold) tuples."""
-        out = []
-        for fp in self.folds:
-            for cid in fp.test:
-                out.append((cid, fp.fold, ROLE_TEST, -1))
-            for cid in fp.calib:
-                out.append((cid, fp.fold, ROLE_CALIB, -1))
-            for cid in fp.tuning:
-                out.append((cid, fp.fold, ROLE_TUNING, fp.inner.assignment[cid]))
-        return out
-
-
-def assert_cougher_disjoint(**named_sets) -> None:
-    """Raise LeakageError if any cougher appears in two of the named sets."""
-    names = list(named_sets)
-    sets = {name: set(named_sets[name]) for name in names}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            overlap = sets[a] & sets[b]
-            if overlap:
-                raise LeakageError(f"cougher(s) {sorted(overlap)[:5]} appear in "
-                                   f"both {a!r} and {b!r}")
+        """(cougher_id, outer_fold, role, inner_fold) tuples in cougher-id, then fold
+        order, which is the order of fold_plan.csv."""
+        k_outer, n = self.codes.shape
+        codes = self.codes.T.ravel()
+        # codes -2, -1 and >= 0 pick ROLE_CALIB, ROLE_TEST and ROLE_TUNING
+        roles = np.array([ROLE_CALIB, ROLE_TEST, ROLE_TUNING])[np.clip(codes, CALIB, 0) - CALIB]
+        return list(zip(np.repeat(self.ids, k_outer).tolist(),
+                        np.tile(np.arange(k_outer), n).tolist(), roles.tolist(),
+                        np.maximum(codes, -1).tolist()))
 
 
 def build_nested_plan(cougher_ids, labels, recording_counts, k_outer: int,
                       k_inner: int, calib_frac: float, master_seed: int) -> NestedPlan:
-    """Construct and audit the full nested split plan."""
-    ids = list(cougher_ids)
-    label_of = dict(zip(ids, (int(v) for v in labels)))
-    count_of = dict(zip(ids, recording_counts))
-    outer = stratified_group_kfold(ids, [label_of[c] for c in ids], k_outer,
+    """The nested plan of the coughers, taken in id order.
+
+    Outer fold ``f`` of ``stratified_group_kfold`` is the test role of outer fold
+    ``f``; ``carve_calibration`` takes the calibration role from the rest, and the
+    remaining tuning coughers are split again into ``k_inner`` inner folds.
+    """
+    order = np.argsort(np.asarray(cougher_ids), kind="stable")
+    ids = np.asarray(cougher_ids)[order]
+    labels = np.asarray(labels, dtype=int)[order]
+    counts = np.asarray(recording_counts)[order]
+    outer = stratified_group_kfold(ids, labels, k_outer,
                                    derive_seed(master_seed, _STREAM_OUTER),
-                                   recording_counts=[count_of[c] for c in ids])
-    plan = NestedPlan(outer=outer)
-    universe = set(ids)
+                                   recording_counts=counts)
+    codes = np.full((k_outer, ids.size), TEST)
     for f in range(k_outer):
-        test = outer.fold_members(f)
-        pool = sorted(universe - set(test))
-        calib, tuning = carve_calibration(pool, [label_of[c] for c in pool],
-                                          calib_frac,
+        # coughers are carved and split by position, which sorts as their ids do
+        pool = np.flatnonzero(outer != f)
+        calib, tuning = carve_calibration(pool, labels[pool], calib_frac,
                                           derive_seed(master_seed, _STREAM_CALIB, f))
-        inner = stratified_group_kfold(tuning, [label_of[c] for c in tuning],
-                                       k_inner,
-                                       derive_seed(master_seed, _STREAM_INNER, f),
-                                       recording_counts=[count_of[c] for c in tuning])
-        assert_cougher_disjoint(test=test, calib=calib, tuning=tuning)
-        if set(test) | set(calib) | set(tuning) != universe:
-            raise LeakageError(f"outer fold {f}: roles do not cover the cohort")
-        plan.folds.append(OuterFoldPlan(f, test, calib, tuning, inner))
-    return plan
+        codes[f, calib] = CALIB
+        codes[f, tuning] = stratified_group_kfold(tuning, labels[tuning], k_inner,
+                                                  derive_seed(master_seed, _STREAM_INNER, f),
+                                                  recording_counts=counts[tuning])
+    return NestedPlan(ids, codes)
 
 
 def model_seed(master_seed: int, fold: int, stage: int) -> int:
@@ -210,12 +181,17 @@ def model_seed(master_seed: int, fold: int, stage: int) -> int:
     return derive_seed(master_seed, _STREAM_MODEL, fold, stage)
 
 
+def plan_csv_text(plan: NestedPlan) -> str:
+    """fold_plan.csv's text: the header, then ``plan.rows()``, with csv.writer's
+    default ``\\r\\n`` line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([PLAN_COLUMNS, *plan.rows()])
+    return buf.getvalue()
+
+
 def export_plan_csv(plan: NestedPlan, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PLAN_COLUMNS)
-        for row in sorted(plan.rows()):
-            writer.writerow(row)
+        fh.write(plan_csv_text(plan))
 
 
 def audit_plan_rows(rows) -> list:
@@ -250,7 +226,7 @@ def audit_plan_rows(rows) -> list:
             if universes[f] != reference:
                 violations.append(f"outer fold {f} covers a different cougher set "
                                   f"than fold {folds[0]}")
-        for cid in reference:
+        for cid in sorted(reference):
             n_test = len(test_folds.get(cid, []))
             if n_test != 1:
                 violations.append(f"cougher {cid} is in the test role of {n_test} "

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import dsp
 from .data import (ClinicalRecord, ConfigError, Cougher, CoughRecording, _int_at_least,
@@ -71,6 +70,7 @@ class SyntheticConfig:
 def _cough_audio(rng: np.random.Generator, label: int, strength: float,
                  cougher_tilt: float) -> dsp.Waveform:
     """One 0.5 s noise burst; the lowpass pole shifts with the label."""
+    from scipy.signal import lfilter  # loaded on first use: it doubles the CLI's start time
     n = int(0.5 * dsp.TARGET_SAMPLE_RATE_HZ)
     pole = np.clip(0.55 + 0.05 * strength * label + cougher_tilt
                    + rng.normal(0.0, 0.04), 0.0, 0.97)

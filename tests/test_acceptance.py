@@ -18,7 +18,7 @@ import pytest
 from conftest import TINY_LR_GRID, tiny_experiment_doc
 from coughscreen import calibration, cli, conformal, dsp, features, metrics, pipeline, synth
 from coughscreen.experiment import ExperimentConfig, run_experiment
-from coughscreen.splits import build_nested_plan, export_plan_csv
+from coughscreen.splits import CALIB, TEST, build_nested_plan, export_plan_csv
 
 from test_calibration import youden_scan_oracle
 from test_features import summarize_oracle
@@ -193,14 +193,13 @@ def test_c06_leakage_audit(tmp_path):
             k_outer = int(rng.integers(3, 6))
             plan = build_nested_plan(ids, labels.tolist(), counts, k_outer=k_outer,
                                      k_inner=2, calib_frac=0.2, master_seed=trial)
-            universe = set(ids)
-            for fp in plan.folds:
-                test, calib, tuning = set(fp.test), set(fp.calib), set(fp.tuning)
-                assert not test & calib and not test & tuning and not calib & tuning
-                assert test | calib | tuning == universe
-                inner_members = [c for j in range(fp.inner.k)
-                                 for c in fp.inner.fold_members(j)]
-                assert sorted(inner_members) == sorted(fp.tuning)
+            # one role code per cougher and fold, so the roles are disjoint; every code
+            # names a role, so they cover the cohort
+            assert plan.ids.tolist() == ids and plan.codes.shape == (k_outer, n)
+            for codes in plan.codes:
+                assert np.all((codes == TEST) | (codes == CALIB) | (codes >= 0))
+                assert {TEST, CALIB} <= set(codes.tolist())
+                assert np.unique(codes[codes >= 0]).tolist() == [0, 1]  # k_inner = 2
             if trial % 200 == 0:
                 path = tmp_path / f"plan_{trial}.csv"
                 export_plan_csv(plan, path)

@@ -4,9 +4,12 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 import wave
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +116,17 @@ def parser_flags(command):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {a.option_strings[-1]: (a.type, a.default, a.choices)
             for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"}
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal about doubles the CLI's start time; only resampling and synthesis call it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    program = "import sys, coughscreen.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 class TestFlags:

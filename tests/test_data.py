@@ -262,9 +262,8 @@ class TestSyntheticGenerator:
                                         signal_strength_clinical=0.0, seed=seed)
             table = synthetic_table(cfg)
             ids, labels, counts = table.coughers()
-            plan = stratified_group_kfold(ids, labels, 2, seed=seed, recording_counts=counts)
-            train = [c for c in ids if plan.assignment[c] == 0]
-            test = [c for c in ids if plan.assignment[c] == 1]
+            folds = stratified_group_kfold(ids, labels, 2, seed=seed, recording_counts=counts)
+            train = [c for c, f in zip(ids, folds) if f == 0]
             tr = np.isin(table.cougher_ids, train)
             te = ~tr
             X = data.fuse(table.audio, table.clinical)

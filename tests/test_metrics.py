@@ -255,6 +255,15 @@ class TestExactOracles:
 
     @ORACLE_SETTINGS
     @given(SAMPLES)
+    def test_full_suite_areas_are_the_area_functions(self, samples):
+        probs, labels = split(samples)
+        assume(np.any(labels == 1) and np.any(labels == 0))
+        suite = metrics.full_suite(probs, labels, 0.5)
+        assert suite.roc_auc == metrics.roc_auc(probs, labels)
+        assert suite.pr_auc == metrics.pr_auc(probs, labels)
+
+    @ORACLE_SETTINGS
+    @given(SAMPLES)
     def test_youden_is_the_exhaustive_scan(self, samples):
         probs, labels = split(samples)
         n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))

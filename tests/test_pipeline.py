@@ -8,7 +8,7 @@ import pytest
 
 from coughscreen import data, pipeline, synth
 from coughscreen.data import ManifestError
-from coughscreen.splits import build_nested_plan
+from coughscreen.splits import TEST, LeakageError, NestedPlan, build_nested_plan
 
 LR_GRID = ({"C": 0.05, "class_weight": "balanced"},
            {"C": 0.01, "class_weight": None})
@@ -104,6 +104,22 @@ class TestRunNested:
                                                 f"{add} of the plan's are not in the table"):
             pipeline.run_nested(table, "LR", "audio", cfg, plan=plan)
 
+    def test_plan_that_fails_the_audit_is_refused_before_any_fit(self, table, monkeypatch):
+        def fail(*args):
+            pytest.fail("the run went past the plan audit")
+
+        monkeypatch.setattr(pipeline, "score_inner_fold", fail)
+        monkeypatch.setattr(pipeline, "pin_blas_threads", fail)
+        plan = build_nested_plan(*table.coughers(), k_outer=4, k_inner=2, calib_frac=0.2,
+                                 master_seed=3)
+        codes = plan.codes.copy()
+        cougher = int(np.flatnonzero(codes[0] == TEST)[0])
+        codes[1, cougher] = TEST  # a test cougher of fold 0 is also one of fold 1
+        cfg = pipeline.RunConfig(seed=3, grid=LR_GRID[:1], k_outer=4, k_inner=2, calib_frac=0.2)
+        with pytest.raises(LeakageError, match=f"cougher {plan.ids[cougher]} is in the test "
+                                               "role of 2 outer folds"):
+            pipeline.run_nested(table, "LR", "audio", cfg, plan=NestedPlan(plan.ids, codes))
+
     def test_unknown_family_rejected(self, table):
         with pytest.raises(ValueError):
             pipeline.run_nested(table, "SVM", "audio", pipeline.RunConfig())
@@ -150,20 +166,26 @@ class TestDeterminism:
 
 class TestNoTestDependence:
     @staticmethod
-    def run(table, fold_plan, cfg):
-        inner = [pipeline.score_inner_fold(table, fold_plan, j, "LR", "fused", cfg)
-                 for j in range(fold_plan.inner.k)]
-        return inner, pipeline.run_fold(table, fold_plan, "LR", "fused", cfg, inner)[0]
+    def run(table, plan, cfg):
+        inner = [pipeline.score_inner_fold(table, plan.codes[0], 0, j, "LR", "fused", cfg)
+                 for j in range(5)]
+        return inner, pipeline.run_fold(table, plan.codes[0], 0, "LR", "fused", cfg, inner)[0]
 
     def test_dropping_test_cougher_keeps_training_artifacts(self, table):
         cfg = pipeline.RunConfig(seed=5, grid=LR_GRID)
         plan = build_nested_plan(*table.coughers(), k_outer=10, k_inner=5, calib_frac=0.15,
                                  master_seed=5)
-        fp = plan.folds[0]
-        reduced_plan = type(fp)(fold=fp.fold, test=fp.test[1:], calib=fp.calib,
-                                tuning=fp.tuning, inner=fp.inner)
-        (full_inner, full), (reduced_inner, reduced) = [self.run(table, p, cfg)
-                                                        for p in (fp, reduced_plan)]
+        # the first test cougher of outer fold 0 leaves both the table and the plan
+        dropped = int(np.flatnonzero(plan.codes[0] == TEST)[0])
+        keep = table.cougher_ids != plan.ids[dropped]
+        reduced_table = pipeline.FeatureTable(
+            recording_ids=[r for r, k in zip(table.recording_ids, keep) if k],
+            cougher_ids=table.cougher_ids[keep], labels=table.labels[keep],
+            audio=table.audio[keep], clinical=table.clinical[keep])
+        reduced_plan = NestedPlan(np.delete(plan.ids, dropped),
+                                  np.delete(plan.codes, dropped, axis=1))
+        (full_inner, full), (reduced_inner, reduced) = [
+            self.run(t, p, cfg) for t, p in ((table, plan), (reduced_table, reduced_plan))]
         for got, want in zip(reduced_inner, full_inner):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
@@ -191,6 +213,9 @@ def in_process_pool(monkeypatch):
 
         def __exit__(self, *exc):
             return False
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass  # every task ran when it was queued
 
         def map(self, fn, *iterables):
             tasks = list(zip(*iterables))  # Executor.map submits every task at once
@@ -244,11 +269,13 @@ class TestScheduling:
         # the 4 x 2 units, mapped at once, then one run_fold per outer fold, in fold order
         assert [fn for fn, _ in tasks] == ([pipeline._score_on_worker_table] * 8
                                            + [pipeline._finish_on_worker_table] * 4)
-        assert [(fp.fold, j, rest) for _, ((fp, j, *rest),) in tasks[:8]] == [
-            (f, j, ["LR", "audio", self.CFG]) for f in range(4) for j in range(2)]
-        assert [(fp.fold, rest, len(inner)) for _, (fp, *rest, inner) in tasks[8:]] == [
-            (f, ["LR", "audio", self.CFG], 2) for f in range(4)]
-        assert [r.fold for r in results] == [fp.fold for fp in plan.folds]
+        assert [(codes.tolist(), f, j, rest) for _, ((codes, f, j, *rest),) in tasks[:8]] == [
+            (plan.codes[f].tolist(), f, j, ["LR", "audio", self.CFG])
+            for f in range(4) for j in range(2)]
+        assert [(codes.tolist(), f, rest, len(inner))
+                for _, (codes, f, *rest, inner) in tasks[8:]] == [
+            (plan.codes[f].tolist(), f, ["LR", "audio", self.CFG], 2) for f in range(4)]
+        assert [r.fold for r in results] == list(range(4))
 
     def test_folds_finish_on_real_workers(self, table, monkeypatch):
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1},
@@ -260,6 +287,43 @@ class TestScheduling:
         pooled, _ = pipeline.run_nested(table, "LR", "audio", self.CFG, jobs=2)
         assert pids == []  # every run_fold ran in a worker
         assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+
+    def test_failure_drops_queued_tasks(self, table, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)  # 2 workers even on a 1-CPU machine
+        cfg = pipeline.RunConfig(seed=3, grid=LR_GRID)  # 10 x 5 units
+        calls = tmp_path / "calls"
+        calls.write_text("")
+        score_inner_fold, run_fold = pipeline.score_inner_fold, pipeline.run_fold
+
+        def ran(task):  # a forked worker's record reaches this process through the file
+            with open(calls, "a") as fh:
+                fh.write(task + "\n")
+
+        def failing_first_unit(table, codes, fold, j, *rest):
+            if (fold, j) == (0, 0):
+                raise LeakageError("unit (0, 0) failed")
+            ran("unit")
+            return score_inner_fold(table, codes, fold, j, *rest)
+
+        def failing_first_fold(table, codes, fold, *rest):
+            if fold == 0:
+                raise LeakageError("fold 0 failed")
+            ran("fold")
+            return run_fold(table, codes, fold, *rest)
+
+        # a unit fails: the units queued behind it do not run
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "score_inner_fold", failing_first_unit)
+            with pytest.raises(LeakageError, match=r"unit \(0, 0\) failed"):
+                pipeline.run_nested(table, "LR", "audio", cfg, jobs=2)
+        assert calls.read_text().count("unit") < 10 * 5 - 1
+        # every unit has run when the first fold fails: the folds queued behind it do not run
+        calls.write_text("")
+        monkeypatch.setattr(pipeline, "run_fold", failing_first_fold)
+        with pytest.raises(LeakageError, match="fold 0 failed"):
+            pipeline.run_nested(table, "LR", "audio", cfg, jobs=2)
+        assert calls.read_text().count("fold") < 10 - 1
 
     def test_workers_capped_at_jobs_units_and_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 2, 5},

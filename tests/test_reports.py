@@ -26,13 +26,16 @@ class TestEmittedFiles:
             assert (out / name).exists(), name
 
     def test_report_that_fails_to_render_writes_nothing(self, tiny_run, tmp_path, monkeypatch):
-        def fail(folds):
-            raise RuntimeError("curves failed to render")
+        def fail(*args):
+            raise RuntimeError("failed to render")
 
-        monkeypatch.setattr(reports, "_curves", fail)  # the curves CSVs render last
-        with pytest.raises(RuntimeError, match="curves failed"):
-            write_report(tiny_run[0], tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+        # the fold plan's CSV renders first, the curves CSVs last
+        for renderer in ("plan_csv_text", "_curves"):
+            with monkeypatch.context() as patch:
+                patch.setattr(reports, renderer, fail)
+                with pytest.raises(RuntimeError, match="failed to render"):
+                    write_report(tiny_run[0], tmp_path / "out")
+            assert not (tmp_path / "out").exists(), renderer
 
     def test_four_blocks_each_with_ten_fold_rows(self, tiny_run):
         report, out = tiny_run

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coughscreen import splits
 
@@ -19,11 +23,11 @@ class TestStratifiedGroupKfold:
     def test_ten_coughers_two_folds(self):
         ids = [f"c{i}" for i in range(10)]
         labels = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
-        plan = splits.stratified_group_kfold(ids, labels, k=2, seed=0)
+        folds = splits.stratified_group_kfold(ids, labels, k=2, seed=0)
         for f in (0, 1):
-            members = plan.fold_members(f)
+            members = np.flatnonzero(folds == f)
             assert len(members) == 5
-            pos = sum(labels[ids.index(c)] for c in members)
+            pos = sum(labels[i] for i in members)
             assert pos in (2, 3)
 
     def test_every_cougher_in_exactly_one_fold(self):
@@ -31,11 +35,10 @@ class TestStratifiedGroupKfold:
         for trial in range(200):
             ids, labels, counts = random_cohort(rng)
             k = int(rng.integers(2, 6))
-            plan = splits.stratified_group_kfold(ids, labels, k, seed=trial,
-                                                 recording_counts=counts)
-            assert sorted(plan.assignment) == sorted(ids)
-            for f in range(k):
-                assert plan.fold_members(f)
+            folds = splits.stratified_group_kfold(ids, labels, k, seed=trial,
+                                                  recording_counts=counts)
+            assert folds.shape == (len(ids),)
+            assert np.unique(folds).tolist() == list(range(k))
 
     def test_determinism_and_seed_sensitivity(self):
         ids = [f"c{i}" for i in range(40)]
@@ -43,15 +46,15 @@ class TestStratifiedGroupKfold:
         a = splits.stratified_group_kfold(ids, labels, 5, seed=7)
         b = splits.stratified_group_kfold(ids, labels, 5, seed=7)
         c = splits.stratified_group_kfold(ids, labels, 5, seed=8)
-        assert a.assignment == b.assignment
-        assert a.assignment != c.assignment
+        assert a.tolist() == b.tolist()
+        assert a.tolist() != c.tolist()
 
     def test_positive_rate_balance(self):
         rng = np.random.default_rng(1)
         ids, labels, counts = random_cohort(rng, 60, 61)
-        plan = splits.stratified_group_kfold(ids, labels, 5, seed=0,
-                                             recording_counts=counts)
-        rates = plan.positive_rates(dict(zip(ids, labels)))
+        folds = splits.stratified_group_kfold(ids, labels, 5, seed=0,
+                                              recording_counts=counts)
+        rates = [np.mean(np.asarray(labels)[folds == f]) for f in range(5)]
         global_rate = np.mean(labels)
         assert max(abs(r - global_rate) for r in rates) <= 0.1
 
@@ -115,17 +118,16 @@ class TestNestedPlan:
 
     def test_roles_partition_cohort(self):
         ids, labels, counts, plan = self.build()
-        for fp in plan.folds:
-            assert not set(fp.test) & set(fp.calib)
-            assert not set(fp.test) & set(fp.tuning)
-            assert not set(fp.calib) & set(fp.tuning)
-            assert set(fp.test) | set(fp.calib) | set(fp.tuning) == set(ids)
+        # one code per cougher and fold: the roles are disjoint, and they cover the
+        # cohort when every code is a role's
+        assert plan.ids.tolist() == ids
+        assert plan.codes.shape == (10, len(ids))
+        assert set(plan.codes.ravel().tolist()) == {splits.TEST, splits.CALIB, *range(5)}
 
     def test_inner_folds_partition_tuning(self):
         _, _, _, plan = self.build(1)
-        for fp in plan.folds:
-            inner_members = [c for j in range(5) for c in fp.inner.fold_members(j)]
-            assert sorted(inner_members) == sorted(fp.tuning)
+        for codes in plan.codes:
+            assert np.unique(codes[codes >= 0]).tolist() == list(range(5))
 
     def test_export_audit_clean(self, tmp_path):
         _, _, _, plan = self.build(2)
@@ -152,10 +154,54 @@ class TestNestedPlan:
         violations = splits.audit_plan_rows([tuple(r) for r in rows])
         assert any("test role" in v for v in violations)
 
-    def test_assert_disjoint_raises(self):
-        with pytest.raises(splits.LeakageError):
-            splits.assert_cougher_disjoint(a=["x", "y"], b=["y", "z"])
-
     def test_derive_seed_stable(self):
         assert splits.derive_seed(42, 1, 2) == splits.derive_seed(42, 1, 2)
         assert splits.derive_seed(42, 1, 2) != splits.derive_seed(42, 2, 1)
+
+
+@st.composite
+def cohorts(draw):
+    """A cohort shape and plan settings: (ids, labels, counts, k_outer, k_inner,
+    calib_frac, seed), with each class large enough for the fold counts."""
+    k_outer, k_inner = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    calib_frac = draw(st.floats(0.1, 0.5))
+    # per class: every inner fold gets coughers, and the carve-out takes at least two
+    least = max(3 * k_outer * k_inner, math.ceil(2 / calib_frac))
+    n_pos, n_neg = draw(st.integers(least, least + 40)), draw(st.integers(least, least + 40))
+    labels = draw(st.permutations([1] * n_pos + [0] * n_neg))
+    counts = draw(st.lists(st.integers(1, 12), min_size=len(labels), max_size=len(labels)))
+    ids = [f"c{i:03d}" for i in range(len(labels))]
+    return ids, labels, counts, k_outer, k_inner, calib_frac, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestPlanInvariants:
+    """The nested plan's protocol invariants over random cohort shapes."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(cohorts(), st.randoms(use_true_random=False))
+    def test_protocol_invariants(self, cohort, shuffler):
+        ids, labels, counts, k_outer, k_inner, calib_frac, seed = cohort
+        plan = splits.build_nested_plan(ids, labels, counts, k_outer, k_inner, calib_frac, seed)
+        codes, y = plan.codes, np.asarray(labels)
+        # every cougher is in the test role of exactly one outer fold
+        assert (codes == splits.TEST).sum(axis=0).tolist() == [1] * len(ids)
+        test_fold = np.argmax(codes == splits.TEST, axis=0)
+        # the greedy splits' class counts differ by at most 1 across folds, outer and inner
+        splits_of = [(test_fold, np.ones(len(ids), dtype=bool), k_outer)]
+        splits_of += [(row, row >= 0, k_inner) for row in codes]
+        for fold, members, k in splits_of:
+            for cls in (0, 1):
+                sizes = np.bincount(fold[members & (y == cls)], minlength=k)
+                assert sizes.max() - sizes.min() <= 1
+        # the inner folds partition each tuning pool into k_inner non-empty folds
+        for row in codes:
+            assert np.unique(row[row >= 0]).tolist() == list(range(k_inner))
+        assert splits.audit_plan_rows(plan.rows()) == []
+        # shuffling the input order gives the same codes
+        order = list(range(len(ids)))
+        shuffler.shuffle(order)
+        shuffled = splits.build_nested_plan([ids[i] for i in order], [labels[i] for i in order],
+                                            [counts[i] for i in order], k_outer, k_inner,
+                                            calib_frac, seed)
+        assert shuffled.ids.tolist() == ids
+        assert np.array_equal(shuffled.codes, codes)
