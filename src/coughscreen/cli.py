@@ -152,8 +152,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_audit(args) -> int:
     rows = load_plan_csv(args.plan)
-    violations = audit_plan_rows(rows)
-    if violations:
+    if violations := audit_plan_rows(rows):
         for v in violations:
             print(f"VIOLATION: {v}")
         raise LeakageError(f"{len(violations)} violation(s) in {args.plan}")

@@ -19,8 +19,8 @@ Per outer fold the protocol is:
 other steps on the inner folds' outputs, and ``run_nested`` schedules both.
 Rows are picked by their cougher's role code in the fold plan, so scalers and
 models only ever see tuning rows (inner-train rows during the grid search).
-``run_nested`` audits every plan before any fit, and a violation aborts the run
-with ``LeakageError``.
+``run_nested`` audits every plan (``splits.audit_plan``) before any fit, and a
+violation aborts the run with ``LeakageError``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from . import calibration, conformal, metrics, models
 from .data import ManifestError, apply_scaler, fit_scaler, fuse
 from .features import extract_all
-from .splits import (CALIB, TEST, LeakageError, NestedPlan, audit_plan_rows, build_nested_plan,
+from .splits import (CALIB, TEST, LeakageError, NestedPlan, audit_plan, build_nested_plan,
                      model_seed)
 
 log = logging.getLogger(__name__)
@@ -193,15 +193,12 @@ def score_inner_fold(table: FeatureTable, codes: np.ndarray, fold: int, j: int, 
     codes (``NestedPlan.codes[fold]``) are ``codes``.
 
     Returns plain picklable values: each candidate's UAR at its Youden
-    threshold, the validation rows' positions among the tuning rows, the
-    (candidates x validation rows) probabilities, and the C of each LR fit
-    that stopped unconverged.
+    threshold, the (candidates x validation rows) probabilities, and the C of
+    each LR fit that stopped unconverged.
     """
     X_all, y_all = _design_matrix(table, feature_mode), table.labels
     role = codes[table.cougher_pos]
-    tuning = role >= 0
-    train_rows, val_rows = np.flatnonzero(tuning & (role != j)), np.flatnonzero(role == j)
-    oof_pos = np.flatnonzero(role[tuning] == j)
+    train_rows, val_rows = np.flatnonzero((role >= 0) & (role != j)), np.flatnonzero(role == j)
     # the scaler does not depend on the candidate, so every candidate shares it
     X_train, y_train = X_all[train_rows], y_all[train_rows]
     scaler = fit_scaler(X_train)
@@ -227,7 +224,7 @@ def score_inner_fold(table: FeatureTable, codes: np.ndarray, fold: int, j: int, 
             _, j_stat = calibration.youden_threshold(member, y_all[val_rows])
             uars[ci] = (1.0 + j_stat) / 2.0
             probs[ci] = member
-    return uars, oof_pos, probs, unconverged
+    return uars, probs, unconverged
 
 
 def run_fold(table: FeatureTable, codes: np.ndarray, fold: int, family: str,
@@ -245,9 +242,9 @@ def run_fold(table: FeatureTable, codes: np.ndarray, fold: int, family: str,
     oof = np.full((len(candidates), tuning_rows.size), np.nan)
     uars = np.empty((len(candidates), len(inner)))
     unconverged = []  # C of each LR fit of this fold that stopped unconverged
-    for j, (unit_uars, oof_pos, probs, unit_unconverged) in enumerate(inner):
+    for j, (unit_uars, probs, unit_unconverged) in enumerate(inner):
         uars[:, j] = unit_uars
-        oof[:, oof_pos] = probs
+        oof[:, role[tuning_rows] == j] = probs
         unconverged += unit_unconverged
     # the first candidate in grid order with the largest mean inner UAR wins;
     # its out-of-fold probabilities fit the calibrator
@@ -383,7 +380,7 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
     """Run the full nested protocol on a feature table; returns (fold_results, plan).
 
     A given ``plan`` must cover exactly the table's coughers (else ``ManifestError``),
-    and every plan, built or given, must pass ``audit_plan_rows`` (else
+    and every plan, built or given, must pass ``audit_plan`` (else
     ``LeakageError``), both before any fit. Each (outer fold, inner fold) unit runs
     ``score_inner_fold``, then each outer fold ``run_fold`` on its units' outputs,
     handed on as soon as they arrive. At ``jobs=1`` both run lazily in this process,
@@ -406,7 +403,7 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
         raise ManifestError(f"the fold plan does not cover the table's coughers: "
                             f"{len(set(ids) - planned)} of the table's are not in the plan, "
                             f"{len(planned - set(ids))} of the plan's are not in the table")
-    if violations := audit_plan_rows(plan.rows()):
+    if violations := audit_plan(plan):
         raise LeakageError(f"the fold plan fails the leakage audit with {len(violations)} "
                            f"violation(s), the first: {violations[0]}")
     pin_blas_threads()

@@ -156,13 +156,6 @@ def _mode_blocks(doc, mode: str) -> dict:
 # File emission
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _csv_text(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -251,11 +244,14 @@ def selective_table(doc: dict, mode: str) -> list:
 
 
 def _write_files(texts: dict, outdir) -> list:
-    """Write each (file name, text) of ``texts`` into ``outdir``; returns the paths, in order."""
+    """Write each (name, text) of ``texts`` into ``outdir`` atomically; returns the paths."""
     os.makedirs(outdir, exist_ok=True)
     written = [os.path.join(outdir, name) for name in texts]
     for path, text in zip(written, texts.values()):
-        _atomic_write(path, text)
+        tmp = f"{path}.tmp-{os.getpid()}"
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
     return written
 
 
@@ -270,7 +266,8 @@ def write_report(report: RunReport, outdir) -> list:
     cells = [list(_fold_cells(f, doc["alphas"]))
              for _, _, block in _blocks(doc) for f in block["folds"]]
     rows = [[column for column, _ in cells[0]]] + [[cell for _, cell in c] for c in cells]
-    texts = {"fold_plan.csv": plan_csv_text(report.plan), "folds.csv": _csv_text(rows)}
+    texts = {"report.json": json.dumps(doc, indent=1, sort_keys=True) + "\n",
+             "fold_plan.csv": plan_csv_text(report.plan), "folds.csv": _csv_text(rows)}
     for mode in sorted({mode for _, mode, _ in _blocks(doc)}):
         for name, builder in (("classification", classification_table),
                               ("calibration", calibration_table),
@@ -293,13 +290,9 @@ def write_report(report: RunReport, outdir) -> list:
                      for x, y in zip(curve.xs, curve.ys)]
         texts[f"curves_{fam}_{mode}.csv"] = _csv_text(rows)
 
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "report.json")
-    _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
     meta = {"environment": report.environment, "wall_clock_s": report.wall_clock_s}
-    _atomic_write(os.path.join(outdir, "meta.json"),
-                  json.dumps(json_clean(meta), indent=1, sort_keys=True) + "\n")
-    return [path, *_write_files(texts, outdir)]
+    texts["meta.json"] = json.dumps(json_clean(meta), indent=1, sort_keys=True) + "\n"
+    return _write_files(texts, outdir)[:-1]  # every path but meta.json's
 
 
 def _test_set(folds, level: str, stage: str = "cal"):

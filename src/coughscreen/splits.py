@@ -9,10 +9,10 @@ leak across a boundary. The nested plan is, per outer fold:
     tuning (remaining coughers), partitioned again into inner folds
 
 A plan holds one role code per cougher and outer fold, so the three roles
-are disjoint and cover the cohort by construction. Plans export to CSV, and
-``audit_plan_rows`` re-verifies the disjointness of the exported rows; it is
-the check ``coughscreen audit`` runs and the one ``pipeline.run_nested`` runs
-on every plan before any fit.
+are disjoint and cover the cohort by construction. ``audit_plan`` checks the
+rest of the protocol on the codes; ``pipeline.run_nested`` runs it on every plan
+before any fit. Plans export to CSV, and ``audit_plan_rows``, the check
+``coughscreen audit`` runs, rebuilds the codes from the rows, then audits them.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ ROLE_TUNING = "tuning"
 PLAN_COLUMNS = ["cougher_id", "outer_fold", "role", "inner_fold"]
 # the role codes of a NestedPlan; a tuning cougher's code is its inner fold
 TEST, CALIB = -1, -2
+ROLES = (ROLE_CALIB, ROLE_TEST, ROLE_TUNING)  # code c's is ROLES[clip(c, CALIB, 0) - CALIB]
 
 # Fixed tags for deriving independent per-purpose RNG streams from one master seed.
 _STREAM_OUTER, _STREAM_CALIB, _STREAM_INNER, _STREAM_MODEL = 0, 1, 2, 3
@@ -141,8 +142,7 @@ class NestedPlan:
         order, which is the order of fold_plan.csv."""
         k_outer, n = self.codes.shape
         codes = self.codes.T.ravel()
-        # codes -2, -1 and >= 0 pick ROLE_CALIB, ROLE_TEST and ROLE_TUNING
-        roles = np.array([ROLE_CALIB, ROLE_TEST, ROLE_TUNING])[np.clip(codes, CALIB, 0) - CALIB]
+        roles = np.array(ROLES)[np.clip(codes, CALIB, 0) - CALIB]
         return list(zip(np.repeat(self.ids, k_outer).tolist(),
                         np.tile(np.arange(k_outer), n).tolist(), roles.tolist(),
                         np.maximum(codes, -1).tolist()))
@@ -194,44 +194,54 @@ def export_plan_csv(plan: NestedPlan, path) -> None:
         fh.write(plan_csv_text(plan))
 
 
-def audit_plan_rows(rows) -> list:
-    """Check exported plan rows for disjointness; returns a list of violations.
-
-    Expects (cougher_id, outer_fold, role, inner_fold) tuples. An empty
-    return value means the plan is cougher-disjoint at every boundary.
-    """
-    violations = []
-    by_fold: dict = {}
-    test_folds: dict = {}
-    for cid, fold, role, inner in rows:
-        if role not in (ROLE_TEST, ROLE_CALIB, ROLE_TUNING):
-            violations.append(f"unknown role {role!r} for cougher {cid}")
-            continue
-        key = (int(fold), cid)
-        if key in by_fold:
-            violations.append(f"cougher {cid} appears twice in outer fold {fold} "
-                              f"(roles {by_fold[key]!r} and {role!r})")
-        by_fold[key] = role
-        if role == ROLE_TUNING and int(inner) < 0:
-            violations.append(f"tuning cougher {cid} in outer fold {fold} has no inner fold")
-        if role != ROLE_TUNING and int(inner) >= 0:
-            violations.append(f"{role} cougher {cid} in outer fold {fold} carries an inner fold")
-        if role == ROLE_TEST:
-            test_folds.setdefault(cid, []).append(int(fold))
-    folds = sorted({f for f, _ in by_fold})
-    universes = {f: {cid for ff, cid in by_fold if ff == f} for f in folds}
-    if folds:
-        reference = universes[folds[0]]
-        for f in folds[1:]:
-            if universes[f] != reference:
-                violations.append(f"outer fold {f} covers a different cougher set "
-                                  f"than fold {folds[0]}")
-        for cid in sorted(reference):
-            n_test = len(test_folds.get(cid, []))
-            if n_test != 1:
-                violations.append(f"cougher {cid} is in the test role of {n_test} "
-                                  "outer folds (expected exactly 1)")
+def audit_plan(plan: NestedPlan) -> list:
+    """The plan's protocol violations: every cougher must be in the test role of exactly
+    one outer fold, and every outer fold hold a calibration cougher and, as its other
+    codes, exactly the inner folds ``0..k_inner-1``, with ``k_inner`` (the largest code
+    + 1) at least 2."""
+    codes = plan.codes
+    n_test = np.count_nonzero(codes == TEST, axis=0)
+    violations = [f"cougher {plan.ids[i]} is in the test role of {n_test[i]} outer folds "
+                  "(expected exactly 1)" for i in np.flatnonzero(n_test != 1)]
+    violations += [f"outer fold {f} has no calibration cougher"
+                   for f in np.flatnonzero(~np.any(codes == CALIB, axis=1))]
+    k_inner = int(codes.max(initial=-1)) + 1
+    for f, row in enumerate(codes):
+        inner = np.unique(row[(row != TEST) & (row != CALIB)])  # sorted and distinct
+        if k_inner < 2 or inner.size != k_inner or inner[0] != 0:
+            violations.append(f"the tuning codes of outer fold {f} are not the inner folds "
+                              f"0..{max(k_inner, 2) - 1}")
     return violations
+
+
+def audit_plan_rows(rows) -> list:
+    """The violations of fold_plan.csv rows, (cougher_id, outer_fold, role, inner_fold)
+    tuples. The rows are rebuilt into a ``NestedPlan``: the outer folds must be numbered
+    from 0, and each (outer fold, cougher) cell given by one row, of a known role, with
+    inner fold -1 unless the role is tuning. The rebuilt plan must pass ``audit_plan``."""
+    ids = sorted({cid for cid, _, _, _ in rows})  # a numpy string array drops trailing NULs
+    folds = sorted({fold for _, fold, _, _ in rows})
+    # fold numbers and the cell count are checked before any array is sized by them
+    if folds != list(range(len(folds))):
+        return [f"the {len(folds)} outer folds are numbered {folds[0]}..{folds[-1]}, not from 0"]
+    if len(folds) * len(ids) > len(rows):
+        return [f"some (outer fold, cougher) cell is never given in the {len(rows)} rows"]
+    pos = {cid: i for i, cid in enumerate(ids)}
+    codes = np.full((len(folds), len(ids)), CALIB - 1)  # CALIB - 1: not given
+    violations = []
+    for cid, fold, role, inner in rows:
+        if role not in ROLES:
+            violations.append(f"unknown role {role!r} for cougher {cid}")
+        elif inner < -1 or (inner >= 0) != (role == ROLE_TUNING):
+            violations.append(f"{role} cougher {cid} in outer fold {fold} has inner fold {inner}")
+        elif codes[fold, pos[cid]] >= CALIB:
+            violations.append(f"cougher {cid} appears twice in outer fold {fold}")
+        else:
+            # an inner fold past the row count leaves a gap however large; capped, it fits
+            codes[fold, pos[cid]] = (min(inner, len(rows)) if role == ROLE_TUNING
+                                     else ROLES.index(role) + CALIB)
+    # with no violation, the rows give distinct cells, at least as many as there are
+    return violations or audit_plan(NestedPlan(np.array(ids, dtype=object), codes))
 
 
 def load_plan_csv(path) -> list:

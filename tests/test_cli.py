@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import wave
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TINY_GBDT_GRID, TINY_LR_GRID, tiny_experiment_doc
-from coughscreen import cli, reports
+from coughscreen import cli, reports, splits
 from coughscreen.data import load_manifest
 from coughscreen.features import extract
 from coughscreen.reports import emit_plots, report_doc
@@ -22,6 +23,30 @@ from coughscreen.reports import emit_plots, report_doc
 
 def run_cli(args):
     return cli.main(list(args))
+
+
+def plan_rows():
+    """The rows of a clean 4 x 2 plan of 40 coughers."""
+    ids = [f"c{i:02d}" for i in range(40)]
+    return splits.build_nested_plan(ids, [int(i % 3 == 0) for i in range(40)], [2] * 40,
+                                    k_outer=4, k_inner=2, calib_frac=0.2, master_seed=3).rows()
+
+
+def write_plan(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([splits.PLAN_COLUMNS, *rows])
+    return path
+
+
+# each malformed plan as a change to every (cougher, outer fold, role, inner fold) row
+MALFORMED_PLANS = {
+    "calib-inner-fold-minus-5": lambda c, f, role, j: (c, f, role, -5 if role == "calib" else j),
+    "outer-folds-3-to-6": lambda c, f, role, j: (c, f + 3, role, j),
+    "outer-folds-minus-1-to-2": lambda c, f, role, j: (c, f - 1, role, j),
+    "one-inner-fold": lambda c, f, role, j: (c, f, role, min(j, 0)),
+    "inner-folds-0-and-2": lambda c, f, role, j: (c, f, role, j + (j > 0)),
+    "no-calib": lambda c, f, role, j: (c, f, "tuning", 0) if role == "calib" else (c, f, role, j),
+}
 
 
 class TestSynthAndFeatures:
@@ -441,6 +466,30 @@ class TestAuditCommand:
         bad.write_text("\n".join(rows) + "\n")
         assert run_cli(["audit", str(bad)]) == 4
         assert "VIOLATION" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mutate", MALFORMED_PLANS.values(), ids=MALFORMED_PLANS.keys())
+    def test_malformed_plan_exit_4(self, tmp_path, mutate):
+        rows = [mutate(*row) for row in plan_rows()]
+        assert splits.audit_plan_rows(rows)
+        assert run_cli(["audit", str(write_plan(tmp_path / "plan.csv", rows))]) == 4
+
+    def test_huge_outer_fold_exit_4_without_an_array_of_its_size(self, tmp_path):
+        # outer fold 3 renumbered, so the rows still give 4 folds of 40 coughers
+        rows = [(c, 10 ** 12 if f == 3 else f, *rest) for c, f, *rest in plan_rows()]
+        path = write_plan(tmp_path / "plan.csv", rows)
+        tracemalloc.start()
+        try:
+            assert run_cli(["audit", str(path)]) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_ids_that_differ_by_a_trailing_nul_stay_apart(self, tmp_path):
+        # a numpy string array would read "c00\x00" as "c00", the id of another cougher
+        rows = [("c00\x00" if c == "c01" else c, *rest) for c, *rest in plan_rows()]
+        assert splits.audit_plan_rows(rows) == []
+        assert run_cli(["audit", str(write_plan(tmp_path / "plan.csv", rows))]) == 0
 
     def test_missing_plan_exit_3(self, tmp_path):
         assert run_cli(["audit", str(tmp_path / "none.csv")]) == 3

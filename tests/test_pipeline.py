@@ -8,7 +8,7 @@ import pytest
 
 from coughscreen import data, pipeline, synth
 from coughscreen.data import ManifestError
-from coughscreen.splits import TEST, LeakageError, NestedPlan, build_nested_plan
+from coughscreen.splits import CALIB, TEST, LeakageError, NestedPlan, build_nested_plan
 
 LR_GRID = ({"C": 0.05, "class_weight": "balanced"},
            {"C": 0.01, "class_weight": None})
@@ -119,6 +119,13 @@ class TestRunNested:
         with pytest.raises(LeakageError, match=f"cougher {plan.ids[cougher]} is in the test "
                                                "role of 2 outer folds"):
             pipeline.run_nested(table, "LR", "audio", cfg, plan=NestedPlan(plan.ids, codes))
+        # fold 0's tuning coughers all in inner fold 0, an inner-fold gap, no calib cougher
+        for mutate in (lambda row: np.minimum(row, 0), lambda row: row + (row > 0),
+                       lambda row: np.where(row == CALIB, 0, row)):
+            codes = plan.codes.copy()
+            codes[0] = mutate(codes[0])
+            with pytest.raises(LeakageError, match="outer fold 0"):
+                pipeline.run_nested(table, "LR", "audio", cfg, plan=NestedPlan(plan.ids, codes))
 
     def test_unknown_family_rejected(self, table):
         with pytest.raises(ValueError):

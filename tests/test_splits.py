@@ -197,6 +197,7 @@ class TestPlanInvariants:
         for row in codes:
             assert np.unique(row[row >= 0]).tolist() == list(range(k_inner))
         assert splits.audit_plan_rows(plan.rows()) == []
+        assert splits.audit_plan(plan) == []
         # shuffling the input order gives the same codes
         order = list(range(len(ids)))
         shuffler.shuffle(order)
