@@ -179,18 +179,6 @@ def chroma(P: np.ndarray, folded: np.ndarray | None = None) -> np.ndarray:
     return np.divide(energy, peak, out=np.zeros_like(energy), where=peak > 0)
 
 
-def _percentile_points(n: int):
-    """numpy's linear percentile rule at ``PERCENTILES`` for n sorted values:
-    the (lo, hi) positions and the weight ``gamma`` of each percentile."""
-    vi = (n - 1) * np.true_divide(PERCENTILES, 100)
-    lo = np.floor(vi)
-    gamma = vi - lo
-    hi = lo + 1
-    top = vi >= n - 1
-    lo[top] = hi[top] = -1
-    return lo.astype(np.intp), hi.astype(np.intp), gamma
-
-
 def summarize(trajectories) -> np.ndarray:
     """Distributional summary of feature trajectories, one row per column.
 
@@ -204,8 +192,9 @@ def summarize(trajectories) -> np.ndarray:
     Both are defined as 0 on constant or too-short trajectories (skew needs
     L >= 3, kurtosis L >= 4). The third and fourth central moments are
     product moments, (d*d)*d and (d*d)*(d*d) for each deviation d.
-    Percentiles are numpy's linear rule (Hyndman & Fan type 7) applied to
-    each sorted row: they equal ``np.percentile`` byte for byte.
+    Percentiles are numpy's linear rule (Hyndman & Fan type 7), computed as
+    ``np.percentile`` computes them, so they equal it byte for byte (signed
+    zeros included).
     """
     x = np.asarray(trajectories, dtype=np.float64)
     if x.ndim == 1:
@@ -227,18 +216,23 @@ def summarize(trajectories) -> np.ndarray:
     if n >= 3:
         cube = np.multiply(sq, dev, out=dev)  # dev is not read again
         m2, m3 = ss[varying] / n, cube.mean(axis=-1)[varying]
-        # scalar powers go through libm; numpy's SIMD power can differ by an ulp
-        m2_15 = np.array([m ** 1.5 for m in m2.tolist()])
+        # scalar powers go through libm (numpy's SIMD power can differ by an ulp),
+        # and a numpy scalar's overflows to inf
+        m2_15 = np.array([m ** 1.5 for m in m2])
         out[..., 2][varying] = np.sqrt(n * (n - 1)) / (n - 2) * m3 / m2_15
 
     if n >= 4:
         lead = (n + 1) * n / ((n - 1) ** 3 * (n - 2) * (n - 3))
-        std4 = np.array([s ** 4 for s in std[varying].tolist()])
+        std4 = np.array([s ** 4 for s in std[varying]])
         s4 = np.multiply(sq, sq, out=sq).sum(axis=-1)[varying]  # sq is not read again
         out[..., 3][varying] = lead * s4 / std4 - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
 
-    lo, hi, gamma = _percentile_points(n)
-    ranked = np.sort(rows, axis=-1)
+    # as numpy's _quantile: the points around each virtual index (-1 at or past the
+    # last), partitioned at the same positions, and the weight from the lower point
+    vi = (n - 1) * np.true_divide(PERCENTILES, 100)
+    lo = np.where(vi >= n - 1, -1, np.floor(vi)).astype(np.intp)
+    hi, gamma = np.where(lo < 0, -1, lo + 1), vi - lo
+    ranked = np.partition(rows, np.unique(np.concatenate(([0, -1], lo, hi))), axis=-1)
     a, b = ranked[..., lo], ranked[..., hi]
     diff = b - a
     # numpy's _lerp: from the upper point when gamma >= 0.5

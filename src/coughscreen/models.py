@@ -104,8 +104,7 @@ def class_sample_weights(y, class_weight) -> np.ndarray:
         raise ValueError(f"unknown class_weight {class_weight!r}")
     n = y.size
     n_pos = int(y.sum())
-    w = np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
-    return w
+    return np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +314,14 @@ def _column_ranks(X) -> np.ndarray:
     a radix sort.
     """
     cols = np.ascontiguousarray(X.T)
-    order = np.argsort(cols, axis=1)
-    sorted_cols = np.take_along_axis(cols, order, axis=1)
+    # each column's sort order, as flat offsets into cols (see _best_split)
+    order = np.argsort(cols, axis=1) + np.arange(0, cols.size, X.shape[0])[:, None]
+    sorted_cols = cols.ravel()[order]
     dense = np.zeros(cols.shape, dtype=np.min_scalar_type(X.shape[0] - 1))
     np.cumsum(sorted_cols[:, 1:] != sorted_cols[:, :-1], axis=1, dtype=dense.dtype,
               out=dense[:, 1:])
     ranks = np.empty_like(dense)
-    np.put_along_axis(ranks, order, dense, axis=1)
+    np.put(ranks, order, dense)
     return ranks
 
 
@@ -453,8 +453,7 @@ def staged_proba_gbdt(model: GBDTModel, X, stages) -> np.ndarray:
     for k in range(max(stages, default=0) + 1):
         if k:
             scores += model.eta * _predict_tree(model.trees[k - 1], X)
-        hits = [s for s, stage in enumerate(stages) if stage == k]
-        if hits:
+        if hits := [s for s, stage in enumerate(stages) if stage == k]:
             out[hits] = expit(scores)
     return out
 

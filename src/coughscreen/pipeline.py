@@ -40,10 +40,10 @@ from functools import cached_property
 import numpy as np
 
 from . import calibration, conformal, metrics, models
-from .data import ManifestError, apply_scaler, fit_scaler, fuse
+from .data import N_AUDIO_FEATURES, ManifestError, apply_scaler, fit_scaler, fuse
 from .features import extract_all
 from .splits import (CALIB, TEST, LeakageError, NestedPlan, audit_plan, build_nested_plan,
-                     model_seed)
+                     model_seed, single_class_sets)
 
 log = logging.getLogger(__name__)
 
@@ -76,23 +76,28 @@ class FeatureTable:
     recording_ids: list
     cougher_ids: np.ndarray
     labels: np.ndarray
-    audio: np.ndarray
-    clinical: np.ndarray
+    features: np.ndarray  # the audio block, then the clinical block (``data.fuse``)
+
+    @property
+    def audio(self) -> np.ndarray:
+        """The audio block of every row, a view of ``features``."""
+        return self.features[:, :N_AUDIO_FEATURES]
+
+    @cached_property
+    def cougher_index(self) -> tuple:
+        """``np.unique`` of ``cougher_ids``: the cougher ids, each one's first row, each
+        row's cougher's position in the ids (and so in their plan) and each one's row count."""
+        return np.unique(self.cougher_ids, return_index=True, return_inverse=True,
+                         return_counts=True)
 
     def coughers(self) -> tuple:
         """(ids, labels, recording counts) of the table's coughers, as lists in id order."""
-        ids, first, counts = np.unique(self.cougher_ids, return_index=True, return_counts=True)
+        ids, first, _, counts = self.cougher_index
         return ids.tolist(), self.labels[first].tolist(), counts.tolist()
 
-    @cached_property
-    def fused(self) -> np.ndarray:
-        """The audio then the clinical block of every row, built once, on first use."""
-        return fuse(self.audio, self.clinical)
-
-    @cached_property
+    @property
     def cougher_pos(self) -> np.ndarray:
-        """Each row's cougher's index in the ids of ``coughers()``, and so in their plan."""
-        return np.unique(self.cougher_ids, return_inverse=True)[1]
+        return self.cougher_index[2]
 
 
 def build_feature_table(coughers) -> FeatureTable:
@@ -103,33 +108,29 @@ def build_feature_table(coughers) -> FeatureTable:
     (``features.extract_all``), so no more than one batch of waveforms is
     decoded at a time. Rows are ordered by cougher id, then recording id.
     """
-    keys, clinical, label = [], {}, {}
+    keys, clinical = [], []  # per recording, in extraction order
 
     def waveforms():
         for c in coughers:
-            label[c.id] = c.tb_label
-            clinical[c.id] = c.clinical.to_vector()
+            vector = c.clinical.to_vector()
             for rec in c.recordings:
-                keys.append((c.id, rec.id))
+                keys.append((c.id, rec.id, c.tb_label))
+                clinical.append(vector)
                 yield rec.audio()
 
-    audio = extract_all(waveforms())
+    # the clinical rows are stacked once extraction has listed them
+    features = fuse(extract_all(waveforms()), np.vstack(clinical))
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    cids = [keys[i][0] for i in order]
-    return FeatureTable(
-        recording_ids=[keys[i][1] for i in order],
-        cougher_ids=np.asarray(cids),
-        labels=np.asarray([label[c] for c in cids], dtype=int),
-        audio=audio[order],
-        clinical=np.vstack([clinical[c] for c in cids]),
-    )
+    cids, rids, labels = zip(*(keys[i] for i in order))
+    return FeatureTable(recording_ids=list(rids), cougher_ids=np.asarray(cids),
+                        labels=np.asarray(labels, dtype=int), features=features[order])
 
 
 def _design_matrix(table: FeatureTable, feature_mode: str) -> np.ndarray:
     if feature_mode == "audio":
         return table.audio
     if feature_mode == "fused":
-        return table.fused
+        return table.features
     raise ValueError(f"unknown feature_mode {feature_mode!r}")
 
 
@@ -139,11 +140,11 @@ def _at_level(table: FeatureTable, rows, level: str, *probs) -> tuple:
     per cougher at the cougher level."""
     if level == "waveform":
         return (*probs, table.labels[rows], [table.recording_ids[r] for r in rows])
-    # a cougher's rows share its label, so the label's mean is the label
-    aggregated = [metrics.aggregate_cougher(p, table.cougher_ids[rows])
-                  for p in (*probs, table.labels[rows])]
-    *means, labels = (mean for _, mean in aggregated)
-    return (*means, labels.astype(int), list(aggregated[0][0]))
+    ids, first, pos, _ = table.cougher_index
+    pos = pos[rows]
+    present = np.flatnonzero(counts := np.bincount(pos))
+    means = [np.bincount(pos, weights=p)[present] / counts[present] for p in probs]
+    return (*means, table.labels[first[present]], ids[present].tolist())
 
 
 def json_clean(obj):
@@ -300,7 +301,7 @@ def run_fold(table: FeatureTable, codes: np.ndarray, fold: int, family: str,
     # true by construction: run_nested audits the plan, and rows are picked by role code
     audit = {
         "boundaries_disjoint": True,
-        "scaler_fit_coughers": sorted(set(table.cougher_ids[tuning_rows])),
+        "scaler_fit_coughers": table.cougher_index[0][codes >= 0].tolist(),
         "scaler_fit_within_tuning": True,
         "outer_positive_rates": None,  # filled by run_nested
     }
@@ -368,11 +369,8 @@ def pin_blas_threads() -> None:
 def worker_count(jobs: int, units: int) -> int:
     """Workers for ``jobs`` requested and ``units`` to run: at most one per unit
     and one per CPU this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(jobs, units, cpus)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(jobs, units, cpus or 1)
 
 
 def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConfig,
@@ -380,8 +378,9 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
     """Run the full nested protocol on a feature table; returns (fold_results, plan).
 
     A given ``plan`` must cover exactly the table's coughers (else ``ManifestError``),
-    and every plan, built or given, must pass ``audit_plan`` (else
-    ``LeakageError``), both before any fit. Each (outer fold, inner fold) unit runs
+    and every plan, built or given, must pass ``audit_plan`` (else ``LeakageError``)
+    and hold both classes in each set (``single_class_sets``, else ``ManifestError``),
+    all before any fit. Each (outer fold, inner fold) unit runs
     ``score_inner_fold``, then each outer fold ``run_fold`` on its units' outputs,
     handed on as soon as they arrive. At ``jobs=1`` both run lazily in this process,
     one fold at a time; otherwise on one pool of ``worker_count(jobs, units)``
@@ -406,6 +405,9 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
     if violations := audit_plan(plan):
         raise LeakageError(f"the fold plan fails the leakage audit with {len(violations)} "
                            f"violation(s), the first: {violations[0]}")
+    if sets := single_class_sets(plan.codes, labels):
+        raise ManifestError(f"{len(sets)} set(s) of the fold plan lack a class, the first: "
+                            f"{sets[0]}")
     pin_blas_threads()
     k_inner = int(plan.codes.max()) + 1
     units = [(codes, f, j, family, feature_mode, cfg)

@@ -214,6 +214,18 @@ def audit_plan(plan: NestedPlan) -> list:
     return violations
 
 
+def single_class_sets(codes, labels) -> list:
+    """The sets of a plan that lack a class, given its role ``codes``, which pass
+    ``audit_plan``, and its coughers' 0/1 ``labels``: per outer fold, the test set, the
+    calibration set and each inner fold (so each inner-train set holds both classes)."""
+    names, found = {TEST: "test set", CALIB: "calibration set"}, []
+    for f, row in enumerate(codes):
+        sizes, positives = np.bincount(row - CALIB), np.bincount(row - CALIB, weights=labels)
+        found += [f"outer fold {f}: the {names.get(c, f'inner fold {c}')} lacks a class"
+                  for c in (np.flatnonzero((positives == 0) | (positives == sizes)) + CALIB)]
+    return found
+
+
 def audit_plan_rows(rows) -> list:
     """The violations of fold_plan.csv rows, (cougher_id, outer_fold, role, inner_fold)
     tuples. The rows are rebuilt into a ``NestedPlan``: the outer folds must be numbered

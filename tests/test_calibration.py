@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coughscreen import calibration
 
@@ -96,6 +98,18 @@ class TestIsotonic:
             xs, values = reference_pava(scores, labels)
             np.testing.assert_array_equal(m.scores, xs)
             assert np.max(np.abs(m.values - values)) <= 1e-15
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1)),
+                                       min_size=2, max_size=80))
+    def test_matches_reference_pava_on_random_ties(self, places, units):
+        # scores on a grid of 10^-places steps tie often; both classes are present
+        scores = [v % (10 ** places + 1) / 10 ** places for v, _ in units]
+        labels = [0, 1] + [y for _, y in units[2:]]
+        m = calibration.fit_isotonic(scores, labels)
+        xs, values = reference_pava(scores, labels)
+        np.testing.assert_array_equal(m.scores, xs)
+        assert np.max(np.abs(m.values - values)) <= 1e-15
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

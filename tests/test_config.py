@@ -278,8 +278,18 @@ def csv_dir(tmp_path_factory):
     return root
 
 
-PLAN_LINES = ["cougher_id,outer_fold,role,inner_fold", "c1,0,test,-1", "c2,0,calib,-1",
-              "c3,0,tuning,0", "c1,1,tuning,0", "c2,1,test,-1", "c3,1,calib,-1"]
+# a valid plan: 2 outer folds of 6 coughers, each with a calibration cougher and 2 inner folds
+PLAN_LINES = ["cougher_id,outer_fold,role,inner_fold",
+              "c1,0,test,-1", "c2,0,test,-1", "c3,0,test,-1", "c4,0,calib,-1",
+              "c5,0,tuning,0", "c6,0,tuning,1",
+              "c4,1,test,-1", "c5,1,test,-1", "c6,1,test,-1", "c1,1,calib,-1",
+              "c2,1,tuning,0", "c3,1,tuning,1"]
+
+
+def test_unmutated_plan_passes_the_audit(tmp_path):
+    plan = tmp_path / "plan.csv"
+    plan.write_text("\n".join(PLAN_LINES) + "\n", encoding="utf-8")
+    assert cli.main(["audit", str(plan)]) == 0
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -2,8 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coughscreen import conformal
+
+
+ALPHAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def calibration_sets(draw):
+    """(p_pos, labels) of 1 to 40 calibration units; probabilities repeat, so scores tie."""
+    units = st.tuples(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                st.floats(0.0, 1.0)), st.integers(0, 1))
+    p, y = zip(*draw(st.lists(units, min_size=1, max_size=40)))
+    return list(p), list(y)
 
 
 class TestNonconformity:
@@ -19,6 +33,26 @@ class TestNonconformity:
         s1 = conformal.nonconformity(p, np.ones(100))
         s0 = conformal.nonconformity(p, np.zeros(100))
         np.testing.assert_allclose(s1 + s0, 1.0)
+
+
+class TestQuantileOracle:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(calibration_sets(), ALPHAS)
+    def test_kth_smallest_score_by_brute_force(self, calib, alpha):
+        p, y = calib
+        scores = [1.0 - pi if yi == 1 else pi for pi, yi in zip(p, y)]
+        k = math.ceil((len(p) + 1) * (1.0 - alpha))
+        # the k-th smallest score is the least one with at least k scores at or below it
+        want = 1.0 if k > len(p) else min(s for s in scores
+                                          if sum(t <= s for t in scores) >= k)
+        assert conformal.fit_quantile(p, y, alpha) == want
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(calibration_sets(), st.lists(ALPHAS, min_size=2, max_size=5))
+    def test_quantiles_nest_across_alpha(self, calib, alphas):
+        # a smaller alpha never gets a smaller quantile, so its sets contain the others'
+        quantiles = [conformal.fit_quantile(*calib, a) for a in sorted(alphas)]
+        assert quantiles == sorted(quantiles, reverse=True)
 
 
 class TestQuantile:

@@ -266,7 +266,7 @@ class TestSyntheticGenerator:
             train = [c for c, f in zip(ids, folds) if f == 0]
             tr = np.isin(table.cougher_ids, train)
             te = ~tr
-            X = data.fuse(table.audio, table.clinical)
+            X = table.features
             scaler = data.fit_scaler(X[tr])
             m = models.fit_lr(data.apply_scaler(scaler, X[tr]), table.labels[tr],
                               C=0.01, class_weight="balanced")

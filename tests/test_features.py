@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from coughscreen import dsp, features, synth
@@ -320,6 +323,18 @@ class TestSummarize:
             expected = np.percentile(x, [10, 25, 50, 75, 90], axis=-2)
             assert features.summarize(x)[..., 4:].tobytes() == \
                 np.moveaxis(expected, 0, -1).tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 70), st.integers(1, 4)),
+                  # any finite value, or one of a few, so rows hold ties
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from([-1.5, -0.0, 0.0, 2.0]))))
+    @example(np.array([[-0.0]]))  # a lone -0.0 is every percentile
+    @example(np.array([[0.0], [-0.0], [1.0], [1.0], [0.0], [-0.0], [0.0]]))  # the zeros' order
+    @example(np.array([[1e120], [0.0], [0.0]]))  # m2 ** 1.5 overflows
+    def test_percentiles_bit_identical_to_numpy_on_random_stacks(self, x):
+        expected = np.percentile(x, [10, 25, 50, 75, 90], axis=0)
+        assert features.summarize(x)[:, 4:].tobytes() == expected.T.tobytes()
 
     def test_stack_rows_bit_identical_to_one_dimensional_calls(self):
         rng = np.random.default_rng(14)

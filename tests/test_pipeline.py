@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import tracemalloc
@@ -8,7 +9,8 @@ import pytest
 
 from coughscreen import data, pipeline, synth
 from coughscreen.data import ManifestError
-from coughscreen.splits import CALIB, TEST, LeakageError, NestedPlan, build_nested_plan
+from coughscreen.splits import (CALIB, TEST, LeakageError, NestedPlan, audit_plan,
+                                build_nested_plan)
 
 LR_GRID = ({"C": 0.05, "class_weight": "balanced"},
            {"C": 0.01, "class_weight": None})
@@ -127,6 +129,27 @@ class TestRunNested:
             with pytest.raises(LeakageError, match="outer fold 0"):
                 pipeline.run_nested(table, "LR", "audio", cfg, plan=NestedPlan(plan.ids, codes))
 
+    def test_plan_with_a_one_class_set_is_refused_before_any_fit(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("the run went past the class check")
+
+        monkeypatch.setattr(pipeline, "score_inner_fold", fail)
+        monkeypatch.setattr(pipeline, "pin_blas_threads", fail)
+        table = pipeline.build_feature_table(small_dataset(n=40))
+        ids, labels, counts = table.coughers()
+        plan = build_nested_plan(ids, labels, counts, k_outer=4, k_inner=2, calib_frac=0.2,
+                                 master_seed=3)
+        codes, y = plan.codes.copy(), np.asarray(labels)
+        # fold 0's TB+ calibration coughers trade roles with as many TB- tuning coughers
+        calib_pos = np.flatnonzero((codes[0] == CALIB) & (y == 1))
+        tuning_neg = np.flatnonzero((codes[0] >= 0) & (y == 0))[:calib_pos.size]
+        codes[0, calib_pos], codes[0, tuning_neg] = codes[0, tuning_neg], CALIB
+        one_class = NestedPlan(plan.ids, codes)
+        assert audit_plan(one_class) == []
+        cfg = pipeline.RunConfig(seed=3, grid=LR_GRID[:1], k_outer=4, k_inner=2, calib_frac=0.2)
+        with pytest.raises(ManifestError, match="outer fold 0: the calibration set lacks a class"):
+            pipeline.run_nested(table, "LR", "audio", cfg, plan=one_class)
+
     def test_unknown_family_rejected(self, table):
         with pytest.raises(ValueError):
             pipeline.run_nested(table, "SVM", "audio", pipeline.RunConfig())
@@ -134,6 +157,46 @@ class TestRunNested:
     def test_unknown_mode_rejected(self, table):
         with pytest.raises(ValueError):
             pipeline.run_nested(table, "LR", "spectro", pipeline.RunConfig())
+
+
+class TestFeatureTable:
+    @staticmethod
+    def random_table(n_rows=10_103, n_coughers=1_105, seed=0):
+        """A table of random rows, in no cougher order, of labels fixed per cougher."""
+        rng = np.random.default_rng(seed)
+        cougher = rng.integers(0, n_coughers, n_rows)
+        return pipeline.FeatureTable(
+            recording_ids=[f"r{i:05d}" for i in range(n_rows)],
+            cougher_ids=np.array([f"c{c:04d}" for c in cougher]),
+            labels=rng.integers(0, 2, n_coughers)[cougher],
+            features=rng.standard_normal((n_rows, data.N_AUDIO_FEATURES + data.N_CLINICAL)))
+
+    def test_one_fused_matrix_with_the_audio_block_as_its_view(self, table):
+        assert [f.name for f in dataclasses.fields(table)] == [
+            "recording_ids", "cougher_ids", "labels", "features"]
+        assert not hasattr(table, "fused") and not hasattr(table, "clinical")
+        assert np.shares_memory(table.audio, table.features)
+        assert table.audio.shape == (len(table.recording_ids), data.N_AUDIO_FEATURES)
+        assert pipeline._design_matrix(table, "fused") is table.features
+
+    def test_features_is_the_only_float_array_after_both_modes(self):
+        table = self.random_table()
+        for mode in pipeline.FEATURE_MODES:
+            pipeline._design_matrix(table, mode)
+        table.coughers()
+        held = [a for v in vars(table).values() for a in (v if isinstance(v, tuple) else (v,))]
+        floats = [a for a in held if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+        assert len(floats) == 1 and floats[0] is table.features
+        assert table.features.nbytes == 10_103 * 277 * 8
+
+    def test_cougher_facts_match_a_string_unique(self):
+        table = self.random_table(n_rows=2_000, n_coughers=300, seed=1)
+        ids, inverse, counts = np.unique(table.cougher_ids, return_inverse=True,
+                                         return_counts=True)
+        label_of = dict(zip(table.cougher_ids.tolist(), table.labels.tolist()))
+        assert table.coughers() == (ids.tolist(), [label_of[c] for c in ids.tolist()],
+                                    counts.tolist())
+        np.testing.assert_array_equal(table.cougher_pos, inverse)
 
 
 class TestDeterminism:
@@ -188,7 +251,7 @@ class TestNoTestDependence:
         reduced_table = pipeline.FeatureTable(
             recording_ids=[r for r, k in zip(table.recording_ids, keep) if k],
             cougher_ids=table.cougher_ids[keep], labels=table.labels[keep],
-            audio=table.audio[keep], clinical=table.clinical[keep])
+            features=table.features[keep])
         reduced_plan = NestedPlan(np.delete(plan.ids, dropped),
                                   np.delete(plan.codes, dropped, axis=1))
         (full_inner, full), (reduced_inner, reduced) = [

@@ -154,6 +154,16 @@ class TestNestedPlan:
         violations = splits.audit_plan_rows([tuple(r) for r in rows])
         assert any("test role" in v for v in violations)
 
+    def test_single_class_sets_names_each_set_that_lacks_a_class(self):
+        # coughers 6-11 are all TB-: fold 1's test set, and every other set of fold 0
+        labels = [0, 1] * 3 + [0] * 6
+        codes = np.array([[-1] * 6 + [-2, -2, 0, 0, 1, 1], [-2, -2, 0, 0, 1, 1] + [-1] * 6])
+        assert splits.audit_plan(splits.NestedPlan(np.arange(12), codes)) == []
+        assert splits.single_class_sets(codes, labels) == [
+            f"outer fold {f}: the {name} lacks a class"
+            for f, name in ((0, "calibration set"), (0, "inner fold 0"), (0, "inner fold 1"),
+                            (1, "test set"))]
+
     def test_derive_seed_stable(self):
         assert splits.derive_seed(42, 1, 2) == splits.derive_seed(42, 1, 2)
         assert splits.derive_seed(42, 1, 2) != splits.derive_seed(42, 2, 1)
@@ -198,6 +208,8 @@ class TestPlanInvariants:
             assert np.unique(row[row >= 0]).tolist() == list(range(k_inner))
         assert splits.audit_plan_rows(plan.rows()) == []
         assert splits.audit_plan(plan) == []
+        # every test set, calibration set and inner fold holds both classes
+        assert splits.single_class_sets(codes, labels) == []
         # shuffling the input order gives the same codes
         order = list(range(len(ids)))
         shuffler.shuffle(order)
