@@ -75,9 +75,11 @@ def check_object(rules: dict, doc, where: str = "", required=()) -> None:
     prefix = f"{where}: " if where else ""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object")
-    if unknown := set(doc) - set(rules):
+    unknown = set(doc) - set(rules)
+    if unknown:
         raise ConfigError(f"{prefix}unknown keys {sorted(unknown)}")
-    if missing := set(required) - set(doc):
+    missing = set(required) - set(doc)
+    if missing:
         raise ConfigError(f"{prefix}missing keys {sorted(missing)}")
     for key, value in doc.items():
         check, want = rules[key]
@@ -100,7 +102,8 @@ def read_csv_rows(path, columns: list, what: str):
             header = reader.fieldnames or []
             if not _is_utf8(header):
                 raise ManifestError(f"{what} {path} line 1: the header is not UTF-8 text")
-            if missing := [c for c in columns if c not in header]:
+            missing = [c for c in columns if c not in header]
+            if missing:
                 raise ManifestError(f"{what} {path} is missing columns: {missing}")
             for row in reader:
                 if None in row or None in row.values():
@@ -254,7 +257,8 @@ def load_manifest(manifest_path, audio_root=None) -> list:
     if not rows:
         raise ManifestError("manifest has no data rows")
     counts = Counter(r["recording_id"] for r in rows)
-    if duplicates := sorted(rid for rid, n in counts.items() if n > 1):
+    duplicates = sorted(rid for rid, n in counts.items() if n > 1)
+    if duplicates:
         raise ManifestError(f"duplicate recording_id {duplicates[0]!r}")
 
     by_cougher: dict = {}
@@ -335,7 +339,10 @@ def apply_scaler(scaler: StandardScaler, X) -> np.ndarray:
 
 
 def fuse(audio_vec, clinical_vec) -> np.ndarray:
-    """The audio block (261), then the clinical block (16), of vectors or aligned rows."""
+    """Concatenate the audio block (261) and clinical block (16), audio first.
+
+    Accepts single vectors or row-aligned matrices.
+    """
     a = np.asarray(audio_vec, dtype=np.float64)
     c = np.asarray(clinical_vec, dtype=np.float64)
     if a.shape[-1] != N_AUDIO_FEATURES:

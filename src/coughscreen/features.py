@@ -192,9 +192,9 @@ def summarize(trajectories) -> np.ndarray:
     Both are defined as 0 on constant or too-short trajectories (skew needs
     L >= 3, kurtosis L >= 4). The third and fourth central moments are
     product moments, (d*d)*d and (d*d)*(d*d) for each deviation d.
-    Percentiles are numpy's linear rule (Hyndman & Fan type 7), computed as
-    ``np.percentile`` computes them, so they equal it byte for byte (signed
-    zeros included).
+    Percentiles are numpy's linear rule (Hyndman & Fan type 7) applied to
+    each sorted row: they equal ``np.percentile`` byte for byte, except that
+    on a row holding both -0.0 and +0.0 a zero percentile's sign can differ.
     """
     x = np.asarray(trajectories, dtype=np.float64)
     if x.ndim == 1:
@@ -228,11 +228,11 @@ def summarize(trajectories) -> np.ndarray:
         out[..., 3][varying] = lead * s4 / std4 - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
 
     # as numpy's _quantile: the points around each virtual index (-1 at or past the
-    # last), partitioned at the same positions, and the weight from the lower point
+    # last), and the weight from the lower point; one sort serves every percentile
     vi = (n - 1) * np.true_divide(PERCENTILES, 100)
     lo = np.where(vi >= n - 1, -1, np.floor(vi)).astype(np.intp)
     hi, gamma = np.where(lo < 0, -1, lo + 1), vi - lo
-    ranked = np.partition(rows, np.unique(np.concatenate(([0, -1], lo, hi))), axis=-1)
+    ranked = np.sort(rows, axis=-1)
     a, b = ranked[..., lo], ranked[..., hi]
     diff = b - a
     # numpy's _lerp: from the upper point when gamma >= 0.5

@@ -104,7 +104,8 @@ def class_sample_weights(y, class_weight) -> np.ndarray:
         raise ValueError(f"unknown class_weight {class_weight!r}")
     n = y.size
     n_pos = int(y.sum())
-    return np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
+    w = np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,8 @@ def staged_proba_gbdt(model: GBDTModel, X, stages) -> np.ndarray:
     for k in range(max(stages, default=0) + 1):
         if k:
             scores += model.eta * _predict_tree(model.trees[k - 1], X)
-        if hits := [s for s, stage in enumerate(stages) if stage == k]:
+        hits = [s for s, stage in enumerate(stages) if stage == k]
+        if hits:
             out[hits] = expit(scores)
     return out
 

@@ -97,6 +97,7 @@ class FeatureTable:
 
     @property
     def cougher_pos(self) -> np.ndarray:
+        """Each row's cougher's index in the ids of ``coughers()``, and so in their plan."""
         return self.cougher_index[2]
 
 
@@ -140,11 +141,12 @@ def _at_level(table: FeatureTable, rows, level: str, *probs) -> tuple:
     per cougher at the cougher level."""
     if level == "waveform":
         return (*probs, table.labels[rows], [table.recording_ids[r] for r in rows])
-    ids, first, pos, _ = table.cougher_index
-    pos = pos[rows]
-    present = np.flatnonzero(counts := np.bincount(pos))
-    means = [np.bincount(pos, weights=p)[present] / counts[present] for p in probs]
-    return (*means, table.labels[first[present]], ids[present].tolist())
+    # grouped by the rows' cougher positions in the ids of ``cougher_index``; a
+    # cougher's rows share its label, so the label's mean is the label
+    aggregated = [metrics.aggregate_cougher(p, table.cougher_pos[rows])
+                  for p in (*probs, table.labels[rows])]
+    *means, labels = (mean for _, mean in aggregated)
+    return (*means, labels.astype(int), table.cougher_index[0][aggregated[0][0]].tolist())
 
 
 def json_clean(obj):
@@ -369,8 +371,11 @@ def pin_blas_threads() -> None:
 def worker_count(jobs: int, units: int) -> int:
     """Workers for ``jobs`` requested and ``units`` to run: at most one per unit
     and one per CPU this process may run on."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(jobs, units, cpus or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, units, cpus)
 
 
 def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConfig,

@@ -218,11 +218,14 @@ def single_class_sets(codes, labels) -> list:
     """The sets of a plan that lack a class, given its role ``codes``, which pass
     ``audit_plan``, and its coughers' 0/1 ``labels``: per outer fold, the test set, the
     calibration set and each inner fold (so each inner-train set holds both classes)."""
-    names, found = {TEST: "test set", CALIB: "calibration set"}, []
+    names = {TEST: "test set", CALIB: "calibration set"}
+    found = []
     for f, row in enumerate(codes):
-        sizes, positives = np.bincount(row - CALIB), np.bincount(row - CALIB, weights=labels)
-        found += [f"outer fold {f}: the {names.get(c, f'inner fold {c}')} lacks a class"
-                  for c in (np.flatnonzero((positives == 0) | (positives == sizes)) + CALIB)]
+        # per code, from CALIB up: the set's size and its positives
+        sizes = np.bincount(row - CALIB)
+        positives = np.bincount(row - CALIB, weights=labels)
+        for c in np.flatnonzero((positives == 0) | (positives == sizes)) + CALIB:
+            found.append(f"outer fold {f}: the {names.get(c, f'inner fold {c}')} lacks a class")
     return found
 
 
