@@ -206,11 +206,26 @@ def summarize(trajectories) -> np.ndarray:
     # same order as on a lone 1-D trajectory
     rows = np.ascontiguousarray(np.swapaxes(x, -1, -2))
     out = np.zeros(rows.shape[:-1] + (len(FUNCTIONAL_NAMES),))
-    mu = out[..., 0] = rows.mean(axis=-1)
-    dev = rows - mu[..., None]
-    sq = dev * dev
-    ss = sq.sum(axis=-1)
-    std = out[..., 1] = np.sqrt(ss / (n - 1)) if n > 1 else np.zeros_like(mu)
+    with np.errstate(over="ignore"):  # a row that overflows is scaled below
+        mu = rows.mean(axis=-1)
+        dev = rows - mu[..., None]
+        sq = dev * dev
+        ss = sq.sum(axis=-1)
+    # Past 2**510 (values from about 1e77) a fourth power, cube or square overflows, and
+    # below 2**-400 it is subnormal; a row's sum may overflow too. Such a row is scaled to
+    # a largest magnitude in [0.5, 1), which mean and std undo and skew and kurt ignore.
+    scaled = ~np.isnan(mu) & ~((2.0 ** -400 <= ss) & (ss <= 2.0 ** 510))
+    exp = np.zeros(ss.shape, dtype=np.intc)
+    if scaled.any():
+        exp[scaled] = np.frexp(np.abs(rows[scaled]).max(axis=-1))[1]
+        part = np.ldexp(rows[scaled], -exp[scaled][:, None])
+        mu[scaled] = part.mean(axis=-1)
+        dev[scaled] = part - mu[scaled, None]
+        sq[scaled] = dev[scaled] * dev[scaled]
+        ss[scaled] = sq[scaled].sum(axis=-1)
+    out[..., 0] = np.ldexp(mu, exp)
+    std = np.sqrt(ss / (n - 1)) if n > 1 else np.zeros_like(mu)
+    out[..., 1] = np.ldexp(std, exp)
     varying = std > 0
 
     if n >= 3:

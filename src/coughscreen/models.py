@@ -19,12 +19,12 @@ gradient's summed over the blocks in row order, so every BLAS call stays
 below OpenBLAS's threading threshold: fits and predictions are the same bytes
 at any BLAS thread count. A lone candidate is computed beside a copy of
 itself, since numpy would send one row to gemv, which rounds differently from
-gemm. With that, a candidate's fit came out byte-equal alone, in the 12-grid
-and in any sub-batch, on every inner fold of the ``lr_nested`` benchmark
-(OpenBLAS 0.3.31, Haswell kernels). That is a property of the BLAS kernels,
-not a guarantee: with ragged last blocks, 872 of 4,800 score rows changed
-with the batch width. What is guaranteed is that (X, y, candidate list) fix
-every byte.
+gemm. With that, a candidate's fit came out byte-equal alone and in the
+12-grid on every inner fold of the seed-1 ``lr_nested`` benchmark, on numpy's
+OpenBLAS 0.3.31 with its SkylakeX kernels; with its Haswell kernels 100 of those
+1,200 fits differ. That is a property of the BLAS kernels, not a guarantee:
+with ragged last blocks, 872 of 4,800 score rows changed with the batch width.
+What is guaranteed is that (X, y, candidate list) fix every byte.
 
 The booster builds an additive scorer F_t = F_{t-1} + eta * h_t where each
 h_t is a depth-limited regression tree least-squares fit to the negative
@@ -193,18 +193,8 @@ def _lr_objectives(Theta, Xb, y, C, W):
     return -loglik + penalty, G
 
 
-def lr_objective(theta, X, y, C, sample_weight):
-    """Negative penalized log-likelihood and its analytic gradient: the
-    objective of ``fit_lr``, computed as a batch of one candidate."""
-    Xb = _row_blocks(X)
-    width = Xb.shape[0] * LR_BLOCK_ROWS
-    f, G = _lr_objectives(theta[None], Xb, _padded(y, width), np.array([float(C)]),
-                          _padded(sample_weight[None], width))
-    return float(f[0]), G[0]
-
-
 def fit_lr_batch(X, y, params_list, max_iter=LR_MAX_ITER) -> list:
-    """Minimize ``lr_objective`` from theta = 0 by unbounded L-BFGS-B for each
+    """Minimize ``_lr_objectives`` from theta = 0 by unbounded L-BFGS-B for each
     candidate ``{"C": ..., "class_weight": ...}`` of ``params_list``, in lockstep.
 
     Each candidate keeps its own ``setulb`` state and owns one row of the
@@ -280,10 +270,6 @@ def predict_proba_lr_batch(models_: list, X) -> np.ndarray:
             raise ValueError(f"model expects {model.feature_dim} features, got {X.shape}")
     Z = _lr_scores(np.array([model.theta for model in models_]), _row_blocks(X))
     return expit(Z[:, :X.shape[0]])
-
-
-def predict_proba_lr(model: LRModel, X) -> np.ndarray:
-    return predict_proba_lr_batch([model], X)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +426,7 @@ def staged_proba_gbdt(model: GBDTModel, X, stages) -> np.ndarray:
     """Probabilities of the first k trees for each k in ``stages``, one row per k.
 
     Boosting is forward-stagewise and draws its per-tree randomness in order,
-    so row s is bit-identical to ``predict_proba_gbdt`` of a separate fit with
+    so row s is bit-identical to ``predict_model`` of a separate fit with
     ``iterations=stages[s]`` and the same data, params and seed.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -460,12 +446,8 @@ def staged_proba_gbdt(model: GBDTModel, X, stages) -> np.ndarray:
     return out
 
 
-def predict_proba_gbdt(model: GBDTModel, X) -> np.ndarray:
-    return staged_proba_gbdt(model, X, [len(model.trees)])[0]
-
-
 # ---------------------------------------------------------------------------
-# Hyperparameter grids and dispatch
+# Hyperparameter grids and fit groups
 # ---------------------------------------------------------------------------
 
 def grid_candidates(family: str) -> list:
@@ -492,18 +474,42 @@ def grid_candidates(family: str) -> list:
     raise ValueError(f"unknown model family {family!r}")
 
 
-def fit_model(family: str, params: dict, X, y, seed: int = 0):
+def fit_groups(family: str, candidates: list) -> list:
+    """The member indices of each group of candidates that share one inner fit.
+
+    LR candidates form one group, fitted in lockstep by ``fit_lr_batch``. GBDT
+    candidates equal but for ``iterations`` share one fit at their largest
+    ``iterations``, scored per member as a prefix of its trees; every other
+    GBDT candidate is a group of its own. Groups and members keep grid order.
+    """
+    if family != "GBDT":
+        return [list(range(len(candidates)))]
+    groups = {}
+    for ci, cand in enumerate(candidates):
+        key = tuple(sorted((k, v) for k, v in cand.items() if k != "iterations"))
+        groups.setdefault(key, []).append(ci)
+    return list(groups.values())
+
+
+def fit_group(family: str, group: list, X, y, seed: int = 0) -> tuple:
+    """Fit one group of ``fit_groups``' candidates on (X, y), a GBDT group's one fit seeded
+    by ``seed``. Returns a scorer, mapping rows to the (len(group), rows) probabilities of
+    the members in group order, and the C of each LR fit that stopped unconverged."""
     if family == "LR":
-        return fit_lr(X, y, C=params["C"], class_weight=params.get("class_weight"))
+        fitted = fit_lr_batch(X, y, group)
+        return (lambda X_eval: predict_proba_lr_batch(fitted, X_eval),
+                [m.C for m in fitted if not m.converged])
     if family == "GBDT":
-        return fit_gbdt(X, y, params, seed=seed)
+        model = fit_gbdt(X, y, max(group, key=lambda c: int(c["iterations"])), seed=seed)
+        stages = [c["iterations"] for c in group]
+        return (lambda X_eval: staged_proba_gbdt(model, X_eval, stages)), []
     raise ValueError(f"unknown model family {family!r}")
 
 
 def predict_model(model, X) -> np.ndarray:
     if isinstance(model, LRModel):
-        return predict_proba_lr(model, X)
+        return predict_proba_lr_batch([model], X)[0]
     if isinstance(model, GBDTModel):
-        return predict_proba_gbdt(model, X)
+        return staged_proba_gbdt(model, X, [len(model.trees)])[0]
     raise TypeError(f"not a fitted model: {type(model)!r}")
 

@@ -15,10 +15,11 @@ Per outer fold the protocol is:
    Brier/ECE before and after calibration, conformal sets, and selective
    correctness — all at both waveform and cougher level where defined.
 
-``score_inner_fold`` runs step 2 on one inner fold, ``run_fold`` runs the
-other steps on the inner folds' outputs, and ``run_nested`` schedules both.
-Rows are picked by their cougher's role code in the fold plan, so scalers and
-models only ever see tuning rows (inner-train rows during the grid search).
+Step 1 is the fold plan's. ``score_inner_fold`` makes step 2's fits on one inner fold;
+``run_fold``, the model half, picks the winner (2), its out-of-fold probabilities (3)
+and the final fit (4), which scores the calibration subset (5) and the test fold (6);
+``evaluate_fold`` does the rest of 3, 5 and 6 from probabilities, labels and ids alone.
+Rows are picked by role code: scalers and models see only tuning (inner-train) rows.
 ``run_nested`` audits every plan (``splits.audit_plan``) before any fit, and a
 violation aborts the run with ``LeakageError``.
 """
@@ -135,18 +136,15 @@ def _design_matrix(table: FeatureTable, feature_mode: str) -> np.ndarray:
     raise ValueError(f"unknown feature_mode {feature_mode!r}")
 
 
-def _at_level(table: FeatureTable, rows, level: str, *probs) -> tuple:
-    """Each of ``probs``, the probabilities of the recordings at ``rows``, at ``level``,
-    then the labels and ids there: as they are at the waveform level, and averaged
-    per cougher at the cougher level."""
+def _at_level(level: str, labels, recording_ids, cougher_ids, *probs) -> tuple:
+    """Each of ``probs`` at ``level``, then the labels and ids there: as given at the
+    waveform level, and averaged per cougher, in cougher id order, at the cougher level."""
     if level == "waveform":
-        return (*probs, table.labels[rows], [table.recording_ids[r] for r in rows])
-    # grouped by the rows' cougher positions in the ids of ``cougher_index``; a
-    # cougher's rows share its label, so the label's mean is the label
-    aggregated = [metrics.aggregate_cougher(p, table.cougher_pos[rows])
-                  for p in (*probs, table.labels[rows])]
+        return (*probs, labels, recording_ids)
+    # a cougher's recordings share its label, so the label's mean is the label
+    aggregated = [metrics.aggregate_cougher(p, cougher_ids) for p in (*probs, labels)]
     *means, labels = (mean for _, mean in aggregated)
-    return (*means, labels.astype(int), table.cougher_index[0][aggregated[0][0]].tolist())
+    return (*means, labels.astype(int), aggregated[0][0].tolist())
 
 
 def json_clean(obj):
@@ -173,21 +171,25 @@ class FoldResult(types.SimpleNamespace):
                                               for level in LEVELS}))
 
 
-def _fit_groups(family: str, candidates: list) -> list:
-    """The member indices of each group of candidates that share one inner fit.
-
-    LR candidates form one group, fitted in lockstep by ``fit_lr_batch``. GBDT
-    candidates equal but for ``iterations`` share one fit at their largest
-    ``iterations``, scored per member as a prefix of its trees; every other
-    GBDT candidate is a group of its own. Groups and members keep grid order.
-    """
-    if family != "GBDT":
-        return [list(range(len(candidates)))]
-    groups = {}
-    for ci, cand in enumerate(candidates):
-        key = tuple(sorted((k, v) for k, v in cand.items() if k != "iterations"))
-        groups.setdefault(key, []).append(ci)
-    return list(groups.values())
+def _fit_and_score(family: str, candidates: list, X, y, train_rows, eval_rows: list,
+                   seed: int) -> tuple:
+    """Fit the scaler, then each of ``models.fit_groups`` once, on the ``train_rows`` of
+    (X, y), and score each array of rows in ``eval_rows`` on its own: the (candidates x
+    rows) probabilities of each, and the C of each LR fit that stopped unconverged."""
+    # the scaler does not depend on the candidate, so every candidate shares it
+    X_train = X[train_rows]
+    scaler = fit_scaler(X_train)
+    X_train = apply_scaler(scaler, X_train)
+    X_evals = [apply_scaler(scaler, X[rows]) for rows in eval_rows]
+    probs = [np.empty((len(candidates), rows.size)) for rows in eval_rows]
+    unconverged = []
+    for members in models.fit_groups(family, candidates):
+        score, group_unconverged = models.fit_group(
+            family, [candidates[ci] for ci in members], X_train, y[train_rows], seed)
+        unconverged += group_unconverged
+        for out, X_eval in zip(probs, X_evals):
+            out[members] = score(X_eval)
+    return probs, unconverged
 
 
 def score_inner_fold(table: FeatureTable, codes: np.ndarray, fold: int, j: int, family: str,
@@ -199,44 +201,23 @@ def score_inner_fold(table: FeatureTable, codes: np.ndarray, fold: int, j: int, 
     threshold, the (candidates x validation rows) probabilities, and the C of
     each LR fit that stopped unconverged.
     """
-    X_all, y_all = _design_matrix(table, feature_mode), table.labels
+    X, y = _design_matrix(table, feature_mode), table.labels
     role = codes[table.cougher_pos]
     train_rows, val_rows = np.flatnonzero((role >= 0) & (role != j)), np.flatnonzero(role == j)
-    # the scaler does not depend on the candidate, so every candidate shares it
-    X_train, y_train = X_all[train_rows], y_all[train_rows]
-    scaler = fit_scaler(X_train)
-    X_train = apply_scaler(scaler, X_train)
-    X_val = apply_scaler(scaler, X_all[val_rows])
-    candidates = cfg.candidates(family)
-    uars = np.empty(len(candidates))
-    probs = np.empty((len(candidates), val_rows.size))
-    unconverged = []
-    seed = model_seed(cfg.seed, fold, 0)
-    for members in _fit_groups(family, candidates):
-        group = [candidates[ci] for ci in members]
-        if family == "GBDT":
-            params = max(group, key=lambda c: int(c["iterations"]))
-            model = models.fit_gbdt(X_train, y_train, params, seed=seed)
-            member_probs = models.staged_proba_gbdt(model, X_val,
-                                                    [c["iterations"] for c in group])
-        else:
-            fitted = models.fit_lr_batch(X_train, y_train, group)
-            unconverged += [m.C for m in fitted if not m.converged]
-            member_probs = models.predict_proba_lr_batch(fitted, X_val)
-        for ci, member in zip(members, member_probs):
-            _, j_stat = calibration.youden_threshold(member, y_all[val_rows])
-            uars[ci] = (1.0 + j_stat) / 2.0
-            probs[ci] = member
+    (probs,), unconverged = _fit_and_score(family, cfg.candidates(family), X, y, train_rows,
+                                           [val_rows], model_seed(cfg.seed, fold, 0))
+    uars = np.array([(1.0 + calibration.youden_threshold(p, y[val_rows])[1]) / 2.0
+                     for p in probs])
     return uars, probs, unconverged
 
 
 def run_fold(table: FeatureTable, codes: np.ndarray, fold: int, family: str,
              feature_mode: str, cfg: RunConfig, inner) -> tuple[FoldResult, list]:
-    """Steps (1) and (3)-(6) of the protocol for outer fold ``fold``, whose role codes
-    are ``codes``, given in ``inner`` the ``score_inner_fold`` output of each of its
-    inner folds, in order. Returns the ``FoldResult`` and the C of each of the fold's
-    LR fits that stopped unconverged."""
-    X_all, y_all = _design_matrix(table, feature_mode), table.labels
+    """The model half of outer fold ``fold``, whose role codes are ``codes``, given in
+    ``inner`` the ``score_inner_fold`` output of each of its inner folds, in order.
+    Returns the ``FoldResult``, with the keys of ``evaluate_fold``, and the C of each of
+    the fold's LR fits that stopped unconverged."""
+    X, y = _design_matrix(table, feature_mode), table.labels
     role = codes[table.cougher_pos]
     tuning_rows = np.flatnonzero(role >= 0)
     calib_rows = np.flatnonzero(role == CALIB)
@@ -258,27 +239,46 @@ def run_fold(table: FeatureTable, codes: np.ndarray, fold: int, family: str,
     if np.isnan(best_oof).any():
         raise RuntimeError("out-of-fold probabilities missing for some tuning rows")
 
-    iso = calibration.fit_isotonic(best_oof, y_all[tuning_rows])
+    # the final fit, a group of one on every tuning row, scores the calibration
+    # subset and the untouched outer test fold once each
+    ((calib_raw,), (test_raw,)), final_unconverged = _fit_and_score(
+        family, [best_params], X, y, tuning_rows, [calib_rows, test_rows],
+        model_seed(cfg.seed, fold, 1))
+    unconverged += final_unconverged
 
-    X_tuning = X_all[tuning_rows]
-    scaler_final = fit_scaler(X_tuning)
-    model_final = models.fit_model(family, best_params, apply_scaler(scaler_final, X_tuning),
-                                   y_all[tuning_rows], seed=model_seed(cfg.seed, fold, 1))
-    if isinstance(model_final, models.LRModel) and not model_final.converged:
-        unconverged.append(model_final.C)
+    roles = ((best_oof, tuning_rows), (calib_raw, calib_rows), (test_raw, test_rows))
+    record = evaluate_fold(*[(p, y[rows], [table.recording_ids[r] for r in rows],
+                              table.cougher_ids[rows]) for p, rows in roles], cfg.alphas)
+    # true by construction: run_nested audits the plan, and rows are picked by role code
+    audit = {
+        "boundaries_disjoint": True,
+        "scaler_fit_coughers": table.cougher_index[0][codes >= 0].tolist(),
+        "scaler_fit_within_tuning": True,
+        "outer_positive_rates": None,  # filled by run_nested
+    }
+    return FoldResult(
+        fold=fold, family=family, feature_mode=feature_mode,
+        best_params=best_params, best_inner_uar=best_uar, **record,
+        n_test_coughers=int(np.sum(codes == TEST)), n_calib_coughers=int(np.sum(codes == CALIB)),
+        n_tuning_coughers=int(np.sum(codes >= 0)), audit=audit,
+    ), unconverged
 
-    # Score the calibration subset and the untouched outer test fold once each.
-    calib_cal = calibration.apply_isotonic(
-        iso, models.predict_model(model_final, apply_scaler(scaler_final, X_all[calib_rows])))
-    test_raw = models.predict_model(model_final, apply_scaler(scaler_final, X_all[test_rows]))
-    test_cal = calibration.apply_isotonic(iso, test_raw)
+
+def evaluate_fold(oof: tuple, calib: tuple, test: tuple, alphas) -> dict:
+    """The fold record's keys that steps (3), (5) and (6) derive from ``oof``, ``calib`` and
+    ``test``: each the (raw probabilities, labels, recording ids, cougher ids) of one role's
+    rows, the winner's out-of-fold probabilities of the tuning rows, which fit the isotonic
+    calibrator, then the final fit's of the calibration subset and of the test fold."""
+    iso = calibration.fit_isotonic(*oof[:2])
+    calib_cal = calibration.apply_isotonic(iso, calib[0])
+    test_cal = calibration.apply_isotonic(iso, test[0])
 
     # Per level: the Youden threshold on the calibration subset, then the test fold's
     # metric suite, and Brier and ECE before and after calibration.
     record, at, test_ids = {}, {}, {}
     for level, (tag, threshold_key) in LEVELS.items():
-        calib_p, calib_y, _ = _at_level(table, calib_rows, level, calib_cal)
-        raw, cal, y, test_ids[level] = _at_level(table, test_rows, level, test_raw, test_cal)
+        calib_p, calib_y, _ = _at_level(level, *calib[1:], calib_cal)
+        raw, cal, y, test_ids[level] = _at_level(level, *test[1:], test[0], test_cal)
         tau, _ = calibration.youden_threshold(calib_p, calib_y)
         at[level] = calib_p, calib_y, cal, y, tau
         record.update({threshold_key: tau, level: metrics.full_suite(cal, y, tau),
@@ -289,35 +289,19 @@ def run_fold(table: FeatureTable, codes: np.ndarray, fold: int, family: str,
 
     # Conformal sets and selective correctness, at the cougher level.
     calib_cg, calib_cg_y, cg_cal, cg_labels, tau_s = at["cougher"]
-    conf = conformal.fit_conformal(calib_cg, calib_cg_y, cfg.alphas)
+    conf = conformal.fit_conformal(calib_cg, calib_cg_y, alphas)
     conf_out, sel_out, sets_out = {}, {}, {}
     point_preds = (cg_cal >= tau_s).astype(int)
-    for alpha in cfg.alphas:
+    for alpha in alphas:
         sets = conf.prediction_sets(cg_cal, alpha)
         ev = conformal.evaluate_sets(sets, cg_labels)
         ev["qhat"] = conf.quantiles[float(alpha)]
         conf_out[float(alpha)] = ev
         sel_out[float(alpha)] = conformal.selective_metrics(point_preds, sets, cg_labels)
         sets_out[float(alpha)] = {"has_pos": sets[:, 1], "has_neg": sets[:, 0]}
-
-    # true by construction: run_nested audits the plan, and rows are picked by role code
-    audit = {
-        "boundaries_disjoint": True,
-        "scaler_fit_coughers": table.cougher_index[0][codes >= 0].tolist(),
-        "scaler_fit_within_tuning": True,
-        "outer_positive_rates": None,  # filled by run_nested
-    }
-
-    return FoldResult(
-        fold=fold, family=family, feature_mode=feature_mode,
-        best_params=best_params, best_inner_uar=best_uar, **record,
-        conformal=conf_out, selective=sel_out,
-        n_test_coughers=int(np.sum(codes == TEST)), n_calib_coughers=int(np.sum(codes == CALIB)),
-        n_tuning_coughers=int(np.sum(codes >= 0)),
-        oof_recording_ids=[table.recording_ids[r] for r in tuning_rows],
-        oof_probs=best_oof, test_recording_ids=test_ids["waveform"],
-        test_cg_ids=test_ids["cougher"], test_sets=sets_out, audit=audit,
-    ), unconverged
+    return dict(record, conformal=conf_out, selective=sel_out, oof_recording_ids=oof[2],
+                oof_probs=oof[0], test_recording_ids=test_ids["waveform"],
+                test_cg_ids=test_ids["cougher"], test_sets=sets_out)
 
 
 _worker_table = None  # a pool worker's FeatureTable, set once by _init_worker

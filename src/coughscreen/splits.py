@@ -189,11 +189,6 @@ def plan_csv_text(plan: NestedPlan) -> str:
     return buf.getvalue()
 
 
-def export_plan_csv(plan: NestedPlan, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(plan_csv_text(plan))
-
-
 def audit_plan(plan: NestedPlan) -> list:
     """The plan's protocol violations: every cougher must be in the test role of exactly
     one outer fold, and every outer fold hold a calibration cougher and, as its other

@@ -18,7 +18,7 @@ import pytest
 from conftest import TINY_LR_GRID, tiny_experiment_doc
 from coughscreen import calibration, cli, conformal, dsp, features, metrics, pipeline, synth
 from coughscreen.experiment import ExperimentConfig, run_experiment
-from coughscreen.splits import CALIB, TEST, build_nested_plan, export_plan_csv
+from coughscreen.splits import CALIB, TEST, build_nested_plan, plan_csv_text
 
 from test_calibration import youden_scan_oracle
 from test_features import summarize_oracle
@@ -202,7 +202,7 @@ def test_c06_leakage_audit(tmp_path):
                 assert np.unique(codes[codes >= 0]).tolist() == [0, 1]  # k_inner = 2
             if trial % 200 == 0:
                 path = tmp_path / f"plan_{trial}.csv"
-                export_plan_csv(plan, path)
+                path.write_text(plan_csv_text(plan), encoding="utf-8", newline="")
                 assert cli.main(["audit", str(path)]) == 0
 
 

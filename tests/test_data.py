@@ -270,7 +270,7 @@ class TestSyntheticGenerator:
             scaler = data.fit_scaler(X[tr])
             m = models.fit_lr(data.apply_scaler(scaler, X[tr]), table.labels[tr],
                               C=0.01, class_weight="balanced")
-            probs = models.predict_proba_lr(m, data.apply_scaler(scaler, X[te]))
+            probs = models.predict_model(m, data.apply_scaler(scaler, X[te]))
             cids, agg = aggregate_cougher(probs, table.cougher_ids[te])
             label_of = dict(zip(ids, labels))
             y = np.array([label_of[c] for c in cids])

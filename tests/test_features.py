@@ -341,6 +341,28 @@ class TestSummarize:
         mixed = np.any((x == 0) & np.signbit(x), axis=0) & np.any((x == 0) & ~np.signbit(x), axis=0)
         assert got[~mixed].tobytes() == expected[~mixed].tobytes()
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 70), st.integers(1, 4)),
+                  # 0 or a magnitude in [1e-290, 1e290]: sums and deviations stay finite
+                  # and normal, while squares and fourth powers may not
+                  elements=st.one_of(
+                      st.sampled_from([-1.5, 0.0, 2.0]),
+                      st.builds(lambda sign, m, e: sign * m * 10.0 ** e, st.sampled_from([-1, 1]),
+                                st.floats(1.0, 9.99), st.integers(-290, 289)))))
+    @example(np.array([[1e80], [0.0], [0.0], [0.0]]))  # (d*d)*(d*d) overflows
+    @example(np.array([[1e120], [0.0], [0.0]]))  # (d*d)*d overflows
+    @example(np.array([[1e160], [0.0], [0.0], [0.0]]))  # d*d overflows
+    @example(np.array([[1e-100], [0.0], [0.0], [0.0]]))  # (d*d)*(d*d) underflows
+    def test_moments_equal_those_at_unit_scale(self, x):
+        # each column scaled by an exact power of two to a largest magnitude in [0.5, 1),
+        # where no power of a deviation overflows or is subnormal
+        k = np.frexp(np.abs(x).max(axis=0))[1]
+        got, unit = features.summarize(x), features.summarize(np.ldexp(x, -k))
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(np.ldexp(got[:, :2], -k[:, None]), unit[:, :2],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[:, 2:4], unit[:, 2:4], rtol=1e-12, atol=1e-12)
+
     def test_stack_rows_bit_identical_to_one_dimensional_calls(self):
         rng = np.random.default_rng(14)
         for n in (1, 2, 3, 4, 32, 63):

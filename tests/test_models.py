@@ -13,13 +13,23 @@ def logloss(probs, y, w=None):
     return -float(np.sum(w * (y * np.log(p) + (1 - y) * np.log(1 - p))))
 
 
+def lr_objective(theta, X, y, C, sample_weight):
+    """The objective ``fit_lr`` minimizes, negative penalized log-likelihood and its
+    analytic gradient: ``models._lr_objectives`` of one candidate."""
+    Xb = models._row_blocks(X)
+    width = Xb.shape[0] * models.LR_BLOCK_ROWS
+    f, G = models._lr_objectives(theta[None], Xb, models._padded(y, width),
+                                 np.array([float(C)]), models._padded(sample_weight[None], width))
+    return float(f[0]), G[0]
+
+
 class TestLogisticRegression:
     def test_all_zero_features_balanced_labels(self):
         X = np.zeros((20, 3))
         y = np.array([0, 1] * 10)
         m = models.fit_lr(X, y, C=1.0)
         np.testing.assert_allclose(m.theta[1:], 0.0, atol=1e-8)
-        probs = models.predict_proba_lr(m, X)
+        probs = models.predict_model(m, X)
         np.testing.assert_allclose(probs, 0.5, atol=1e-8)
 
     def test_separable_1d_positive_slope(self):
@@ -34,13 +44,13 @@ class TestLogisticRegression:
         y = (rng.random(40) < 0.4).astype(float)
         w = models.class_sample_weights(y, "balanced")
         theta = rng.standard_normal(7)
-        _, grad = models.lr_objective(theta, X, y, 0.05, w)
+        _, grad = lr_objective(theta, X, y, 0.05, w)
         h = 1e-6
         for i in range(7):
             e = np.zeros(7)
             e[i] = h
-            f_plus, _ = models.lr_objective(theta + e, X, y, 0.05, w)
-            f_minus, _ = models.lr_objective(theta - e, X, y, 0.05, w)
+            f_plus, _ = lr_objective(theta + e, X, y, 0.05, w)
+            f_minus, _ = lr_objective(theta - e, X, y, 0.05, w)
             fd = (f_plus - f_minus) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -57,8 +67,7 @@ class TestLogisticRegression:
         X = rng.standard_normal((60, 4))
         y = (rng.random(60) < expit(X[:, 0])).astype(float)
         m = models.fit_lr(X, y, C=0.05)
-        _, grad = models.lr_objective(m.theta, X, y, 0.05,
-                                      models.class_sample_weights(y, None))
+        _, grad = lr_objective(m.theta, X, y, 0.05, models.class_sample_weights(y, None))
         assert np.abs(grad).max() < 1e-6
 
     def test_single_class_rejected(self):
@@ -73,12 +82,12 @@ class TestLogisticRegression:
 
     def test_predict_theta_zero(self):
         m = models.LRModel(theta=np.zeros(4), C=1.0)
-        np.testing.assert_array_equal(models.predict_proba_lr(m, np.ones((3, 3))), 0.5)
+        np.testing.assert_array_equal(models.predict_model(m, np.ones((3, 3))), 0.5)
 
     def test_predict_saturation_no_overflow(self):
         m = models.LRModel(theta=np.array([0.0, 40.0]), C=1.0)
         with np.errstate(over="raise"):
-            p = models.predict_proba_lr(m, np.array([[1.0], [-1.0]]))
+            p = models.predict_model(m, np.array([[1.0], [-1.0]]))
         assert p[0] >= 1 - 1e-15
         assert p[1] <= 1e-15
 
@@ -87,14 +96,14 @@ class TestLogisticRegression:
         m = models.LRModel(theta=rng.standard_normal(5), C=1.0)
         X = rng.standard_normal((50, 4))
         scores = X @ m.theta[1:] + m.theta[0]
-        probs = models.predict_proba_lr(m, X)
+        probs = models.predict_model(m, X)
         order = np.argsort(scores)
         assert np.all(np.diff(probs[order]) >= 0)
 
     def test_dimension_mismatch_rejected(self):
         m = models.LRModel(theta=np.zeros(4), C=1.0)
         with pytest.raises(ValueError):
-            models.predict_proba_lr(m, np.ones((2, 5)))
+            models.predict_model(m, np.ones((2, 5)))
 
 
 def reference_fit_lr(X, y, C, class_weight=None, max_iter=models.LR_MAX_ITER):
@@ -102,7 +111,7 @@ def reference_fit_lr(X, y, C, class_weight=None, max_iter=models.LR_MAX_ITER):
     ``models.fit_lr``. Returns (theta, n_iter, converged)."""
     X, y = models._validate_xy(X, y)
     w = models.class_sample_weights(y, class_weight)
-    res = minimize(models.lr_objective, np.zeros(X.shape[1] + 1), args=(X, y, C, w),
+    res = minimize(lr_objective, np.zeros(X.shape[1] + 1), args=(X, y, C, w),
                    jac=True, method="L-BFGS-B",
                    options={"maxiter": max_iter, "gtol": models.LR_GRAD_TOL, "ftol": 1e-15})
     return res.x, int(res.nit), bool(res.success)
@@ -182,7 +191,7 @@ class TestLRBatch:
         probs = models.predict_proba_lr_batch(fitted, X)
         assert probs.shape == (len(fitted), 200)
         for row, m in zip(probs, fitted):
-            assert np.array_equal(row, models.predict_proba_lr(m, X))
+            assert np.array_equal(row, models.predict_model(m, X))
 
     def test_iteration_cap_stops_every_candidate(self):
         X, y = lr_problem(4, 80, 6)
@@ -333,7 +342,7 @@ class TestGBDT:
         thr, _ = stump_oracle(X[:, 0], y - p0)
         assert threshold == pytest.approx(thr)
         assert threshold == pytest.approx(4.5)
-        probs = models.predict_proba_gbdt(m, X)
+        probs = models.predict_model(m, X)
         base = logloss(np.full(10, p0), y)
         assert logloss(probs, y) < base
 
@@ -342,7 +351,7 @@ class TestGBDT:
         X = rng.standard_normal((30, 3))
         y = (rng.random(30) < 0.4).astype(float)
         m = models.fit_gbdt(X, y, gbdt_params(learning_rate=0.0, iterations=5), seed=0)
-        probs = models.predict_proba_gbdt(m, X)
+        probs = models.predict_model(m, X)
         np.testing.assert_allclose(probs, y.mean(), atol=1e-12)
 
     def test_training_logloss_non_increasing(self):
@@ -364,7 +373,7 @@ class TestGBDT:
         y = (rng.random(120) < expit(X[:, 0])).astype(float)
         m = models.fit_gbdt(X, y, gbdt_params(iterations=10, depth=3), seed=1)
         X_new = rng.standard_normal((100, 6))
-        got = models.predict_proba_gbdt(m, X_new)
+        got = models.predict_model(m, X_new)
         trees = [nested(t) for t in m.trees]
         expected = expit(np.array([m.base_score + m.eta * sum(walk(t, row) for t in trees)
                                    for row in X_new]))
@@ -375,10 +384,10 @@ class TestGBDT:
         X = rng.standard_normal((60, 4))
         y = (rng.random(60) < 0.5).astype(float)
         params = gbdt_params(subsample=0.7, rsm=0.7, iterations=8)
-        p1 = models.predict_proba_gbdt(models.fit_gbdt(X, y, params, seed=9), X)
-        p2 = models.predict_proba_gbdt(models.fit_gbdt(X, y, params, seed=9), X)
+        p1 = models.predict_model(models.fit_gbdt(X, y, params, seed=9), X)
+        p2 = models.predict_model(models.fit_gbdt(X, y, params, seed=9), X)
         np.testing.assert_array_equal(p1, p2)
-        p3 = models.predict_proba_gbdt(models.fit_gbdt(X, y, params, seed=10), X)
+        p3 = models.predict_model(models.fit_gbdt(X, y, params, seed=10), X)
         assert not np.array_equal(p1, p3)
 
     def test_balanced_weights_root_gradients_equal(self):
@@ -546,7 +555,7 @@ class TestStagedPrediction:
         assert staged.shape == (4, 30)
         for k, probs in zip(stages, staged):
             separate = models.fit_gbdt(X, y, dict(params, iterations=k), seed=4)
-            np.testing.assert_array_equal(probs, models.predict_proba_gbdt(separate, X_new))
+            np.testing.assert_array_equal(probs, models.predict_model(separate, X_new))
 
     def test_stages_keep_request_order(self):
         rng = np.random.default_rng(13)

@@ -7,7 +7,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from coughscreen import data, pipeline, synth
+from coughscreen import calibration, data, models, pipeline, synth
 from coughscreen.data import ManifestError
 from coughscreen.splits import (CALIB, TEST, LeakageError, NestedPlan, audit_plan,
                                 build_nested_plan)
@@ -232,6 +232,75 @@ class TestDeterminism:
         for ra, rb in zip(fwd, rev):
             np.testing.assert_array_equal(ra.test_cg_cal, rb.test_cg_cal)
             assert ra.test_cg_ids == rb.test_cg_ids
+
+
+class TestEvaluateFold:
+    """``evaluate_fold`` scores an outer fold from probabilities, labels and ids alone."""
+
+    def test_equals_run_folds_record(self, table):
+        cfg = pipeline.RunConfig(seed=42, grid=LR_GRID)
+        plan = build_nested_plan(*table.coughers(), k_outer=10, k_inner=5, calib_frac=0.15,
+                                 master_seed=42)
+        codes = plan.codes[3]
+        inner = [pipeline.score_inner_fold(table, codes, 3, j, "LR", "fused", cfg)
+                 for j in range(5)]
+        want = pipeline.run_fold(table, codes, 3, "LR", "fused", cfg, inner)[0].to_dict()
+        # the final fit by hand: a scaler and one LR fit on the tuning rows
+        role = codes[table.cougher_pos]
+        tuning = np.flatnonzero(role >= 0)
+        scaler = data.fit_scaler(table.features[tuning])
+        model = models.fit_lr(data.apply_scaler(scaler, table.features[tuning]),
+                              table.labels[tuning], **want["best_params"])
+
+        def role_rows(probs, rows):
+            return (probs, table.labels[rows], [table.recording_ids[r] for r in rows],
+                    table.cougher_ids[rows])
+
+        def final(rows):
+            return role_rows(models.predict_model(
+                model, data.apply_scaler(scaler, table.features[rows])), rows)
+
+        record = pipeline.evaluate_fold(role_rows(np.array(want["oof_probs"]), tuning),
+                                        final(np.flatnonzero(role == CALIB)),
+                                        final(np.flatnonzero(role == TEST)), cfg.alphas)
+        got = pipeline.FoldResult(**record).to_dict()
+        assert got == {key: want[key] for key in got}
+        assert set(want) - set(got) == {"fold", "family", "feature_mode", "best_params",
+                                         "best_inner_uar", "n_test_coughers",
+                                         "n_calib_coughers", "n_tuning_coughers", "audit"}
+
+    def test_cougher_level_groups_rows_by_id_in_any_order(self):
+        rng = np.random.default_rng(4)
+
+        def role_rows(prefix, coughers, labels):
+            # each cougher's recordings interleaved with the others', in no id order
+            cids = np.array([c for c in coughers for _ in range(3)])[rng.permutation(
+                3 * len(coughers))]
+            y = np.array([labels[coughers.index(c)] for c in cids])
+            probs = np.clip(0.3 * y + 0.7 * rng.random(cids.size), 0.0, 1.0)
+            return probs, y, [f"{prefix}{i}" for i in range(cids.size)], cids
+
+        oof = role_rows("o", [f"t{i}" for i in range(12)], [0, 1] * 6)
+        calib = role_rows("c", ["c2", "c0", "c3", "c1"], [1, 0, 1, 0])
+        test = role_rows("x", ["x1", "x0", "x2"], [0, 1, 1])
+        record = pipeline.evaluate_fold(oof, calib, test, (0.1, 0.05))
+        iso = calibration.fit_isotonic(*oof[:2])
+        cal = calibration.apply_isotonic(iso, test[0])
+        assert record["test_recording_ids"] == test[2]
+        np.testing.assert_array_equal(record["test_wf_cal"], cal)
+        assert record["test_cg_ids"] == ["x0", "x1", "x2"]
+        for i, c in enumerate(record["test_cg_ids"]):
+            rows = test[3] == c
+            assert record["test_cg_raw"][i] == pytest.approx(test[0][rows].mean(), abs=1e-15)
+            assert record["test_cg_cal"][i] == pytest.approx(cal[rows].mean(), abs=1e-15)
+            assert record["test_cg_labels"][i] == test[1][rows][0]
+        calib_cal = calibration.apply_isotonic(iso, calib[0])
+        calib_ids = sorted(set(calib[3]))
+        tau_s, _ = calibration.youden_threshold(
+            [calib_cal[calib[3] == c].mean() for c in calib_ids],
+            [calib[1][calib[3] == c][0] for c in calib_ids])
+        assert record["tau_s"] == pytest.approx(tau_s, abs=1e-15)
+        assert record["oof_recording_ids"] == oof[2]
 
 
 class TestNoTestDependence:

@@ -132,7 +132,7 @@ class TestNestedPlan:
     def test_export_audit_clean(self, tmp_path):
         _, _, _, plan = self.build(2)
         path = tmp_path / "plan.csv"
-        splits.export_plan_csv(plan, path)
+        path.write_text(splits.plan_csv_text(plan), encoding="utf-8", newline="")
         rows = splits.load_plan_csv(path)
         assert splits.audit_plan_rows(rows) == []
 
