@@ -1,4 +1,4 @@
-"""Subjects, recordings, clinical records, manifests, and feature plumbing.
+"""Subjects, recordings, clinical records, manifests, and the feature scaler.
 
 The grouping unit throughout is the cougher (study participant). A cougher
 carries one binary TB label, one clinical record with the 16 demographic
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, features
+from . import dsp
 
 log = logging.getLogger(__name__)
 
@@ -166,8 +166,6 @@ class ClinicalRecord:
 CLINICAL_FIELDS = [f.name for f in fields(ClinicalRecord)]
 # the annotations are strings under ``from __future__ import annotations``
 BINARY_CLINICAL_FIELDS = frozenset(f.name for f in fields(ClinicalRecord) if f.type == "int")
-N_CLINICAL = len(CLINICAL_FIELDS)
-N_AUDIO_FEATURES = features.VECTOR_LENGTH
 MANIFEST_COLUMNS = ["recording_id", "cougher_id", "tb_label", "wav_path"] + CLINICAL_FIELDS
 
 
@@ -194,7 +192,7 @@ class CoughRecording:
         if self.waveform is not None:
             return self.waveform
         try:
-            return dsp.resample(dsp.read_wav(self.wav_path), dsp.TARGET_SAMPLE_RATE_HZ)
+            return dsp.resample(dsp.read_wav(self.wav_path))
         except (wave.Error, EOFError, ValueError) as exc:
             raise ManifestError(f"cannot decode audio file {self.wav_path}: {exc}") from exc
 
@@ -337,18 +335,3 @@ def apply_scaler(scaler: StandardScaler, X) -> np.ndarray:
                          f"cannot apply to shape {X.shape}")
     return (X - scaler.means) / scaler.stds
 
-
-def fuse(audio_vec, clinical_vec) -> np.ndarray:
-    """Concatenate the audio block (261) and clinical block (16), audio first.
-
-    Accepts single vectors or row-aligned matrices.
-    """
-    a = np.asarray(audio_vec, dtype=np.float64)
-    c = np.asarray(clinical_vec, dtype=np.float64)
-    if a.shape[-1] != N_AUDIO_FEATURES:
-        raise ValueError(f"audio block must have {N_AUDIO_FEATURES} values, got {a.shape[-1]}")
-    if c.shape[-1] != N_CLINICAL:
-        raise ValueError(f"clinical block must have {N_CLINICAL} values, got {c.shape[-1]}")
-    if a.ndim != c.ndim or a.shape[:-1] != c.shape[:-1]:
-        raise ValueError(f"audio and clinical blocks disagree on rows: {a.shape} vs {c.shape}")
-    return np.concatenate([a, c], axis=-1)

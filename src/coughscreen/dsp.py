@@ -1,10 +1,10 @@
 """Waveform ingestion and short-time spectral analysis.
 
-Turns a cough recording into overlapping Hamming-windowed frames and
-one-sided FFT magnitude spectra. The analysis geometry is fixed: 16 kHz
-audio, centered 512-sample (32 ms) frames with a 256-sample (16 ms) hop,
-and a 2048-point FFT, so a 0.5 s recording yields 32 frames of 1025
-magnitudes.
+Reads WAVs, resamples them down to 16 kHz (``resample``), and turns a cough
+recording into overlapping Hamming-windowed frames and one-sided FFT magnitude
+spectra. The analysis geometry is fixed: 16 kHz audio, centered 512-sample
+(32 ms) frames with a 256-sample (16 ms) hop, and a 2048-point FFT, so a 0.5 s
+recording yields 32 frames of 1025 magnitudes.
 
 All functions here are pure: they never mutate their inputs and are safe
 to call concurrently across recordings.
@@ -88,25 +88,23 @@ def _antialias_fir(max_rate: int) -> np.ndarray:
     return h
 
 
-def resample(w: Waveform, target_hz: int) -> Waveform:
-    """Band-limited polyphase resampling (anti-aliasing before decimation).
+def resample(w: Waveform) -> Waveform:
+    """Band-limited polyphase resampling to 16 kHz (anti-aliasing before decimation).
 
-    Pass-through is bit-exact when ``target_hz`` equals the source rate.
-    Upsampling is rejected: the pipeline only ever moves down to 16 kHz.
-    The output is byte-equal to ``resample_poly``'s default Kaiser design,
-    whose filter is cached per rate ratio.
+    Pass-through is bit-exact for 16 kHz input. Upsampling is rejected: the
+    pipeline only ever moves down to 16 kHz. The output is byte-equal to
+    ``resample_poly``'s default Kaiser design, whose filter is cached per rate ratio.
     """
-    if target_hz <= 0:
-        raise ValueError("target rate must be positive")
-    if target_hz > w.sample_rate_hz:
-        raise ValueError(f"upsampling {w.sample_rate_hz} -> {target_hz} Hz is not supported")
-    if target_hz == w.sample_rate_hz:
+    if w.sample_rate_hz < TARGET_SAMPLE_RATE_HZ:
+        raise ValueError(f"upsampling {w.sample_rate_hz} -> {TARGET_SAMPLE_RATE_HZ} Hz is "
+                         "not supported")
+    if w.sample_rate_hz == TARGET_SAMPLE_RATE_HZ:
         return w
-    g = np.gcd(target_hz, w.sample_rate_hz)
-    up, down = target_hz // g, w.sample_rate_hz // g
+    g = np.gcd(TARGET_SAMPLE_RATE_HZ, w.sample_rate_hz)
+    up, down = TARGET_SAMPLE_RATE_HZ // g, w.sample_rate_hz // g
     from scipy.signal import resample_poly  # loaded on first use: it doubles the CLI's start time
     out = resample_poly(w.samples, up, down, window=_antialias_fir(max(up, down)))
-    return Waveform(out, target_hz)
+    return Waveform(out, TARGET_SAMPLE_RATE_HZ)
 
 
 def frame(samples: np.ndarray) -> np.ndarray:

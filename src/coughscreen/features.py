@@ -5,11 +5,13 @@ Each frame is described by 29 values: 4 spectral shape statistics
 energies. Each of the 29 trajectories is then compressed into 9
 functionals (mean, std, skewness, kurtosis, and the 10/25/50/75/90th
 percentiles), producing a fixed 261-value vector per recording. Every
-descriptor takes (..., L, 1025) spectra from ``dsp.magnitude_spectrum``,
-the magnitudes ``X`` or the power ``P = X ** 2``, and returns one value (or
-row) per frame. ``extract`` analyses one recording; ``extract_all`` streams
-any number of them in batches of a bounded number of frames, analysing the
-clips of a batch that share a frame count as one stack.
+descriptor returns one value (or row) per frame of (..., L, 1025) spectra from
+``dsp.magnitude_spectrum``. It takes the magnitudes ``X``, the power
+``P = X ** 2`` or the intermediates that ``frame_features`` computes once and
+shares: bandwidth takes the centroid, MFCC and chroma ``fold_spectra(P)``.
+``extract`` analyses one recording; ``extract_all`` streams any number of them
+in batches of a bounded number of frames, analysing the clips of a batch that
+share a frame count as one stack.
 
 Conventions for degenerate frames (all-zero spectrum): centroid,
 bandwidth, roll-off, flatness, and chroma are all defined as 0 so that
@@ -61,11 +63,9 @@ def spectral_centroid(X: np.ndarray) -> np.ndarray:
     return np.divide(weighted, total, out=np.zeros_like(total), where=total > 0)
 
 
-def spectral_bandwidth(X: np.ndarray, centroid: np.ndarray | None = None) -> np.ndarray:
+def spectral_bandwidth(X: np.ndarray, centroid: np.ndarray) -> np.ndarray:
     """Second-order magnitude-weighted spread around the centroid (unnormalized);
-    ``centroid`` is ``spectral_centroid(X)``, computed here when not given."""
-    if centroid is None:
-        centroid = spectral_centroid(X)
+    ``centroid`` is ``spectral_centroid(X)``."""
     # one (..., L, 1025) buffer: the signed deviation, squared (|d|^2 = d^2
     # exactly), then weighted by X
     dev = BIN_FREQS_HZ - centroid[..., None]
@@ -156,24 +156,19 @@ def fold_spectra(P: np.ndarray) -> np.ndarray:
     return (M @ P.reshape(-1, P.shape[-1]).T).T.reshape(*P.shape[:-1], M.shape[0])
 
 
-def mfcc(P: np.ndarray, folded: np.ndarray | None = None) -> np.ndarray:
-    """13 mel-frequency cepstral coefficients per frame; ``folded`` is
-    ``fold_spectra(P)``, computed here when not given.
+def mfcc(folded: np.ndarray) -> np.ndarray:
+    """13 mel-frequency cepstral coefficients per frame of ``fold_spectra(P)``.
 
     Power spectrum -> mel filterbank energies -> floored log -> orthonormal
     DCT-II, keeping the first 13 coefficients (DC included).
     """
-    if folded is None:
-        folded = fold_spectra(P)
     log_energy = np.log(np.maximum(folded[..., :N_MEL_FILTERS], LOG_FLOOR))
     return dct(log_energy, type=2, norm="ortho", axis=-1)[..., :N_MFCC]
 
 
-def chroma(P: np.ndarray, folded: np.ndarray | None = None) -> np.ndarray:
-    """12-class pitch energy profile per frame, max-normalized to [0, 1];
-    ``folded`` is ``fold_spectra(P)``, computed here when not given."""
-    if folded is None:
-        folded = fold_spectra(P)
+def chroma(folded: np.ndarray) -> np.ndarray:
+    """12-class pitch energy profile per frame of ``fold_spectra(P)``, max-normalized
+    to [0, 1]."""
     energy = folded[..., N_MEL_FILTERS:]
     peak = energy.max(axis=-1, keepdims=True)
     return np.divide(energy, peak, out=np.zeros_like(energy), where=peak > 0)
@@ -263,8 +258,7 @@ def frame_features(X: np.ndarray) -> np.ndarray:
     folded = fold_spectra(P)
     cols = [centroid, spectral_bandwidth(X, centroid), spectral_rolloff(P),
             spectral_flatness(P)]
-    out = np.concatenate([np.stack(cols, axis=-1), mfcc(P, folded), chroma(P, folded)],
-                         axis=-1)
+    out = np.concatenate([np.stack(cols, axis=-1), mfcc(folded), chroma(folded)], axis=-1)
     assert out.shape[-1] == N_FRAME_FEATURES
     return out
 

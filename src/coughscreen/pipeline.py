@@ -41,15 +41,17 @@ from functools import cached_property
 import numpy as np
 
 from . import calibration, conformal, metrics, models
-from .data import N_AUDIO_FEATURES, ManifestError, apply_scaler, fit_scaler, fuse
-from .features import extract_all
+from .data import ManifestError, apply_scaler, fit_scaler
+from .features import VECTOR_LENGTH, extract_all
 from .splits import (CALIB, TEST, LeakageError, NestedPlan, audit_plan, build_nested_plan,
                      model_seed, single_class_sets)
 
 log = logging.getLogger(__name__)
 
 FAMILIES = ("LR", "GBDT")
-FEATURE_MODES = ("audio", "fused")
+# feature mode -> the columns of ``FeatureTable.features`` it reads
+FEATURE_COLUMNS = {"audio": slice(VECTOR_LENGTH), "fused": slice(None)}
+FEATURE_MODES = tuple(FEATURE_COLUMNS)
 DEFAULT_ALPHAS = (0.10, 0.05)
 # evaluation level -> (its tag in the fold record's keys, the key of its threshold)
 LEVELS = {"waveform": ("wf", "tau_w"), "cougher": ("cg", "tau_s")}
@@ -77,12 +79,12 @@ class FeatureTable:
     recording_ids: list
     cougher_ids: np.ndarray
     labels: np.ndarray
-    features: np.ndarray  # the audio block, then the clinical block (``data.fuse``)
+    features: np.ndarray  # the 261 audio features, then the 16 clinical columns
 
     @property
     def audio(self) -> np.ndarray:
         """The audio block of every row, a view of ``features``."""
-        return self.features[:, :N_AUDIO_FEATURES]
+        return self.features[:, FEATURE_COLUMNS["audio"]]
 
     @cached_property
     def cougher_index(self) -> tuple:
@@ -121,19 +123,11 @@ def build_feature_table(coughers) -> FeatureTable:
                 yield rec.audio()
 
     # the clinical rows are stacked once extraction has listed them
-    features = fuse(extract_all(waveforms()), np.vstack(clinical))
+    features = np.hstack([extract_all(waveforms()), np.vstack(clinical)])
     order = sorted(range(len(keys)), key=keys.__getitem__)
     cids, rids, labels = zip(*(keys[i] for i in order))
     return FeatureTable(recording_ids=list(rids), cougher_ids=np.asarray(cids),
                         labels=np.asarray(labels, dtype=int), features=features[order])
-
-
-def _design_matrix(table: FeatureTable, feature_mode: str) -> np.ndarray:
-    if feature_mode == "audio":
-        return table.audio
-    if feature_mode == "fused":
-        return table.features
-    raise ValueError(f"unknown feature_mode {feature_mode!r}")
 
 
 def _at_level(level: str, labels, recording_ids, cougher_ids, *probs) -> tuple:
@@ -201,7 +195,7 @@ def score_inner_fold(table: FeatureTable, codes: np.ndarray, fold: int, j: int, 
     threshold, the (candidates x validation rows) probabilities, and the C of
     each LR fit that stopped unconverged.
     """
-    X, y = _design_matrix(table, feature_mode), table.labels
+    X, y = table.features[:, FEATURE_COLUMNS[feature_mode]], table.labels
     role = codes[table.cougher_pos]
     train_rows, val_rows = np.flatnonzero((role >= 0) & (role != j)), np.flatnonzero(role == j)
     (probs,), unconverged = _fit_and_score(family, cfg.candidates(family), X, y, train_rows,
@@ -217,7 +211,7 @@ def run_fold(table: FeatureTable, codes: np.ndarray, fold: int, family: str,
     ``inner`` the ``score_inner_fold`` output of each of its inner folds, in order.
     Returns the ``FoldResult``, with the keys of ``evaluate_fold``, and the C of each of
     the fold's LR fits that stopped unconverged."""
-    X, y = _design_matrix(table, feature_mode), table.labels
+    X, y = table.features[:, FEATURE_COLUMNS[feature_mode]], table.labels
     role = codes[table.cougher_pos]
     tuning_rows = np.flatnonzero(role >= 0)
     calib_rows = np.flatnonzero(role == CALIB)

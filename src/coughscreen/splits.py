@@ -2,7 +2,8 @@
 
 Every partition here operates on coughers, never on recordings: all
 recordings of a participant travel together, so no identity signal can
-leak across a boundary. The nested plan is, per outer fold:
+leak across a boundary. The split helpers take the coughers' labels (and
+recording counts) and return positions into them. The nested plan is, per outer fold:
 
     test (held-out outer fold)
     calib (disjoint calibration subset carved from the training pool)
@@ -47,35 +48,33 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def stratified_group_kfold(cougher_ids, labels, k: int, seed: int,
-                           recording_counts=None) -> np.ndarray:
-    """Greedy stratified assignment of coughers to k folds: each cougher's fold index,
-    in input order.
+def stratified_group_kfold(labels, recording_counts, k: int, seed: int) -> np.ndarray:
+    """Greedy stratified assignment of coughers, given by their 0/1 ``labels`` and
+    ``recording_counts``, to k folds: each cougher's fold index, in input order.
 
     Coughers are shuffled with the seed, then visited in descending
     recording count; each goes to the fold with the fewest coughers of its
     class, ties broken by fewest total recordings, then lowest fold index.
     """
-    ids = list(cougher_ids)
     labels = [int(v) for v in labels]
-    if len(ids) != len(labels):
-        raise ValueError("cougher_ids and labels lengths differ")
+    counts = list(recording_counts)
+    if len(counts) != len(labels):
+        raise ValueError("labels and recording_counts lengths differ")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if len(ids) < k:
-        raise ValueError(f"cannot split {len(ids)} coughers into {k} folds")
-    counts = list(recording_counts) if recording_counts is not None else [1] * len(ids)
+    if len(labels) < k:
+        raise ValueError(f"cannot split {len(labels)} coughers into {k} folds")
     for cls in (0, 1):
         n_cls = sum(1 for v in labels if v == cls)
         if n_cls < k:
             raise ValueError(f"class {cls} has only {n_cls} coughers for k={k}")
 
-    order = np.random.default_rng(seed).permutation(len(ids))
+    order = np.random.default_rng(seed).permutation(len(labels))
     order = sorted(order, key=lambda i: -counts[i])  # stable: shuffle breaks ties
 
     fold_class = [[0, 0] for _ in range(k)]
     fold_recs = [0] * k
-    folds = np.empty(len(ids), dtype=int)
+    folds = np.empty(len(labels), dtype=int)
     for i in order:
         y = labels[i]
         best = min(range(k), key=lambda f: (fold_class[f][y], fold_recs[f], f))
@@ -85,21 +84,20 @@ def stratified_group_kfold(cougher_ids, labels, k: int, seed: int,
     return folds
 
 
-def carve_calibration(cougher_ids, labels, frac: float, seed: int):
-    """Stratified cougher-level carve-out of round(frac * n) calibration coughers.
+def carve_calibration(labels, frac: float, seed: int) -> tuple:
+    """Stratified carve-out of round(frac * n) calibration coughers from n coughers
+    with 0/1 ``labels``.
 
     Per-class counts are apportioned by largest remainder. Both the carved
     subset and the remainder must keep at least one cougher of each class.
-    Returns (calib_ids, tuning_ids), each sorted.
+    Returns (calib, tuning), the sorted positions of each part.
     """
     if not 0.0 < frac <= 0.5:
         raise ValueError("calibration fraction must lie in (0, 0.5]")
-    ids = list(cougher_ids)
-    labels = [int(v) for v in labels]
-    n = len(ids)
+    labels = np.asarray(labels, dtype=int)
+    n = len(labels)
     total = int(np.floor(frac * n + 0.5))
-    by_class = {0: [i for i, v in enumerate(labels) if v == 0],
-                1: [i for i, v in enumerate(labels) if v == 1]}
+    by_class = {c: np.flatnonzero(labels == c) for c in (0, 1)}
     quota = {c: total * len(by_class[c]) / n for c in (0, 1)}
     take = {c: int(np.floor(quota[c])) for c in (0, 1)}
     leftover = total - take[0] - take[1]
@@ -119,13 +117,9 @@ def carve_calibration(cougher_ids, labels, frac: float, seed: int):
             raise ValueError(f"frac={frac} would leave class {c} absent from "
                              "the calibration or tuning part")
     rng = np.random.default_rng(seed)
-    calib_idx = []
-    for c in (0, 1):
-        perm = rng.permutation(len(by_class[c]))
-        calib_idx.extend(by_class[c][j] for j in perm[: take[c]])
-    calib = set(calib_idx)
-    return (sorted(ids[i] for i in calib),
-            sorted(ids[i] for i in range(n) if i not in calib))
+    calib = np.sort(np.concatenate([by_class[c][rng.permutation(len(by_class[c]))[: take[c]]]
+                                    for c in (0, 1)]))
+    return calib, np.setdiff1d(np.arange(n), calib)
 
 
 @dataclass(frozen=True)
@@ -160,19 +154,16 @@ def build_nested_plan(cougher_ids, labels, recording_counts, k_outer: int,
     ids = np.asarray(cougher_ids)[order]
     labels = np.asarray(labels, dtype=int)[order]
     counts = np.asarray(recording_counts)[order]
-    outer = stratified_group_kfold(ids, labels, k_outer,
-                                   derive_seed(master_seed, _STREAM_OUTER),
-                                   recording_counts=counts)
+    outer = stratified_group_kfold(labels, counts, k_outer,
+                                   derive_seed(master_seed, _STREAM_OUTER))
     codes = np.full((k_outer, ids.size), TEST)
     for f in range(k_outer):
-        # coughers are carved and split by position, which sorts as their ids do
         pool = np.flatnonzero(outer != f)
-        calib, tuning = carve_calibration(pool, labels[pool], calib_frac,
-                                          derive_seed(master_seed, _STREAM_CALIB, f))
+        calib, tuning = (pool[part] for part in carve_calibration(
+            labels[pool], calib_frac, derive_seed(master_seed, _STREAM_CALIB, f)))
         codes[f, calib] = CALIB
-        codes[f, tuning] = stratified_group_kfold(tuning, labels[tuning], k_inner,
-                                                  derive_seed(master_seed, _STREAM_INNER, f),
-                                                  recording_counts=counts[tuning])
+        codes[f, tuning] = stratified_group_kfold(labels[tuning], counts[tuning], k_inner,
+                                                  derive_seed(master_seed, _STREAM_INNER, f))
     return NestedPlan(ids, codes)
 
 

@@ -168,30 +168,6 @@ class TestScaler:
             data.apply_scaler(scaler, np.ones((3, 5)))
 
 
-class TestFuse:
-    def test_length_277(self):
-        fused = data.fuse(np.zeros(261), np.zeros(16))
-        assert fused.shape == (277,)
-
-    def test_zero_clinical_leaves_audio_in_place(self):
-        audio = np.arange(261.0)
-        fused = data.fuse(audio, np.zeros(16))
-        np.testing.assert_array_equal(fused[:261], audio)
-
-    def test_fuse_then_slice_recovers_blocks(self):
-        rng = np.random.default_rng(5)
-        audio, clin = rng.standard_normal(261), rng.standard_normal(16)
-        fused = data.fuse(audio, clin)
-        np.testing.assert_array_equal(fused[:261], audio)
-        np.testing.assert_array_equal(fused[261:], clin)
-
-    def test_wrong_block_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            data.fuse(np.zeros(260), np.zeros(16))
-        with pytest.raises(ValueError):
-            data.fuse(np.zeros(261), np.zeros(15))
-
-
 class TestSyntheticGenerator:
     def test_table1_shaped_statistics(self):
         cfg = synth.SyntheticConfig(seed=42)  # defaults target the real cohort
@@ -262,7 +238,7 @@ class TestSyntheticGenerator:
                                         signal_strength_clinical=0.0, seed=seed)
             table = synthetic_table(cfg)
             ids, labels, counts = table.coughers()
-            folds = stratified_group_kfold(ids, labels, 2, seed=seed, recording_counts=counts)
+            folds = stratified_group_kfold(labels, counts, 2, seed=seed)
             train = [c for c, f in zip(ids, folds) if f == 0]
             tr = np.isin(table.cougher_ids, train)
             te = ~tr

@@ -206,7 +206,7 @@ class TestLRBatch:
     def test_block_products_stay_single_threaded(self):
         # OpenBLAS runs a gemm on the calling thread when m * n * k <= 65,536 * 4:
         # a block of rows times the 12 grid candidates at the fused width
-        width = features.VECTOR_LENGTH + data.N_CLINICAL
+        width = features.VECTOR_LENGTH + len(data.CLINICAL_FIELDS)
         assert width == 277
         assert models.LR_BLOCK_ROWS * len(models.grid_candidates("LR")) * width <= 2 ** 18
 

@@ -7,7 +7,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from coughscreen import calibration, data, models, pipeline, synth
+from coughscreen import calibration, data, features, models, pipeline, synth
 from coughscreen.data import ManifestError
 from coughscreen.splits import (CALIB, TEST, LeakageError, NestedPlan, audit_plan,
                                 build_nested_plan)
@@ -160,6 +160,22 @@ class TestRunNested:
 
 
 class TestFeatureTable:
+    def test_rows_hold_their_recording_and_cougher_when_built_out_of_order(self):
+        # coughers and each one's recordings arrive in reverse id order
+        coughers = [data.Cougher(c.id, c.tb_label, c.clinical, c.recordings[::-1])
+                    for c in reversed(small_dataset(seed=3, n=8))]
+        table = pipeline.build_feature_table(coughers)
+        by_id = {rec.id: (c, rec) for c in coughers for rec in c.recordings}
+        assert list(zip(table.cougher_ids.tolist(), table.recording_ids)) == sorted(
+            (c.id, rec_id) for rec_id, (c, _) in by_id.items())
+        for row, rec_id in enumerate(table.recording_ids):
+            cougher, rec = by_id[rec_id]
+            assert table.labels[row] == cougher.tb_label
+            np.testing.assert_array_equal(table.features[row, features.VECTOR_LENGTH:],
+                                          cougher.clinical.to_vector())
+            np.testing.assert_array_equal(table.features[row, :features.VECTOR_LENGTH],
+                                          features.extract(rec.audio()))
+
     @staticmethod
     def random_table(n_rows=10_103, n_coughers=1_105, seed=0):
         """A table of random rows, in no cougher order, of labels fixed per cougher."""
@@ -169,20 +185,20 @@ class TestFeatureTable:
             recording_ids=[f"r{i:05d}" for i in range(n_rows)],
             cougher_ids=np.array([f"c{c:04d}" for c in cougher]),
             labels=rng.integers(0, 2, n_coughers)[cougher],
-            features=rng.standard_normal((n_rows, data.N_AUDIO_FEATURES + data.N_CLINICAL)))
+            features=rng.standard_normal((n_rows, 277)))  # 261 audio + 16 clinical
 
     def test_one_fused_matrix_with_the_audio_block_as_its_view(self, table):
         assert [f.name for f in dataclasses.fields(table)] == [
             "recording_ids", "cougher_ids", "labels", "features"]
         assert not hasattr(table, "fused") and not hasattr(table, "clinical")
         assert np.shares_memory(table.audio, table.features)
-        assert table.audio.shape == (len(table.recording_ids), data.N_AUDIO_FEATURES)
-        assert pipeline._design_matrix(table, "fused") is table.features
+        assert table.audio.shape == (len(table.recording_ids), features.VECTOR_LENGTH)
+        fused = table.features[:, pipeline.FEATURE_COLUMNS["fused"]]
+        assert np.shares_memory(fused, table.features) and fused.shape == table.features.shape
 
     def test_features_is_the_only_float_array_after_both_modes(self):
         table = self.random_table()
-        for mode in pipeline.FEATURE_MODES:
-            pipeline._design_matrix(table, mode)
+        table.audio
         table.coughers()
         held = [a for v in vars(table).values() for a in (v if isinstance(v, tuple) else (v,))]
         floats = [a for a in held if isinstance(a, np.ndarray) and a.dtype.kind == "f"]

@@ -23,7 +23,7 @@ class TestStratifiedGroupKfold:
     def test_ten_coughers_two_folds(self):
         ids = [f"c{i}" for i in range(10)]
         labels = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
-        folds = splits.stratified_group_kfold(ids, labels, k=2, seed=0)
+        folds = splits.stratified_group_kfold(labels, [1] * 10, k=2, seed=0)
         for f in (0, 1):
             members = np.flatnonzero(folds == f)
             assert len(members) == 5
@@ -35,73 +35,66 @@ class TestStratifiedGroupKfold:
         for trial in range(200):
             ids, labels, counts = random_cohort(rng)
             k = int(rng.integers(2, 6))
-            folds = splits.stratified_group_kfold(ids, labels, k, seed=trial,
-                                                  recording_counts=counts)
+            folds = splits.stratified_group_kfold(labels, counts, k, seed=trial)
             assert folds.shape == (len(ids),)
             assert np.unique(folds).tolist() == list(range(k))
 
     def test_determinism_and_seed_sensitivity(self):
-        ids = [f"c{i}" for i in range(40)]
-        labels = ([1] * 12 + [0] * 28)
-        a = splits.stratified_group_kfold(ids, labels, 5, seed=7)
-        b = splits.stratified_group_kfold(ids, labels, 5, seed=7)
-        c = splits.stratified_group_kfold(ids, labels, 5, seed=8)
+        labels, counts = [1] * 12 + [0] * 28, [1] * 40
+        a = splits.stratified_group_kfold(labels, counts, 5, seed=7)
+        b = splits.stratified_group_kfold(labels, counts, 5, seed=7)
+        c = splits.stratified_group_kfold(labels, counts, 5, seed=8)
         assert a.tolist() == b.tolist()
         assert a.tolist() != c.tolist()
 
     def test_positive_rate_balance(self):
         rng = np.random.default_rng(1)
         ids, labels, counts = random_cohort(rng, 60, 61)
-        folds = splits.stratified_group_kfold(ids, labels, 5, seed=0,
-                                              recording_counts=counts)
+        folds = splits.stratified_group_kfold(labels, counts, 5, seed=0)
         rates = [np.mean(np.asarray(labels)[folds == f]) for f in range(5)]
         global_rate = np.mean(labels)
         assert max(abs(r - global_rate) for r in rates) <= 0.1
 
     def test_too_few_coughers_rejected(self):
         with pytest.raises(ValueError):
-            splits.stratified_group_kfold(["a", "b"], [0, 1], k=3, seed=0)
+            splits.stratified_group_kfold([0, 1], [1, 1], k=3, seed=0)
 
     def test_class_thinner_than_folds_rejected(self):
-        ids = [f"c{i}" for i in range(20)]
         labels = [1] * 2 + [0] * 18
         with pytest.raises(ValueError):
-            splits.stratified_group_kfold(ids, labels, k=5, seed=0)
+            splits.stratified_group_kfold(labels, [1] * 20, k=5, seed=0)
 
 
 class TestCarveCalibration:
     def test_stratified_counting(self):
         # apportionment oracle: 15 total, 27/100 positive -> 4 positive
-        ids = [f"c{i}" for i in range(100)]
         labels = [1] * 27 + [0] * 73
-        calib, tuning = splits.carve_calibration(ids, labels, frac=0.15, seed=0)
+        calib, tuning = splits.carve_calibration(labels, frac=0.15, seed=0)
         assert len(calib) == 15
-        label_of = dict(zip(ids, labels))
-        assert sum(label_of[c] for c in calib) == 4
+        assert sum(labels[i] for i in calib) == 4
         assert len(tuning) == 85
 
     def test_tiny_fraction_rejected(self):
-        ids = [f"c{i}" for i in range(100)]
         labels = [1] * 3 + [0] * 97
         with pytest.raises(ValueError):
-            splits.carve_calibration(ids, labels, frac=0.01, seed=0)
+            splits.carve_calibration(labels, frac=0.01, seed=0)
 
     def test_disjoint_and_covering(self):
         rng = np.random.default_rng(2)
         for trial in range(200):
             ids, labels, _ = random_cohort(rng)
-            calib, tuning = splits.carve_calibration(ids, labels, frac=0.2, seed=trial)
+            calib, tuning = splits.carve_calibration(labels, frac=0.2, seed=trial)
             assert not set(calib) & set(tuning)
-            assert set(calib) | set(tuning) == set(ids)
+            assert set(calib) | set(tuning) == set(range(len(ids)))
+            assert list(calib) == sorted(calib) and list(tuning) == sorted(tuning)
 
     def test_both_parts_keep_both_classes(self):
         rng = np.random.default_rng(3)
         for trial in range(100):
             ids, labels, _ = random_cohort(rng)
-            calib, tuning = splits.carve_calibration(ids, labels, frac=0.15, seed=trial)
-            label_of = dict(zip(ids, labels))
+            calib, tuning = splits.carve_calibration(labels, frac=0.15, seed=trial)
             for part in (calib, tuning):
-                part_labels = {label_of[c] for c in part}
+                part_labels = {labels[i] for i in part}
                 assert part_labels == {0, 1}
 
 
@@ -218,3 +211,124 @@ class TestPlanInvariants:
                                             calib_frac, seed)
         assert shuffled.ids.tolist() == ids
         assert np.array_equal(shuffled.codes, codes)
+
+
+# The split helpers as they were when they took cougher ids and returned id lists:
+# the oracle that every plan built through the position-based helpers must reproduce.
+def reference_stratified_group_kfold(cougher_ids, labels, k, seed, recording_counts=None):
+    ids = list(cougher_ids)
+    labels = [int(v) for v in labels]
+    if len(ids) != len(labels):
+        raise ValueError("cougher_ids and labels lengths differ")
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if len(ids) < k:
+        raise ValueError(f"cannot split {len(ids)} coughers into {k} folds")
+    counts = list(recording_counts) if recording_counts is not None else [1] * len(ids)
+    for cls in (0, 1):
+        n_cls = sum(1 for v in labels if v == cls)
+        if n_cls < k:
+            raise ValueError(f"class {cls} has only {n_cls} coughers for k={k}")
+    order = np.random.default_rng(seed).permutation(len(ids))
+    order = sorted(order, key=lambda i: -counts[i])
+    fold_class = [[0, 0] for _ in range(k)]
+    fold_recs = [0] * k
+    folds = np.empty(len(ids), dtype=int)
+    for i in order:
+        y = labels[i]
+        best = min(range(k), key=lambda f: (fold_class[f][y], fold_recs[f], f))
+        folds[i] = best
+        fold_class[best][y] += 1
+        fold_recs[best] += counts[i]
+    return folds
+
+
+def reference_carve_calibration(cougher_ids, labels, frac, seed):
+    if not 0.0 < frac <= 0.5:
+        raise ValueError("calibration fraction must lie in (0, 0.5]")
+    ids = list(cougher_ids)
+    labels = [int(v) for v in labels]
+    n = len(ids)
+    total = int(np.floor(frac * n + 0.5))
+    by_class = {0: [i for i, v in enumerate(labels) if v == 0],
+                1: [i for i, v in enumerate(labels) if v == 1]}
+    quota = {c: total * len(by_class[c]) / n for c in (0, 1)}
+    take = {c: int(np.floor(quota[c])) for c in (0, 1)}
+    leftover = total - take[0] - take[1]
+    order = sorted((0, 1), key=lambda c: (take[c] > 0, take[c] - quota[c], c))
+    for c in order:
+        if leftover <= 0:
+            break
+        take[c] += 1
+        leftover -= 1
+    for c in (0, 1):
+        if take[c] == 0 and take[1 - c] >= 2:
+            take[c] += 1
+            take[1 - c] -= 1
+    for c in (0, 1):
+        if take[c] < 1 or take[c] >= len(by_class[c]):
+            raise ValueError(f"frac={frac} would leave class {c} absent from "
+                             "the calibration or tuning part")
+    rng = np.random.default_rng(seed)
+    calib_idx = []
+    for c in (0, 1):
+        perm = rng.permutation(len(by_class[c]))
+        calib_idx.extend(by_class[c][j] for j in perm[: take[c]])
+    calib = set(calib_idx)
+    return (sorted(ids[i] for i in calib),
+            sorted(ids[i] for i in range(n) if i not in calib))
+
+
+def reference_nested_plan(cougher_ids, labels, recording_counts, k_outer, k_inner,
+                          calib_frac, master_seed):
+    """``build_nested_plan``'s (ids, codes), built through the id-based helpers."""
+    order = np.argsort(np.asarray(cougher_ids), kind="stable")
+    ids = np.asarray(cougher_ids)[order]
+    labels = np.asarray(labels, dtype=int)[order]
+    counts = np.asarray(recording_counts)[order]
+    outer = reference_stratified_group_kfold(ids, labels, k_outer,
+                                             splits.derive_seed(master_seed, 0),
+                                             recording_counts=counts)
+    codes = np.full((k_outer, ids.size), splits.TEST)
+    for f in range(k_outer):
+        pool = np.flatnonzero(outer != f)
+        calib, tuning = reference_carve_calibration(pool, labels[pool], calib_frac,
+                                                    splits.derive_seed(master_seed, 1, f))
+        codes[f, calib] = splits.CALIB
+        codes[f, tuning] = reference_stratified_group_kfold(
+            tuning, labels[tuning], k_inner, splits.derive_seed(master_seed, 2, f),
+            recording_counts=counts[tuning])
+    return ids, codes
+
+
+def plan_or_error(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def any_cohorts(draw):
+    """Plan inputs over a range wide enough that some raise ``ValueError``: (ids in
+    random order, labels, counts, k_outer, k_inner, calib_frac, seed)."""
+    n = draw(st.integers(2, 70))
+    n_pos = round(draw(st.floats(0.0, 1.0)) * n)
+    labels = draw(st.permutations([1] * n_pos + [0] * (n - n_pos)))
+    ids = draw(st.permutations([f"c{i:03d}" for i in range(n)]))
+    counts = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    return (ids, labels, counts, draw(st.integers(2, 6)), draw(st.integers(2, 5)),
+            draw(st.floats(0.01, 0.55)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestPlanAgainstReference:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(any_cohorts())
+    def test_same_codes_and_errors_as_the_id_based_helpers(self, cohort):
+        got = plan_or_error(splits.build_nested_plan, *cohort)
+        expected = plan_or_error(reference_nested_plan, *cohort)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.ids.tolist() == expected[0].tolist()
+            assert got.codes.tolist() == expected[1].tolist()
