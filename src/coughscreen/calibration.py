@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .metrics import score_sweep
+from .metrics import counts_at, score_sweep
 
 N_BINS = 10  # equal-width probability bins of the ECE and the reliability tables
 
@@ -100,9 +100,7 @@ def youden_threshold(probs, labels):
 
     distinct = thresholds[::-1]
     candidates = np.concatenate([[0.0], 0.5 * (distinct[:-1] + distinct[1:]), [1.0]])
-    # counts at p >= c: the number of distinct scores >= c indexes the sweep
-    at = np.searchsorted(-thresholds, -candidates, side="right")
-    tp, fp = np.append(0, tp)[at], np.append(0, fp)[at]
+    tp, fp = counts_at(thresholds, tp, fp, candidates)
     # J = tp/n_pos - fp/n_neg; compare via the integer numerator over the
     # common denominator so ties are detected exactly, free of float noise
     numerator = tp * n_neg - fp * n_pos

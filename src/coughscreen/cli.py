@@ -24,7 +24,7 @@ from typing import get_type_hints
 from .data import ManifestError, load_manifest
 from .experiment import ConfigError, ExperimentConfig, run_experiment
 from .features import VECTOR_COLUMN_NAMES
-from .pipeline import build_feature_table
+from .pipeline import FAMILIES, FEATURE_MODES, build_feature_table
 from .reports import emit_plots
 from .splits import LeakageError, audit_plan_rows, load_plan_csv
 from .synth import SyntheticConfig, cohort_shape, export_dataset, iter_synthetic
@@ -74,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--feature-mode", choices=["audio", "fused", "both"], default=None)
-    p.add_argument("--model", dest="family", choices=["LR", "GBDT", "both"], default=None)
+    p.add_argument("--feature-mode", choices=[*FEATURE_MODES, "both"], default=None)
+    p.add_argument("--model", dest="family", choices=[*FAMILIES, "both"], default=None)
     p.add_argument("--alpha", dest="alphas", type=float, action="append", default=None,
                    help="miscoverage level; repeatable")
     p.add_argument("--plots", action="store_true", help="also emit SVG plots")
@@ -161,13 +161,16 @@ def _cmd_audit(args) -> int:
 
 
 _REPORT_KEYS = ("config", "alphas", "blocks")
+# block keys become SVG titles and file names, so only these are rendered
+_BLOCK_KEYS = {f"{family}|{mode}" for family in FAMILIES for mode in FEATURE_MODES}
 
 
 def _plot_report(path, outdir) -> list:
     """Render the plots of the report.json at ``path`` into ``outdir``.
 
     A file that is not a report document is a data error naming the file,
-    down to a block or fold that lacks a key or holds the wrong type.
+    down to a block key that is not ``family|mode``, or a block or fold that
+    lacks a key or holds the wrong type.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -177,6 +180,9 @@ def _plot_report(path, outdir) -> list:
     if not isinstance(doc, dict) or not all(k in doc for k in _REPORT_KEYS):
         raise ManifestError(f"{path} is not a report.json: it needs the keys "
                             f"{', '.join(_REPORT_KEYS)}")
+    if not isinstance(doc["blocks"], dict) or not set(doc["blocks"]) <= _BLOCK_KEYS:
+        raise ManifestError(f"{path} is not a report.json: its block keys must be among "
+                            f"{', '.join(sorted(_BLOCK_KEYS))}")
     try:
         return emit_plots(doc, outdir)
     except (KeyError, IndexError, TypeError, ValueError) as exc:

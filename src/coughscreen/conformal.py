@@ -16,7 +16,7 @@ probabilities, never to waveform probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def prediction_sets(p_pos, qhat: float) -> np.ndarray:
 class ConformalCalibrator:
     """The conformal quantile for each requested alpha."""
 
-    quantiles: dict = field(default_factory=dict)
+    quantiles: dict
 
     def prediction_sets(self, p_pos, alpha: float) -> np.ndarray:
         return prediction_sets(p_pos, self.quantiles[alpha])

@@ -4,23 +4,16 @@ Thresholding is boundary-inclusive: a sample is predicted positive when
 its probability is >= tau. PPV and NPV are undefined (NaN sentinel) when
 their denominators are empty; aggregation layers must exclude sentinels
 from means rather than substituting zeros. The ROC and PR curves, ROC
-AUC and ``calibration.youden_threshold`` all read one ``score_sweep``.
+AUC, ``full_suite`` and ``calibration.youden_threshold`` all read one
+``score_sweep``; ``counts_at`` reads its counts at any threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
 
 
 @dataclass(frozen=True)
@@ -31,8 +24,8 @@ class MetricSuite:
     npv: float
     uar: float
     youden_j: float
-    roc_auc: float = math.nan
-    pr_auc: float = math.nan
+    roc_auc: float
+    pr_auc: float
 
 
 @dataclass(frozen=True)
@@ -48,28 +41,6 @@ def _check_aligned(probs, labels):
         raise ValueError(f"probs and labels must be aligned 1-D arrays, "
                          f"got {probs.shape} and {labels.shape}")
     return probs, labels
-
-
-def confusion_at(probs, labels, tau: float) -> ConfusionCounts:
-    probs, labels = _check_aligned(probs, labels)
-    pred = probs >= tau
-    pos = labels == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pred & pos)),
-        fp=int(np.sum(pred & ~pos)),
-        tn=int(np.sum(~pred & ~pos)),
-        fn=int(np.sum(~pred & pos)),
-    )
-
-
-def metric_suite(c: ConfusionCounts) -> MetricSuite:
-    sens = c.tp / (c.tp + c.fn) if c.tp + c.fn else math.nan
-    spec = c.tn / (c.tn + c.fp) if c.tn + c.fp else math.nan
-    ppv = c.tp / (c.tp + c.fp) if c.tp + c.fp else math.nan
-    npv = c.tn / (c.tn + c.fn) if c.tn + c.fn else math.nan
-    uar = (sens + spec) / 2.0
-    return MetricSuite(sens=sens, spec=spec, ppv=ppv, npv=npv, uar=uar,
-                       youden_j=sens + spec - 1.0)
 
 
 def score_sweep(probs, labels):
@@ -93,6 +64,13 @@ def score_sweep(probs, labels):
     last = np.flatnonzero(np.append(sorted_probs[:-1] != sorted_probs[1:], True))
     tp = np.cumsum(pos[order])[last]
     return sorted_probs[last], tp, last + 1 - tp
+
+
+def counts_at(thresholds, tp, fp, taus):
+    """A ``score_sweep``'s (tp, fp) at p >= each of ``taus``: the number of distinct
+    scores >= tau indexes the sweep, so a tau above every score counts nothing."""
+    at = np.searchsorted(-thresholds, -np.asarray(taus), side="right")
+    return np.append(0, tp)[at], np.append(0, fp)[at]
 
 
 def roc_auc(probs, labels) -> float:
@@ -152,9 +130,18 @@ def _pr_auc(tp, fp) -> float:
 def full_suite(probs, labels, tau: float) -> MetricSuite:
     """Threshold-dependent metrics at tau plus both threshold-free areas, read off
     one ``score_sweep``; ROC AUC's class check comes first."""
-    suite = metric_suite(confusion_at(probs, labels, tau))
-    _, tp, fp = score_sweep(probs, labels)
-    return replace(suite, roc_auc=_roc_auc(tp, fp), pr_auc=_pr_auc(tp, fp))
+    thresholds, tp, fp = score_sweep(probs, labels)
+    auc = _roc_auc(tp, fp)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
+    tp_tau, fp_tau = map(int, counts_at(thresholds, tp, fp, tau))
+    tn_tau, fn_tau = n_neg - fp_tau, n_pos - tp_tau
+    sens, spec = tp_tau / n_pos, tn_tau / n_neg
+    return MetricSuite(
+        sens=sens, spec=spec,
+        ppv=tp_tau / (tp_tau + fp_tau) if tp_tau + fp_tau else math.nan,
+        npv=tn_tau / (tn_tau + fn_tau) if tn_tau + fn_tau else math.nan,
+        uar=(sens + spec) / 2.0, youden_j=sens + spec - 1.0,
+        roc_auc=auc, pr_auc=_pr_auc(tp, fp))
 
 
 def aggregate_cougher(probs, cougher_ids):

@@ -491,7 +491,7 @@ def fit_groups(family: str, candidates: list) -> list:
     return list(groups.values())
 
 
-def fit_group(family: str, group: list, X, y, seed: int = 0) -> tuple:
+def fit_group(family: str, group: list, X, y, seed: int) -> tuple:
     """Fit one group of ``fit_groups``' candidates on (X, y), a GBDT group's one fit seeded
     by ``seed``. Returns a scorer, mapping rows to the (len(group), rows) probabilities of
     the members in group order, and the C of each LR fit that stopped unconverged."""

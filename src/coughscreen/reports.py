@@ -24,7 +24,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,8 +124,8 @@ class RunReport:
     config: dict
     blocks: dict  # (family, feature_mode) -> {"folds": [FoldResult, ...]}
     plan: NestedPlan
-    environment: dict = field(default_factory=dict)
-    wall_clock_s: float = 0.0
+    environment: dict
+    wall_clock_s: float
 
 
 def report_doc(report: RunReport) -> dict:
@@ -331,17 +331,13 @@ def _scale(v, lo, hi, out_lo, out_hi):
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def svg_line_plot(series, title: str, xlabel: str, ylabel: str,
-                  xlim=None, ylim=None) -> str:
-    """Minimal line plot as an SVG string; series are (label, xs, ys, color, width)."""
+def svg_line_plot(series, title: str, xlabel: str, ylabel: str, xlim=None) -> str:
+    """Minimal line plot as an SVG string; series are (label, xs, ys, color, width).
+    y spans [0, 1]; x spans ``xlim``, or the data's range when it is None."""
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     xlo, xhi = xlim if xlim else (float(xs_all.min()), float(xs_all.max()))
-    ylo, yhi = ylim if ylim else (float(ys_all.min()), float(ys_all.max()))
     if xhi == xlo:
         xlo, xhi = xlo - 0.5, xhi + 0.5
-    if yhi == ylo:
-        ylo, yhi = ylo - 0.5, yhi + 0.5
     left, right = _MARGIN, _SVG_W - 20
     top, bottom = 30, _SVG_H - _MARGIN
 
@@ -361,8 +357,8 @@ def svg_line_plot(series, title: str, xlabel: str, ylabel: str,
                    'stroke="black" stroke-width="1"/>')
         out.append(f'<text x="{px:.1f}" y="{bottom + 18}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="10">{fx:.2f}</text>')
-        fy = ylo + (yhi - ylo) * i / 4
-        py = _scale(fy, ylo, yhi, bottom, top)
+        fy = i / 4
+        py = _scale(fy, 0, 1, bottom, top)
         out.append(f'<line x1="{left - 5}" y1="{py:.1f}" x2="{left}" y2="{py:.1f}" '
                    'stroke="black" stroke-width="1"/>')
         out.append(f'<text x="{left - 8}" y="{py + 3:.1f}" text-anchor="end" '
@@ -374,7 +370,7 @@ def svg_line_plot(series, title: str, xlabel: str, ylabel: str,
                f'transform="rotate(-90 16 {(top + bottom) // 2})">{ylabel}</text>')
     for label, xs, ys, color, width in series:
         pts = " ".join(f"{_scale(float(x), xlo, xhi, left, right):.2f},"
-                       f"{_scale(float(y), ylo, yhi, bottom, top):.2f}"
+                       f"{_scale(float(y), 0, 1, bottom, top):.2f}"
                        for x, y in zip(xs, ys))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
                    f'points="{pts}"><title>{label}</title></polyline>')
@@ -408,7 +404,7 @@ def emit_plots(doc: dict, outdir) -> list:
                                      ("pr", "recall", "precision")):
                 svgs[f"{kind}_{fam}_{mode}_{level}.svg"] = svg_line_plot(
                     curves[level, kind], f"{kind.upper()} {fam} {mode} ({level})", xlab, ylab,
-                    xlim=(0, 1), ylim=(0, 1))
+                    xlim=(0, 1))
             series = []
             for tag, probs, labels in _curve_sources(folds, level):
                 bins = [(conf, acc) for _, conf, acc, n in
@@ -418,7 +414,7 @@ def emit_plots(doc: dict, outdir) -> list:
             series.append(("ideal", [0.0, 1.0], [0.0, 1.0], "#999999", 1))
             svgs[f"reliability_{fam}_{mode}_{level}.svg"] = svg_line_plot(
                 series, f"Reliability {fam} {mode} ({level})",
-                "mean confidence", "empirical accuracy", xlim=(0, 1), ylim=(0, 1))
+                "mean confidence", "empirical accuracy", xlim=(0, 1))
         if doc["alphas"]:
             alphas = sorted(doc["alphas"])
             cov = [block["aggregates"]["conformal"][str(a)]["coverage"]["mean"] for a in alphas]
@@ -426,6 +422,5 @@ def emit_plots(doc: dict, outdir) -> list:
             svgs[f"coverage_vs_alpha_{fam}_{mode}.svg"] = svg_line_plot(
                 [("empirical", alphas, cov, "#08519c", 2.5),
                  ("target 1-alpha", alphas, target, "#999999", 1)],
-                f"Coverage vs alpha {fam} {mode} (cougher)", "alpha", "coverage",
-                ylim=(0, 1))
+                f"Coverage vs alpha {fam} {mode} (cougher)", "alpha", "coverage")
     return _write_files(svgs, outdir)

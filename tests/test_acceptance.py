@@ -22,7 +22,7 @@ from coughscreen.splits import CALIB, TEST, build_nested_plan, plan_csv_text
 
 from test_calibration import youden_scan_oracle
 from test_features import summarize_oracle
-from test_metrics import average_precision_oracle, mann_whitney_oracle
+from test_metrics import average_precision_oracle, mann_whitney_oracle, scores_with_counts
 
 
 @contextlib.contextmanager
@@ -75,11 +75,11 @@ def test_c02_metric_oracles():
                 continue
             assert metrics.pr_auc(probs, labels) == pytest.approx(
                 average_precision_oracle(probs, labels), abs=1e-14)
-        suite = metrics.metric_suite(metrics.ConfusionCounts(tp=8, fp=3, tn=7, fn=2))
+        suite = metrics.full_suite(*scores_with_counts(tp=8, fp=3, tn=7, fn=2), 0.5)
         assert (suite.sens, suite.spec, suite.uar) == (0.8, 0.7, 0.75)
         assert suite.ppv == 8 / 11 and suite.npv == 7 / 9
-        assert math.isnan(metrics.metric_suite(
-            metrics.ConfusionCounts(tp=0, fp=0, tn=5, fn=5)).ppv)
+        assert math.isnan(metrics.full_suite(
+            *scores_with_counts(tp=0, fp=0, tn=5, fn=5), 0.5).ppv)
 
 
 def _isotonic_exhaustive(labels):

@@ -552,13 +552,15 @@ class TestPlotCommand:
         assert names == sorted(p.name for p in (tmp_path / "cli").iterdir())
         for name in names:
             assert (tmp_path / "cli" / name).read_bytes() == (out / name).read_bytes(), name
+            ET.parse(out / name)  # well-formed XML: every title is escaped or safe
 
     @pytest.mark.parametrize("text", [
         "not json {", "[1, 2]", '{"config": {}, "alphas": []}',
+        '{"config": {}, "alphas": [], "blocks": []}',
         '{"config": {}, "alphas": [], "blocks": {"LR|audio": {}}}',
         '{"config": {}, "alphas": [], "blocks": {"LR|audio": {"folds": [{}]}}}'],
-        ids=["not-json", "not-an-object", "no-blocks", "block-without-folds",
-             "fold-without-number"])
+        ids=["not-json", "not-an-object", "no-blocks", "blocks-not-an-object",
+             "block-without-folds", "fold-without-number"])
     def test_bad_report_exit_3_naming_the_file(self, tmp_path, capsys, text):
         bad = tmp_path / "bad_report.json"
         bad.write_text(text)
@@ -569,12 +571,27 @@ class TestPlotCommand:
     def test_bad_later_block_writes_no_plots(self, tiny_run, tmp_path, capsys):
         _, out = tiny_run
         doc = json.loads((out / "report.json").read_text())
-        doc["blocks"]["ZZ|audio"] = {}  # sorts after every real block
+        assert max(doc["blocks"]) == "LR|fused"
+        doc["blocks"]["LR|fused"] = {}  # the block rendered last
         bad = tmp_path / "report.json"
         bad.write_text(json.dumps(doc))
         assert run_cli(["plot", str(bad)]) == 3
         assert "data error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.svg"))
+
+    @pytest.mark.parametrize("key", ["A<&b|audio", "sub/dir|audio"])
+    def test_block_key_outside_family_and_mode_exit_3_writing_nothing(self, tiny_run, tmp_path,
+                                                                       capsys, key):
+        # a key becomes an SVG title and part of a file name
+        _, out = tiny_run
+        doc = json.loads((out / "report.json").read_text())
+        doc["blocks"][key] = doc["blocks"]["LR|audio"]
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(doc))
+        (tmp_path / "plots" / "roc_sub").mkdir(parents=True)
+        assert run_cli(["plot", str(bad), "--out", str(tmp_path / "plots")]) == 3
+        assert "block keys must be among" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["report.json"]
 
 
 CELL_FORMATS = re.compile(

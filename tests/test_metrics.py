@@ -42,32 +42,41 @@ def average_precision_oracle(probs, labels):
     return ap
 
 
+def scores_with_counts(tp, fp, tn, fn):
+    """(probs, labels) whose counts at tau = 0.5 are the given ones."""
+    probs = [0.9] * tp + [0.8] * fp + [0.2] * tn + [0.1] * fn
+    labels = [1] * tp + [0] * fp + [0] * tn + [1] * fn
+    return probs, labels
+
+
 class TestConfusion:
     def test_tau_zero_all_positive(self):
-        c = metrics.confusion_at([0.2, 0.9], [0, 1], 0.0)
-        assert (c.tn, c.fn) == (0, 0)
-        assert (c.tp, c.fp) == (1, 1)
+        suite = metrics.full_suite([0.2, 0.9], [0, 1], 0.0)
+        assert (suite.sens, suite.spec, suite.ppv) == (1.0, 0.0, 0.5)
+        assert math.isnan(suite.npv)
 
     def test_tau_above_max_all_negative(self):
-        c = metrics.confusion_at([0.2, 0.9], [0, 1], 0.95)
-        assert (c.tp, c.fp) == (0, 0)
+        suite = metrics.full_suite([0.2, 0.9], [0, 1], 0.95)
+        assert (suite.sens, suite.spec, suite.npv) == (0.0, 1.0, 0.5)
+        assert math.isnan(suite.ppv)
 
     def test_boundary_inclusive(self):
-        c = metrics.confusion_at([0.5], [1], 0.5)
-        assert c.tp == 1
+        assert metrics.full_suite([0.5, 0.2], [1, 0], 0.5).sens == 1.0
+        assert metrics.full_suite([0.5, 0.2], [1, 0], np.nextafter(0.5, 1.0)).sens == 0.0
 
     def test_direct_count(self):
-        c = metrics.confusion_at([0.9, 0.4, 0.6, 0.2], [1, 0, 1, 0], 0.5)
-        assert (c.tp, c.fp, c.tn, c.fn) == (2, 0, 2, 0)
+        suite = metrics.full_suite([0.9, 0.4, 0.6, 0.2], [1, 0, 1, 0], 0.5)
+        assert (suite.sens, suite.spec, suite.ppv, suite.npv) == (1.0, 1.0, 1.0, 1.0)
 
     def test_counts_sum(self):
-        c = metrics.confusion_at([0.1, 0.5, 0.9], [0, 1, 1], 0.3)
-        assert c.tp + c.fp + c.tn + c.fn == 3
+        # tp=2, fp=1, tn=1, fn=0: the tied pair at 0.5 lands on the positive side
+        suite = metrics.full_suite([0.1, 0.5, 0.5, 0.9], [0, 1, 0, 1], 0.3)
+        assert (suite.sens, suite.spec, suite.ppv, suite.npv) == (1.0, 0.5, 2 / 3, 1.0)
 
 
 class TestMetricSuite:
     def test_hand_computed_example(self):
-        suite = metrics.metric_suite(metrics.ConfusionCounts(tp=8, fp=3, tn=7, fn=2))
+        suite = metrics.full_suite(*scores_with_counts(tp=8, fp=3, tn=7, fn=2), 0.5)
         assert suite.sens == pytest.approx(0.8)
         assert suite.spec == pytest.approx(0.7)
         assert suite.uar == pytest.approx(0.75)
@@ -76,12 +85,12 @@ class TestMetricSuite:
         assert suite.youden_j == pytest.approx(0.5)
 
     def test_ppv_sentinel_when_no_predicted_positives(self):
-        suite = metrics.metric_suite(metrics.ConfusionCounts(tp=0, fp=0, tn=5, fn=5))
+        suite = metrics.full_suite(*scores_with_counts(tp=0, fp=0, tn=5, fn=5), 0.5)
         assert math.isnan(suite.ppv)
         assert suite.npv == pytest.approx(0.5)
 
     def test_npv_sentinel_when_no_predicted_negatives(self):
-        suite = metrics.metric_suite(metrics.ConfusionCounts(tp=5, fp=5, tn=0, fn=0))
+        suite = metrics.full_suite(*scores_with_counts(tp=5, fp=5, tn=0, fn=0), 0.5)
         assert math.isnan(suite.npv)
 
 
@@ -195,12 +204,12 @@ class TestCrossModule:
             if labels.min() == labels.max():
                 continue
             tau, j = youden_threshold(probs, labels)
-            suite = metrics.metric_suite(metrics.confusion_at(probs, labels, tau))
+            suite = metrics.full_suite(probs, labels, tau)
             assert suite.uar == pytest.approx((1.0 + j) / 2.0, abs=1e-12)
 
     def test_suite_reproducible_from_counts(self):
-        c = metrics.ConfusionCounts(tp=3, fp=1, tn=4, fn=2)
-        assert metrics.metric_suite(c) == metrics.metric_suite(c)
+        probs, labels = scores_with_counts(tp=3, fp=1, tn=4, fn=2)
+        assert metrics.full_suite(probs, labels, 0.5) == metrics.full_suite(probs, labels, 0.5)
 
 
 # Scores with ties, adjacent floats (whose midpoints round onto a neighbour),
@@ -219,7 +228,7 @@ def split(samples):
     return probs, labels
 
 
-def counts_at(probs, labels, tau):
+def brute_counts_at(probs, labels, tau):
     """(tp, fp) at p >= tau, as Python ints."""
     pred = probs >= tau
     return int(np.sum(pred & (labels == 1))), int(np.sum(pred & (labels == 0)))
@@ -244,7 +253,7 @@ class TestExactOracles:
         probs, labels = split(samples)
         n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
         assume(n_pos)
-        counts = [counts_at(probs, labels, t) for t in sorted(set(probs), reverse=True)]
+        counts = [brute_counts_at(probs, labels, t) for t in sorted(set(probs), reverse=True)]
         pr = metrics.pr_curve(probs, labels)
         assert pr.xs.tolist() == [tp / n_pos for tp, _ in counts]
         assert pr.ys.tolist() == [tp / (tp + fp) for tp, fp in counts]
@@ -263,6 +272,31 @@ class TestExactOracles:
         assert suite.pr_auc == metrics.pr_auc(probs, labels)
 
     @ORACLE_SETTINGS
+    @given(SAMPLES, st.data())
+    def test_full_suite_counts_are_the_counts_at_tau(self, samples, data):
+        probs, labels = split(samples)
+        n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+        assume(n_pos and n_neg)
+        distinct = sorted(set(probs))
+        midpoints = [0.5 * (a + b) for a, b in zip(distinct, distinct[1:])]
+        tau = data.draw(st.sampled_from([*distinct, *midpoints, distinct[0] - 1.0,
+                                         distinct[-1] + 1.0]))
+        tp, fp = brute_counts_at(probs, labels, tau)
+        tn, fn = n_neg - fp, n_pos - tp
+        sens, spec = tp / n_pos, tn / n_neg
+        suite = metrics.full_suite(probs, labels, tau)
+        assert (suite.sens, suite.spec) == (sens, spec)
+        assert (suite.uar, suite.youden_j) == ((sens + spec) / 2.0, sens + spec - 1.0)
+        if tp + fp:
+            assert suite.ppv == tp / (tp + fp)
+        else:
+            assert math.isnan(suite.ppv)
+        if tn + fn:
+            assert suite.npv == tn / (tn + fn)
+        else:
+            assert math.isnan(suite.npv)
+
+    @ORACLE_SETTINGS
     @given(SAMPLES)
     def test_youden_is_the_exhaustive_scan(self, samples):
         probs, labels = split(samples)
@@ -273,12 +307,12 @@ class TestExactOracles:
         # J = (tp * n_neg - fp * n_pos) / (n_pos * n_neg): compare integer numerators
         numerator = {}
         for tau in candidates:
-            tp, fp = counts_at(probs, labels, tau)
+            tp, fp = brute_counts_at(probs, labels, tau)
             numerator[tau] = tp * n_neg - fp * n_pos
         best = max(numerator.values())
         tau, j = youden_threshold(probs, labels)
         assert numerator[tau] == best
-        tp, fp = counts_at(probs, labels, tau)
+        tp, fp = brute_counts_at(probs, labels, tau)
         assert j == tp / n_pos - fp / n_neg
         if 0.0 <= probs.min() and probs.max() <= 1.0:  # candidates ascend: the lowest tau wins
             assert tau == min(t for t, v in numerator.items() if v == best)
