@@ -68,7 +68,10 @@ def score_sweep(probs, labels):
 
 def counts_at(thresholds, tp, fp, taus):
     """A ``score_sweep``'s (tp, fp) at p >= each of ``taus``: the number of distinct
-    scores >= tau indexes the sweep, so a tau above every score counts nothing."""
+    scores >= tau indexes the sweep, so a tau above every score, +inf included, counts
+    nothing, one below every score (-inf) counts all, and a NaN tau raises ValueError."""
+    if np.isnan(taus).any():
+        raise ValueError("a threshold must not be NaN")
     at = np.searchsorted(-thresholds, -np.asarray(taus), side="right")
     return np.append(0, tp)[at], np.append(0, fp)[at]
 

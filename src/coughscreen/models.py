@@ -43,10 +43,14 @@ floats in the same order, and the trees are byte-identical to those of a
 per-feature search over the values.
 
 "balanced" class weighting uses w_c = N / (2 * N_c) for both families.
+
+The documented grids are one table, ``GRIDS``, of each parameter's values in
+nesting order; ``grid_candidates`` yields their 12 LR and 972 GBDT candidates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +74,14 @@ _LBFGS_FACTR = 1e-15 / np.finfo(float).eps
 LR_BLOCK_ROWS = 64
 LR_MAX_WIDTH = 12
 
-LR_C_GRID = [1e-4, 5e-4, 1e-3, 1e-2, 5e-2, 1e-1]
-GBDT_DEPTH_GRID = [4, 6, 8]
-GBDT_ITERATIONS_GRID = [400, 800, 1200]
-GBDT_LEARNING_RATE_GRID = [0.03, 0.10]
-GBDT_L2_LEAF_GRID = [1.0, 3.0, 10.0]
-GBDT_SUBSAMPLE_GRID = [0.7, 0.9, 1.0]
-GBDT_RSM_GRID = [0.7, 0.9, 1.0]
-CLASS_WEIGHT_GRID = [None, "balanced"]
+# family -> each hyperparameter's documented values, in the grid's nesting order
+GRIDS = {
+    "LR": {"C": [1e-4, 5e-4, 1e-3, 1e-2, 5e-2, 1e-1], "class_weight": [None, "balanced"]},
+    "GBDT": {"depth": [4, 6, 8], "iterations": [400, 800, 1200],
+             "learning_rate": [0.03, 0.10], "l2_leaf_reg": [1.0, 3.0, 10.0],
+             "subsample": [0.7, 0.9, 1.0], "rsm": [0.7, 0.9, 1.0],
+             "class_weights": [None, "balanced"]},
+}
 
 
 def _validate_xy(X, y):
@@ -451,27 +455,12 @@ def staged_proba_gbdt(model: GBDTModel, X, stages) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def grid_candidates(family: str) -> list:
-    """Full hyperparameter grid for a model family, in a fixed documented order.
-
-    The iteration order nests exactly as the parameters are listed below,
-    so candidate k is reproducible across runs and machines.
-    """
-    if family == "LR":
-        return [{"C": c, "class_weight": cw}
-                for c in LR_C_GRID
-                for cw in CLASS_WEIGHT_GRID]
-    if family == "GBDT":
-        return [{"depth": depth, "iterations": it, "learning_rate": lr,
-                 "l2_leaf_reg": l2, "subsample": sub, "rsm": rsm,
-                 "class_weights": cw}
-                for depth in GBDT_DEPTH_GRID
-                for it in GBDT_ITERATIONS_GRID
-                for lr in GBDT_LEARNING_RATE_GRID
-                for l2 in GBDT_L2_LEAF_GRID
-                for sub in GBDT_SUBSAMPLE_GRID
-                for rsm in GBDT_RSM_GRID
-                for cw in CLASS_WEIGHT_GRID]
-    raise ValueError(f"unknown model family {family!r}")
+    """Every combination of ``GRIDS[family]``'s values, nested as its parameters are
+    listed (the last varies fastest), so candidate k is reproducible across runs."""
+    if family not in GRIDS:
+        raise ValueError(f"unknown model family {family!r}")
+    grid = GRIDS[family]
+    return [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
 
 
 def fit_groups(family: str, candidates: list) -> list:

@@ -48,7 +48,7 @@ from .splits import (CALIB, TEST, LeakageError, NestedPlan, audit_plan, build_ne
 
 log = logging.getLogger(__name__)
 
-FAMILIES = ("LR", "GBDT")
+FAMILIES = tuple(models.GRIDS)
 # feature mode -> the columns of ``FeatureTable.features`` it reads
 FEATURE_COLUMNS = {"audio": slice(VECTOR_LENGTH), "fused": slice(None)}
 FEATURE_MODES = tuple(FEATURE_COLUMNS)
@@ -217,19 +217,16 @@ def run_fold(table: FeatureTable, codes: np.ndarray, fold: int, family: str,
     calib_rows = np.flatnonzero(role == CALIB)
     test_rows = np.flatnonzero(role == TEST)
     candidates = cfg.candidates(family)
-    oof = np.full((len(candidates), tuning_rows.size), np.nan)
-    uars = np.empty((len(candidates), len(inner)))
-    unconverged = []  # C of each LR fit of this fold that stopped unconverged
-    for j, (unit_uars, probs, unit_unconverged) in enumerate(inner):
-        uars[:, j] = unit_uars
-        oof[:, role[tuning_rows] == j] = probs
-        unconverged += unit_unconverged
     # the first candidate in grid order with the largest mean inner UAR wins;
     # its out-of-fold probabilities fit the calibrator
-    mean_uars = [float(np.mean(u)) for u in uars]
+    mean_uars = [float(np.mean(u)) for u in np.column_stack([u for u, _, _ in inner])]
     best_idx = int(np.argmax(mean_uars))
     best_params, best_uar = dict(candidates[best_idx]), mean_uars[best_idx]
-    best_oof = oof[best_idx].copy()
+    best_oof = np.full(tuning_rows.size, np.nan)
+    unconverged = []  # C of each LR fit of this fold that stopped unconverged
+    for j, (_, probs, unit_unconverged) in enumerate(inner):
+        best_oof[role[tuning_rows] == j] = probs[best_idx]
+        unconverged += unit_unconverged
     if np.isnan(best_oof).any():
         raise RuntimeError("out-of-fold probabilities missing for some tuning rows")
 

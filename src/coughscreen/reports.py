@@ -6,12 +6,13 @@ reliability and curve CSVs, the SVGs) is rendered from that document's plain
 dicts and lists, so ``coughscreen plot`` on a written report.json reproduces
 ``run --plots`` byte for byte.
 
-Aggregate cells are "mean ± std" strings for presentation; the raw floats
-always live beside them in report.json, and every aggregate is
-recomputable from the emitted per-fold rows. Undefined per-fold values
-(NaN sentinels, e.g. PPV with no predicted positives; null in the document)
-are excluded from means with the exclusion count reported, never
-zero-substituted.
+Each fold's numbers are laid out once, by ``_fold_values``, which folds.csv
+and ``aggregate_folds`` both read. Aggregate cells are "mean ± std" strings
+for presentation; the raw floats always live beside them in report.json, and
+every aggregate is recomputable from the emitted per-fold rows. Undefined
+per-fold values (NaN sentinels, e.g. PPV with no predicted positives; null in
+the document) are excluded from means with the exclusion count reported,
+never zero-substituted.
 
 Volatile run facts (wall clock, environment, timestamps) go to meta.json;
 report.json and every CSV are byte-stable for a fixed config and seed.
@@ -73,33 +74,39 @@ def _cell(agg: dict) -> str:
     return f"{agg['mean']:.2f} ± {agg['std']:.2f}"
 
 
-def _fold_metric(fold: dict, level: str, metric: str):
-    if metric == "threshold":
-        return fold[THRESHOLDS[level]]
-    return fold[level][SUITE_KEYS[metric]]
+def _fold_values(fold: dict, alphas):
+    """(aggregate path, folds.csv column, value) of each number of one fold dict, in
+    folds.csv column order. A path is (section, key, name) in ``aggregate_folds``."""
+    for level in LEVELS:
+        yield ("classification", level, "threshold"), THRESHOLDS[level], fold[THRESHOLDS[level]]
+    for level in LEVELS:
+        for m, key in SUITE_KEYS.items():
+            yield ("classification", level, m), f"{LEVEL_TAGS[level]}_{m}", fold[level][key]
+    for name, (raw, cal) in CALIBRATION_KEYS.items():
+        yield ("calibration", name, "raw"), raw, fold[raw]
+        yield ("calibration", name, "isotonic"), cal, fold[cal]
+    for alpha in alphas:
+        a, tag = str(alpha), f"a{alpha:.2f}"
+        for k in CONFORMAL_KEYS:
+            yield ("conformal", a, k), f"{k}_{tag}", fold["conformal"][a][k]
+        for m, (k, column) in SELECTIVE_KEYS.items():
+            yield ("selective", a, m), f"{column}_{tag}", fold["selective"][a][k]
 
 
 def aggregate_folds(folds, alphas) -> dict:
-    """Across-fold aggregates of one (family, feature_mode) block's fold dicts."""
-    out = {
-        "classification": {level: {m: _agg([_fold_metric(f, level, m) for f in folds])
-                                   for m in CLASSIFICATION_METRICS}
-                           for level in LEVELS},
-        "calibration": {name: {"raw": _agg([f[raw] for f in folds]),
-                               "isotonic": _agg([f[cal] for f in folds])}
-                        for name, (raw, cal) in CALIBRATION_KEYS.items()},
-        "conformal": {},
-        "selective": {},
-    }
+    """Across-fold aggregates of one (family, feature_mode) block's fold dicts: ``_agg``
+    of each ``_fold_values`` path, then the pooled conformal and selective statistics."""
+    values = {}
+    for f in folds:
+        for path, _, v in _fold_values(f, alphas):
+            values.setdefault(path, []).append(v)
+    out = {"classification": {}, "calibration": {}, "conformal": {}, "selective": {}}
+    for (section, key, name), vs in values.items():
+        out[section].setdefault(key, {})[name] = _agg(vs)
     for alpha in alphas:
         a = str(alpha)
-        block = {k: _agg([f["conformal"][a][k] for f in folds]) for k in CONFORMAL_KEYS}
-        block["pooled"] = _pooled_conformal(folds, a)
-        out["conformal"][a] = block
-        sel = {m: _agg([f["selective"][a][k] for f in folds])
-               for m, (k, _) in SELECTIVE_KEYS.items()}
-        sel["pooled"] = _pooled_selective(folds, a)
-        out["selective"][a] = sel
+        out["conformal"][a]["pooled"] = _pooled_conformal(folds, a)
+        out["selective"][a]["pooled"] = _pooled_selective(folds, a)
     return out
 
 
@@ -164,28 +171,12 @@ def _csv_text(rows) -> str:
 
 def _fold_cells(fold: dict, alphas):
     """(column, cell) pairs of one folds.csv row; the columns are the header."""
-    def fmt(v):
-        return "" if v is None else repr(float(v))
-
     yield "family", fold["family"]
     yield "feature_mode", fold["feature_mode"]
     yield "fold", fold["fold"]
     yield "best_params", json.dumps(fold["best_params"], sort_keys=True)
-    for level in LEVELS:
-        yield THRESHOLDS[level], fmt(fold[THRESHOLDS[level]])
-    for level in LEVELS:
-        for m in CLASSIFICATION_METRICS[1:]:
-            yield f"{LEVEL_TAGS[level]}_{m}", fmt(_fold_metric(fold, level, m))
-    for raw, cal in CALIBRATION_KEYS.values():
-        yield raw, fmt(fold[raw])
-        yield cal, fmt(fold[cal])
-    for a in alphas:
-        tag = f"a{a:.2f}"
-        c, s = fold["conformal"][str(a)], fold["selective"][str(a)]
-        for k in CONFORMAL_KEYS:
-            yield f"{k}_{tag}", fmt(c[k])
-        for k, column in SELECTIVE_KEYS.values():
-            yield f"{column}_{tag}", fmt(s[k])
+    for _, column, v in _fold_values(fold, alphas):
+        yield column, "" if v is None else repr(float(v))
 
 
 def classification_table(doc: dict, mode: str) -> list:
@@ -326,8 +317,6 @@ _MARGIN = 60
 
 
 def _scale(v, lo, hi, out_lo, out_hi):
-    if hi == lo:
-        return (out_lo + out_hi) / 2.0
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 

@@ -100,14 +100,10 @@ def carve_calibration(labels, frac: float, seed: int) -> tuple:
     by_class = {c: np.flatnonzero(labels == c) for c in (0, 1)}
     quota = {c: total * len(by_class[c]) / n for c in (0, 1)}
     take = {c: int(np.floor(quota[c])) for c in (0, 1)}
-    leftover = total - take[0] - take[1]
-    # largest remainder, but a class must never end up empty while budget remains
-    order = sorted((0, 1), key=lambda c: (take[c] > 0, take[c] - quota[c], c))
-    for c in order:
-        if leftover <= 0:
-            break
-        take[c] += 1
-        leftover -= 1
+    # the quotas sum to total, so their floors fall short of it by 0 or 1: the one
+    # left over goes by largest remainder, but first to a class that would be empty
+    if take[0] + take[1] < total:
+        take[min((0, 1), key=lambda c: (take[c] > 0, take[c] - quota[c], c))] += 1
     for c in (0, 1):
         if take[c] == 0 and take[1 - c] >= 2:
             take[c] += 1

@@ -318,6 +318,20 @@ class TestExactOracles:
             assert tau == min(t for t, v in numerator.items() if v == best)
 
 
+class TestThresholdAtTheEnds:
+    """A tau of +-inf is a threshold beyond every score; a NaN tau is no threshold."""
+
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            metrics.full_suite([0.2, 0.6, 0.9], [0, 1, 1], math.nan)
+
+    @pytest.mark.parametrize("tau, sens_spec", [(math.inf, (0.0, 1.0)),
+                                                (-math.inf, (1.0, 0.0))])
+    def test_infinite_tau_predicts_none_or_all_positive(self, tau, sens_spec):
+        suite = metrics.full_suite([0.2, 0.6, 0.9], [0, 1, 1], tau)
+        assert (suite.sens, suite.spec) == sens_spec
+
+
 THRESHOLD_STATISTICS = [metrics.roc_auc, metrics.roc_curve, metrics.pr_curve, metrics.pr_auc,
                         youden_threshold]
 

@@ -1,9 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from coughscreen import data, features, models
+from coughscreen import data, experiment, features, models
 
 
 def logloss(probs, y, w=None):
@@ -143,8 +146,8 @@ class TestLBFGSOracle:
             "max_iter=3"])
     def test_matches_minimize(self, seed, n, d, log10_scale, max_iter):
         X, y = lr_problem(seed, n, d, log10_scale)
-        for C in models.LR_C_GRID:
-            for cw in models.CLASS_WEIGHT_GRID:
+        for C in models.GRIDS["LR"]["C"]:
+            for cw in models.GRIDS["LR"]["class_weight"]:
                 theta, n_iter, converged = reference_fit_lr(X, y, C, cw, max_iter)
                 m = models.fit_lr(X, y, C, cw, max_iter=max_iter)
                 why = (f"fit_lr left minimize's iterates at C={C}, class_weight={cw}: "
@@ -574,6 +577,23 @@ class TestStagedPrediction:
             models.staged_proba_gbdt(m, X, stages)
 
 
+# the documented grids as nested comprehensions, the last parameter varying fastest
+DOCUMENTED_GRIDS = {
+    "LR": [{"C": c, "class_weight": cw}
+           for c in [1e-4, 5e-4, 1e-3, 1e-2, 5e-2, 1e-1]
+           for cw in [None, "balanced"]],
+    "GBDT": [{"depth": depth, "iterations": it, "learning_rate": lr, "l2_leaf_reg": l2,
+              "subsample": sub, "rsm": rsm, "class_weights": cw}
+             for depth in [4, 6, 8]
+             for it in [400, 800, 1200]
+             for lr in [0.03, 0.10]
+             for l2 in [1.0, 3.0, 10.0]
+             for sub in [0.7, 0.9, 1.0]
+             for rsm in [0.7, 0.9, 1.0]
+             for cw in [None, "balanced"]],
+}
+
+
 class TestGrids:
     def test_lr_grid_size(self):
         grid = models.grid_candidates("LR")
@@ -586,9 +606,27 @@ class TestGrids:
         assert len(grid) == 3 * 3 * 2 * 3 * 3 * 3 * 2 == 972
 
     def test_deterministic_order(self):
-        assert models.grid_candidates("LR") == models.grid_candidates("LR")
-        assert models.grid_candidates("GBDT")[:2] == models.grid_candidates("GBDT")[:2]
+        # repr compares key order and value types too (1.0 == 1, but not in repr)
+        for family, oracle in DOCUMENTED_GRIDS.items():
+            grid = models.grid_candidates(family)
+            assert len(grid) == len(oracle)
+            for k, (got, want) in enumerate(zip(grid, oracle)):
+                assert repr(got) == repr(want), f"{family} candidate {k}"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             models.grid_candidates("SVM")
+
+    def test_config_rules_cover_exactly_the_grid_parameters(self):
+        assert set(experiment._GRID_RULES) == set(models.GRIDS)
+        for family, grid in models.GRIDS.items():
+            assert set(experiment._GRID_RULES[family]) == set(grid), family
+
+    def test_readme_lists_each_grid_in_nesting_order(self):
+        readme = " ".join((Path(__file__).resolve().parent.parent / "README.md")
+                          .read_text().split())
+        for family, grid in models.GRIDS.items():
+            values = "; ".join(f"`{name}` {', '.join(map(json.dumps, vs))}"
+                               for name, vs in grid.items())
+            n = len(models.grid_candidates(family))
+            assert f"- {family}, {n} candidates: {values}." in readme, family
