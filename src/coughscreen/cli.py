@@ -21,7 +21,7 @@ import sys
 from dataclasses import fields
 from typing import get_type_hints
 
-from .data import ManifestError, load_manifest
+from .data import ManifestError, _is_int, load_manifest
 from .experiment import ConfigError, ExperimentConfig, run_experiment
 from .features import VECTOR_COLUMN_NAMES
 from .pipeline import FAMILIES, FEATURE_MODES, build_feature_table
@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--audio-root", default=None)
     p.add_argument("--synthetic", dest="use_synthetic", action="store_true",
-                   help="use a synthetic dataset (defaults from 'synth')")
+                   help="use a synthetic dataset with SyntheticConfig's defaults: the "
+                        f"paper's {SyntheticConfig.n_coughers:,} coughers, unless --coughers")
     p.add_argument("--coughers", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -169,8 +170,8 @@ def _plot_report(path, outdir) -> list:
     """Render the plots of the report.json at ``path`` into ``outdir``.
 
     A file that is not a report document is a data error naming the file,
-    down to a block key that is not ``family|mode``, or a block or fold that
-    lacks a key or holds the wrong type.
+    down to a block key that is not ``family|mode``, a fold number that is not
+    an integer, or a block or fold that lacks a key or holds the wrong type.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -184,10 +185,14 @@ def _plot_report(path, outdir) -> list:
         raise ManifestError(f"{path} is not a report.json: its block keys must be among "
                             f"{', '.join(sorted(_BLOCK_KEYS))}")
     try:
-        return emit_plots(doc, outdir)
+        bad = [f["fold"] for block in doc["blocks"].values() for f in block["folds"]
+               if not _is_int(f["fold"])]
+        if not bad:
+            return emit_plots(doc, outdir)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ManifestError(f"{path} is not a report.json: its blocks do not parse "
                             f"({type(exc).__name__}: {exc})") from exc
+    raise ManifestError(f"{path} is not a report.json: fold {bad[0]!r} is not an integer")
 
 
 def _cmd_plot(args) -> int:

@@ -187,7 +187,7 @@ class CoughRecording:
         """The waveform; a WAV file is decoded and resampled to 16 kHz on each call.
 
         A file that is not a mono 16-bit PCM WAV with at least one sample, or
-        whose rate is below 16 kHz, raises ``ManifestError`` naming it.
+        whose rate is below 16 kHz or above 384 kHz, raises ``ManifestError`` naming it.
         """
         if self.waveform is not None:
             return self.waveform

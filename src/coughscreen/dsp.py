@@ -20,6 +20,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 TARGET_SAMPLE_RATE_HZ = 16000
+# the highest rate resampled; the largest filter, for 383,999 Hz, has 7,679,981 taps (61 MB)
+MAX_SAMPLE_RATE_HZ = 384000
 WINDOW_SAMPLES = 512
 HOP_SAMPLES = 256
 N_FFT = 2048
@@ -91,13 +93,15 @@ def _antialias_fir(max_rate: int) -> np.ndarray:
 def resample(w: Waveform) -> Waveform:
     """Band-limited polyphase resampling to 16 kHz (anti-aliasing before decimation).
 
-    Pass-through is bit-exact for 16 kHz input. Upsampling is rejected: the
-    pipeline only ever moves down to 16 kHz. The output is byte-equal to
+    Pass-through is bit-exact for 16 kHz input. A rate below 16 kHz (the pipeline only
+    moves down) or above ``MAX_SAMPLE_RATE_HZ`` is rejected. The output is byte-equal to
     ``resample_poly``'s default Kaiser design, whose filter is cached per rate ratio.
     """
     if w.sample_rate_hz < TARGET_SAMPLE_RATE_HZ:
         raise ValueError(f"upsampling {w.sample_rate_hz} -> {TARGET_SAMPLE_RATE_HZ} Hz is "
                          "not supported")
+    if w.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
+        raise ValueError(f"{w.sample_rate_hz} Hz is above the {MAX_SAMPLE_RATE_HZ} Hz maximum")
     if w.sample_rate_hz == TARGET_SAMPLE_RATE_HZ:
         return w
     g = np.gcd(TARGET_SAMPLE_RATE_HZ, w.sample_rate_hz)

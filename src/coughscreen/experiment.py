@@ -12,16 +12,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import (ConfigError, ManifestError, _int_at_least, _is_real, check_object,
-                   load_manifest)
-from .pipeline import FAMILIES, FEATURE_MODES, RunConfig, build_feature_table, run_nested
+from .data import ConfigError, _int_at_least, _is_real, check_object, load_manifest
+from .pipeline import (FAMILIES, FEATURE_MODES, RunConfig, build_feature_table, checked_plan,
+                       run_nested)
 from .reports import RunReport, write_report
-from .splits import build_nested_plan
 from .synth import _SYNTH_RULES, SyntheticConfig, cohort_shape, iter_synthetic
-
-
-def _class_weight(v) -> bool:
-    return v is None or v == "balanced"
 
 
 def _is_path(v) -> bool:
@@ -42,8 +37,16 @@ def _is_out_dir(v) -> bool:
     return os.path.isdir(path or ".")
 
 
-# config field -> (check, what it must be); alphas, synthetic and grids have
-# rules of their own in ``validate``
+def _alphas(v) -> bool:
+    """Numbers in (0, 1) whose two-decimal tags, which label report rows, differ and are
+    neither 0.00 nor 1.00."""
+    if not isinstance(v, (list, tuple)) or not v or not all(map(_is_real, v)):
+        return False
+    tags = {f"{float(a):.2f}" for a in v}
+    return all(0.0 < a < 1.0 for a in v) and len(tags) == len(v) and not {"0.00", "1.00"} & tags
+
+
+# config field -> (check, what it must be), for every field but synthetic
 _FIELD_RULES = {
     "manifest": (lambda v: v is None or _is_path(v), "a path"),
     "audio_root": (lambda v: v is None or _is_path(v), "a path"),
@@ -55,19 +58,26 @@ _FIELD_RULES = {
     "k_outer": _int_at_least(2),
     "k_inner": _int_at_least(2),
     "jobs": _int_at_least(1),
+    "alphas": (_alphas, "a nonempty list of numbers in (0, 1) with distinct two-decimal "
+                        "tags, none of them 0.00 or 1.00"),
+    "grids": (lambda v: isinstance(v, dict) and all(
+                  fam in FAMILIES and isinstance(grid, (list, tuple)) and grid
+                  for fam, grid in v.items()),
+              "an object mapping LR or GBDT to a nonempty list of parameter objects"),
 }
 
+_CLASS_WEIGHT = (lambda v: v is None or v == "balanced", 'null or "balanced"')
 # grid candidate key -> (check, what it must be); LR needs only C
 _GRID_RULES = {
     "LR": {"C": (lambda v: _is_real(v) and v > 0, "a number > 0"),
-           "class_weight": (_class_weight, 'null or "balanced"')},
+           "class_weight": _CLASS_WEIGHT},
     "GBDT": {"depth": _int_at_least(1),
              "iterations": _int_at_least(1),
              "learning_rate": (lambda v: _is_real(v) and v > 0, "a number > 0"),
              "l2_leaf_reg": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
              "subsample": (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
              "rsm": (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
-             "class_weights": (_class_weight, 'null or "balanced"')},
+             "class_weights": _CLASS_WEIGHT},
 }
 _GRID_REQUIRED = {"LR": {"C"}, "GBDT": set(_GRID_RULES["GBDT"])}
 
@@ -93,31 +103,10 @@ class ExperimentConfig:
             raise ConfigError("exactly one data source is required: "
                               "'manifest' or 'synthetic'")
         check_object(_FIELD_RULES, {name: getattr(self, name) for name in _FIELD_RULES})
-        if (not isinstance(self.alphas, (list, tuple)) or not self.alphas
-                or not all(map(_is_real, self.alphas))):
-            raise ConfigError(f"alphas must be a nonempty list of numbers, got {self.alphas!r}")
-        for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise ConfigError(f"alpha {a} outside (0, 1)")
-        # report columns and rows are tagged by alpha to two decimals
-        tags = [f"{float(a):.2f}" for a in self.alphas]
-        for a, tag in zip(self.alphas, tags):
-            if tag in ("0.00", "1.00"):
-                raise ConfigError(f"alpha {a} rounds to {tag} at two decimals, "
-                                  "which the report tags alphas by")
-        if len(set(tags)) != len(tags):
-            raise ConfigError(f"alphas {list(self.alphas)!r} must differ in their first two "
-                              "decimals")
         if self.synthetic is not None:
             check_object(_SYNTH_RULES, self.synthetic, "synthetic")
             self.synthetic_config()  # coughs_min <= coughs_max
-        if not isinstance(self.grids, dict):
-            raise ConfigError("grids must map a family to its candidate list")
         for fam, grid in self.grids.items():
-            if fam not in FAMILIES:
-                raise ConfigError(f"grid override for unknown family {fam!r}")
-            if not isinstance(grid, (list, tuple)) or not grid:
-                raise ConfigError(f"grid for {fam} must be a nonempty list of parameter objects")
             for cand in grid:
                 check_object(_GRID_RULES[fam], cand, f"{fam} grid candidate {cand!r}",
                              _GRID_REQUIRED[fam])
@@ -126,9 +115,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("the config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
+        if unknown := set(doc) - {f.name for f in fields(cls)}:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**doc)
         cfg.validate()
@@ -181,17 +168,10 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True,
         synthetic = cfg.synthetic_config()
         shape = cohort_shape(synthetic)
         coughers = iter_synthetic(synthetic)
-    # the fold plan needs only cougher ids, labels and recording counts, so a
-    # cohort too small for the fold counts fails here, before any audio is
-    # generated or decoded
-    ids, labels, counts = zip(*sorted(shape))
-    try:
-        plan = build_nested_plan(list(ids), list(labels), list(counts),
-                                 cfg.k_outer, cfg.k_inner, cfg.calib_frac, cfg.seed)
-    except ValueError as exc:
-        raise ManifestError(f"the cohort of {len(ids)} coughers cannot fill the "
-                            f"{cfg.k_outer}x{cfg.k_inner} fold plan: {exc}") from exc
-    say(f"extracting features for {sum(counts)} recordings")
+    # the plan needs only cougher ids, labels and recording counts, so every plan
+    # check runs before any audio is generated or decoded
+    plan = checked_plan(tuple(zip(*sorted(shape))), cfg)
+    say(f"extracting features for {sum(n for _, _, n in shape)} recordings")
     table = build_feature_table(coughers)
 
     blocks = {}
@@ -199,8 +179,7 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True,
         run_cfg = cfg.run_config(family)
         for mode in cfg.feature_modes():
             say(f"running {family} / {mode}")
-            results, plan = run_nested(table, family, mode, run_cfg,
-                                       jobs=cfg.jobs, plan=plan)
+            results, _ = run_nested(table, family, mode, run_cfg, jobs=cfg.jobs, plan=plan)
             blocks[(family, mode)] = {"folds": results}
 
     config_echo = asdict(cfg)

@@ -20,8 +20,8 @@ Step 1 is the fold plan's. ``score_inner_fold`` makes step 2's fits on one inner
 and the final fit (4), which scores the calibration subset (5) and the test fold (6);
 ``evaluate_fold`` does the rest of 3, 5 and 6 from probabilities, labels and ids alone.
 Rows are picked by role code: scalers and models see only tuning (inner-train) rows.
-``run_nested`` audits every plan (``splits.audit_plan``) before any fit, and a
-violation aborts the run with ``LeakageError``.
+``checked_plan``, which ``run_nested`` runs before any fit, checks every plan, built or
+given: an ``audit_plan`` violation raises ``LeakageError``.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def run_fold(table: FeatureTable, codes: np.ndarray, fold: int, family: str,
     roles = ((best_oof, tuning_rows), (calib_raw, calib_rows), (test_raw, test_rows))
     record = evaluate_fold(*[(p, y[rows], [table.recording_ids[r] for r in rows],
                               table.cougher_ids[rows]) for p, rows in roles], cfg.alphas)
-    # true by construction: run_nested audits the plan, and rows are picked by role code
+    # true by construction: checked_plan audits the plan, and rows are picked by role code
     audit = {
         "boundaries_disjoint": True,
         "scaler_fit_coughers": table.cougher_index[0][codes >= 0].tolist(),
@@ -346,21 +346,44 @@ def pin_blas_threads() -> None:
 def worker_count(jobs: int, units: int) -> int:
     """Workers for ``jobs`` requested and ``units`` to run: at most one per unit
     and one per CPU this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(jobs, units, cpus)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(jobs, units, cpus or 1)
+
+
+def checked_plan(coughers: tuple, cfg, plan: NestedPlan | None = None) -> NestedPlan:
+    """``plan``, else the one built from ``cfg``'s (a ``RunConfig``'s or ``ExperimentConfig``'s)
+    fold counts, ``calib_frac`` and ``seed``, for ``coughers``, the (ids, labels, recording
+    counts) of ``FeatureTable.coughers``, once it passes every check. A cohort too small for
+    the plan, a given plan of other coughers or a one-class set (``single_class_sets``) raises
+    ``ManifestError``; an ``audit_plan`` violation raises ``LeakageError``."""
+    ids, labels, counts = coughers
+    if plan is None:
+        try:
+            plan = build_nested_plan(ids, labels, counts, cfg.k_outer, cfg.k_inner,
+                                     cfg.calib_frac, cfg.seed)
+        except ValueError as exc:
+            raise ManifestError(f"the cohort of {len(ids)} coughers cannot fill the "
+                                f"{cfg.k_outer}x{cfg.k_inner} fold plan: {exc}") from exc
+    elif not np.array_equal(plan.ids, ids):
+        planned = set(plan.ids.tolist())
+        raise ManifestError(f"the fold plan does not cover the table's coughers: "
+                            f"{len(set(ids) - planned)} of the table's are not in the plan, "
+                            f"{len(planned - set(ids))} of the plan's are not in the table")
+    if violations := audit_plan(plan):
+        raise LeakageError(f"the fold plan fails the leakage audit with {len(violations)} "
+                           f"violation(s), the first: {violations[0]}")
+    if sets := single_class_sets(plan.codes, labels):
+        raise ManifestError(f"{len(sets)} set(s) of the fold plan lack a class, the first: "
+                            f"{sets[0]}")
+    return plan
 
 
 def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConfig,
                jobs: int = 1, plan: NestedPlan | None = None):
     """Run the full nested protocol on a feature table; returns (fold_results, plan).
 
-    A given ``plan`` must cover exactly the table's coughers (else ``ManifestError``),
-    and every plan, built or given, must pass ``audit_plan`` (else ``LeakageError``)
-    and hold both classes in each set (``single_class_sets``, else ``ManifestError``),
-    all before any fit. Each (outer fold, inner fold) unit runs
+    The plan, built or given, is the table's ``checked_plan``, so every plan check
+    runs before any fit. Each (outer fold, inner fold) unit runs
     ``score_inner_fold``, then each outer fold ``run_fold`` on its units' outputs,
     handed on as soon as they arrive. At ``jobs=1`` both run lazily in this process,
     one fold at a time; otherwise on one pool of ``worker_count(jobs, units)``
@@ -373,21 +396,8 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if feature_mode not in FEATURE_MODES:
         raise ValueError(f"feature_mode must be one of {FEATURE_MODES}, got {feature_mode!r}")
-    ids, labels, counts = table.coughers()
-    if plan is None:
-        plan = build_nested_plan(ids, labels, counts, cfg.k_outer, cfg.k_inner, cfg.calib_frac,
-                                 cfg.seed)
-    elif not np.array_equal(plan.ids, ids):
-        planned = set(plan.ids.tolist())
-        raise ManifestError(f"the fold plan does not cover the table's coughers: "
-                            f"{len(set(ids) - planned)} of the table's are not in the plan, "
-                            f"{len(planned - set(ids))} of the plan's are not in the table")
-    if violations := audit_plan(plan):
-        raise LeakageError(f"the fold plan fails the leakage audit with {len(violations)} "
-                           f"violation(s), the first: {violations[0]}")
-    if sets := single_class_sets(plan.codes, labels):
-        raise ManifestError(f"{len(sets)} set(s) of the fold plan lack a class, the first: "
-                            f"{sets[0]}")
+    coughers = table.coughers()
+    plan = checked_plan(coughers, cfg, plan)
     pin_blas_threads()
     k_inner = int(plan.codes.max()) + 1
     units = [(codes, f, j, family, feature_mode, cfg)
@@ -421,7 +431,7 @@ def run_nested(table: FeatureTable, family: str, feature_mode: str, cfg: RunConf
                             len(cfg.candidates(family)) * k_inner + 1,
                             ", ".join(map(repr, sorted(set(unconverged)))))
             results.append(result)
-    rates = [float(np.mean(np.asarray(labels)[codes == TEST])) for codes in plan.codes]
+    rates = [float(np.mean(np.asarray(coughers[1])[codes == TEST])) for codes in plan.codes]
     for r in results:
         r.audit["outer_positive_rates"] = rates
     return results, plan

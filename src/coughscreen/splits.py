@@ -11,7 +11,7 @@ recording counts) and return positions into them. The nested plan is, per outer 
 
 A plan holds one role code per cougher and outer fold, so the three roles
 are disjoint and cover the cohort by construction. ``audit_plan`` checks the
-rest of the protocol on the codes; ``pipeline.run_nested`` runs it on every plan
+rest of the protocol on the codes; ``pipeline.checked_plan`` runs it on every plan
 before any fit. Plans export to CSV, and ``audit_plan_rows``, the check
 ``coughscreen audit`` runs, rebuilds the codes from the rows, then audits them.
 """

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TINY_GBDT_GRID, TINY_LR_GRID, tiny_experiment_doc
-from coughscreen import cli, reports, splits
+from coughscreen import cli, pipeline, reports, splits
 from coughscreen.data import load_manifest
 from coughscreen.features import extract
 from coughscreen.reports import emit_plots, report_doc
@@ -196,7 +196,8 @@ def write_malformed_wav(path, kind):
     channels, width, frames, rate = {"stereo": (2, 2, 400, 16000),
                                      "8-bit": (1, 1, 800, 16000),
                                      "zero-frames": (1, 2, 0, 16000),
-                                     "8-khz": (1, 2, 800, 8000)}[kind]
+                                     "8-khz": (1, 2, 800, 8000),
+                                     "999999999-hz": (1, 2, 800, 999_999_999)}[kind]
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(channels)
         fh.setsampwidth(width)
@@ -206,7 +207,8 @@ def write_malformed_wav(path, kind):
 
 class TestMalformedAudio:
     @pytest.mark.parametrize("command", ["features", "run"])
-    @pytest.mark.parametrize("kind", ["not-riff", "stereo", "8-bit", "zero-frames", "8-khz"])
+    @pytest.mark.parametrize("kind", ["not-riff", "stereo", "8-bit", "zero-frames", "8-khz",
+                                      "999999999-hz"])
     def test_malformed_wav_exit_3_naming_the_file(self, tmp_path, capsys, command, kind):
         ds = tmp_path / "ds"
         assert run_cli(["synth", "--out", str(ds), "--coughers", "16",
@@ -427,6 +429,23 @@ class TestRunCommand:
         assert "extracting features" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("check, code", [("audit_plan", 4), ("single_class_sets", 3)])
+    def test_plan_check_fails_before_any_recording_is_extracted(self, tmp_path, capsys,
+                                                                monkeypatch, check, code):
+        def extract_all(waveforms):
+            pytest.fail("a recording was extracted")
+
+        monkeypatch.setattr(pipeline, check, lambda *args: ["outer fold 0: a seeded fault"])
+        monkeypatch.setattr(pipeline, "extract_all", extract_all)
+        out = tmp_path / "exp"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_experiment_doc(out)))
+        assert run_cli(["run", "--config", str(cfg_path)]) == code
+        captured = capsys.readouterr()
+        assert "the first: outer fold 0: a seeded fault" in captured.err
+        assert "extracting features" not in captured.out
+        assert not out.exists()
+
     def test_run_from_manifest_source(self, tmp_path):
         ds = tmp_path / "ds"
         assert run_cli(["synth", "--out", str(ds), "--coughers", "16",
@@ -558,9 +577,10 @@ class TestPlotCommand:
         "not json {", "[1, 2]", '{"config": {}, "alphas": []}',
         '{"config": {}, "alphas": [], "blocks": []}',
         '{"config": {}, "alphas": [], "blocks": {"LR|audio": {}}}',
-        '{"config": {}, "alphas": [], "blocks": {"LR|audio": {"folds": [{}]}}}'],
+        '{"config": {}, "alphas": [], "blocks": {"LR|audio": {"folds": [{}]}}}',
+        '{"config": {}, "alphas": [], "blocks": {"LR|audio": {"folds": [{"fold": "a&<b"}]}}}'],
         ids=["not-json", "not-an-object", "no-blocks", "blocks-not-an-object",
-             "block-without-folds", "fold-without-number"])
+             "block-without-folds", "fold-without-number", "fold-number-not-an-integer"])
     def test_bad_report_exit_3_naming_the_file(self, tmp_path, capsys, text):
         bad = tmp_path / "bad_report.json"
         bad.write_text(text)
@@ -578,6 +598,20 @@ class TestPlotCommand:
         assert run_cli(["plot", str(bad)]) == 3
         assert "data error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.svg"))
+
+    @pytest.mark.parametrize("number", ["a&<b", True, 1.0, None])
+    def test_fold_number_not_an_integer_exit_3_writing_nothing(self, tiny_run, tmp_path,
+                                                               capsys, number):
+        # a fold number becomes the title of its curves
+        _, out = tiny_run
+        doc = json.loads((out / "report.json").read_text())
+        doc["blocks"]["LR|audio"]["folds"][0]["fold"] = number
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["plot", str(bad), "--out", str(tmp_path / "plots")]) == 3
+        assert (f"data error: {bad} is not a report.json: fold {number!r} is not an integer"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "plots").exists()
 
     @pytest.mark.parametrize("key", ["A<&b|audio", "sub/dir|audio"])
     def test_block_key_outside_family_and_mode_exit_3_writing_nothing(self, tiny_run, tmp_path,

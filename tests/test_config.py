@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_GBDT_GRID, TINY_LR_GRID, tiny_experiment_doc
-from coughscreen import cli
+from coughscreen import cli, models
 from coughscreen.data import MANIFEST_COLUMNS
 from coughscreen.experiment import _FIELD_RULES, _GRID_RULES, ConfigError, ExperimentConfig
 from coughscreen.synth import MAX_COUGHERS, MAX_COUGHS, SyntheticConfig, cohort_shape
@@ -98,6 +98,17 @@ def _can_be_made_a_directory(value) -> bool:
 
 def _usable(key: str, value) -> bool:
     """Whether the run can use ``value`` for ``key``, decided without the rule tables."""
+    if key == "alphas":  # report rows and columns are tagged by alpha to two decimals
+        tags = [f"{a:.2f}" for a in value] if all(type(a) is float for a in value) else []
+        return (len(tags) == len(value) > 0 and all(0 < a < 1 for a in value)
+                and len(set(tags)) == len(tags) and not {"0.00", "1.00"} & set(tags))
+    if key == "grids":  # a candidate may leave out LR's class_weight, and no other key
+        return isinstance(value, dict) and all(
+            fam in models.GRIDS and isinstance(grid, list) and grid and all(
+                isinstance(c, dict)
+                and set(models.GRIDS[fam]) - {"class_weight"} <= set(c) <= set(models.GRIDS[fam])
+                and all(_usable(k, v) for k, v in c.items()) for c in grid)
+            for fam, grid in value.items())
     if key in CHOICES:
         return value in CHOICES[key]
     if key == "out":
@@ -116,7 +127,7 @@ def test_every_rule_table_field_is_drawn():
     assert set(_GRID_RULES["GBDT"]) - {"class_weights"} <= drawn
     assert "C" in drawn
     assert {k for where, k in RULE_FIELDS if where == "config"} - drawn == PATHS | {
-        "family", "feature_mode"}
+        "family", "feature_mode", "alphas", "grids"}
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -151,6 +162,14 @@ def test_numeric_value_rejected_or_finite(field, value):
 @example(field=("config", "audio_root"), value="a\x00b")
 @example(field=("config", "family"), value=["LR"])
 @example(field=("GBDT", "depth"), value={"depth": 2})
+@example(field=("config", "alphas"), value=[0.1, 0.104])
+@example(field=("config", "alphas"), value=[0.997])
+@example(field=("config", "alphas"), value=(0.2, 0.05))
+@example(field=("config", "grids"), value={"LR": [{"C": 2}]})
+@example(field=("config", "grids"), value={"LR": []})
+@example(field=("config", "grids"), value={"SVM": [{"C": 1.0}]})
+@example(field=("config", "grids"), value={"GBDT": [{"depth": 2}]})
+@example(field=("config", "grids"), value={"LR": [{"C": 1.0, "class_weight": "even"}]})
 def test_rule_table_value_rejected_or_usable(field, value):
     where, key = field
     try:

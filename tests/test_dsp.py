@@ -70,6 +70,20 @@ class TestResample:
             np.testing.assert_array_equal(dsp.resample(dsp.Waveform(x, rate)).samples,
                                           expected)
 
+    def test_rate_above_the_maximum_rejected(self):
+        w = dsp.Waveform(np.ones(100), dsp.MAX_SAMPLE_RATE_HZ + 1)
+        with pytest.raises(ValueError, match="384001 Hz is above the 384000 Hz maximum"):
+            dsp.resample(w)
+        w = dsp.Waveform(np.ones(24_000), dsp.MAX_SAMPLE_RATE_HZ)
+        assert dsp.resample(w).samples.size == 1000
+
+    def test_largest_filter_below_the_maximum_rate(self):
+        # resample_poly's filter for a reduced up/down pair has 20 * max(up, down) + 1 taps
+        rates = np.arange(dsp.TARGET_SAMPLE_RATE_HZ + 1, dsp.MAX_SAMPLE_RATE_HZ + 1)
+        taps = 20 * (np.maximum(16000, rates) // np.gcd(16000, rates)) + 1
+        assert taps.max() == 7_679_981 == 20 * 383_999 + 1
+        assert rates[taps.argmax()] == 383_999
+
     def test_upsampling_rejected(self):
         w = dsp.Waveform(np.ones(100), 8000)
         with pytest.raises(ValueError, match="upsampling 8000 -> 16000 Hz"):

@@ -150,6 +150,20 @@ class TestRunNested:
         with pytest.raises(ManifestError, match="outer fold 0: the calibration set lacks a class"):
             pipeline.run_nested(table, "LR", "audio", cfg, plan=one_class)
 
+    def test_cohort_too_small_for_the_fold_counts_is_the_clis_data_error(self, table,
+                                                                        monkeypatch):
+        def fail(*args):
+            pytest.fail("an inner fold was scored")
+
+        monkeypatch.setattr(pipeline, "score_inner_fold", fail)
+        positives = sum(table.coughers()[1])
+        assert positives < 30 <= len(table.coughers()[0]) - positives
+        cfg = pipeline.RunConfig(seed=3, grid=LR_GRID[:1], k_outer=30)
+        with pytest.raises(ManifestError) as refused:
+            pipeline.run_nested(table, "LR", "audio", cfg)
+        assert str(refused.value) == ("the cohort of 60 coughers cannot fill the 30x5 fold "
+                                      f"plan: class 1 has only {positives} coughers for k=30")
+
     def test_unknown_family_rejected(self, table):
         with pytest.raises(ValueError):
             pipeline.run_nested(table, "SVM", "audio", pipeline.RunConfig())
