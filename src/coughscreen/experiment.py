@@ -14,7 +14,7 @@ import scipy
 from . import __version__
 from .data import ConfigError, _int_at_least, _is_real, check_object, load_manifest
 from .pipeline import (FAMILIES, FEATURE_MODES, RunConfig, build_feature_table, checked_plan,
-                       run_nested)
+                       openblas_cores, run_nested)
 from .reports import RunReport, write_report
 from .synth import _SYNTH_RULES, SyntheticConfig, cohort_shape, iter_synthetic
 
@@ -138,13 +138,25 @@ class ExperimentConfig:
 
 
 def environment_info() -> dict:
-    return {
+    """The versions, and the CPU kernels the numbers were computed with: numpy's SIMD
+    levels (its baseline, then those found on this CPU) and each OpenBLAS's core name,
+    where numpy and the libraries report them."""
+    info = {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "coughscreen": __version__,
         "platform": platform.platform(),
     }
+    try:
+        simd = np.show_config(mode="dicts").get("SIMD Extensions")
+    except TypeError:  # numpy before 1.26 has no mode argument
+        simd = None
+    if simd:
+        info["numpy_simd"] = {level: simd.get(level, []) for level in ("baseline", "found")}
+    if cores := openblas_cores():
+        info["openblas_cores"] = cores
+    return info
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True,

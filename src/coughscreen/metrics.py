@@ -147,17 +147,17 @@ def full_suite(probs, labels, tau: float) -> MetricSuite:
         roc_auc=auc, pr_auc=_pr_auc(tp, fp))
 
 
-def aggregate_cougher(probs, cougher_ids):
-    """Mean probability per cougher.
+def aggregate_cougher(values, cougher_ids):
+    """Mean per cougher of one array of values, or of each row of a (k, n) stack of them.
 
-    Returns (unique_ids, mean_probs) with ids sorted, one entry per
-    distinct cougher.
+    Returns (unique_ids, means) with ids sorted, one entry per distinct
+    cougher: means has one row per row of ``values``, or is 1-D for one array.
+    The ids are sorted once for every row.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     ids = np.asarray(cougher_ids)
-    if probs.shape != ids.shape:
-        raise ValueError("every probability must be tagged with a cougher id")
+    if ids.ndim != 1 or values.ndim > 2 or values.shape[-1:] != ids.shape:
+        raise ValueError("every value must be tagged with a cougher id")
     uniq, inverse = np.unique(ids, return_inverse=True)
-    sums = np.bincount(inverse, weights=probs)
-    counts = np.bincount(inverse)
-    return uniq, sums / counts
+    sums = np.array([np.bincount(inverse, weights=row) for row in np.atleast_2d(values)])
+    return uniq, (sums / np.bincount(inverse)).reshape(values.shape[:-1] + uniq.shape)

@@ -136,9 +136,8 @@ def _at_level(level: str, labels, recording_ids, cougher_ids, *probs) -> tuple:
     if level == "waveform":
         return (*probs, labels, recording_ids)
     # a cougher's recordings share its label, so the label's mean is the label
-    aggregated = [metrics.aggregate_cougher(p, cougher_ids) for p in (*probs, labels)]
-    *means, labels = (mean for _, mean in aggregated)
-    return (*means, labels.astype(int), aggregated[0][0].tolist())
+    ids, means = metrics.aggregate_cougher(np.stack((*probs, labels)), cougher_ids)
+    return (*means[:-1], means[-1].astype(int), ids.tolist())
 
 
 def json_clean(obj):
@@ -313,34 +312,59 @@ def _finish_on_worker_table(*args):
     return run_fold(_worker_table, *args)
 
 
-# the thread-count setter of each OpenBLAS build numpy and scipy may bundle
+# the thread-count setter of each OpenBLAS build numpy and scipy may bundle, and the
+# core-name getter beside it
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                  "openblas_set_num_threads")
+_BLAS_CORE_GETTERS = tuple(name.replace("set_num_threads", "get_corename")
+                           for name in _BLAS_SETTERS)
+
+
+def _openblas_symbols(names: tuple) -> list:
+    """(path, symbol) for each OpenBLAS loaded in this process that has one of ``names``,
+    the first it has. The libraries are found in ``/proc/self/maps``; without that file,
+    a library or a symbol, a library is left out."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
+                     if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        symbol = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if symbol is not None:
+            found.append((path, symbol))
+    return found
 
 
 def pin_blas_threads() -> None:
     """Set every OpenBLAS loaded in this process to one thread.
 
     Nothing here needs a second BLAS thread, and each bundled OpenBLAS starts
-    one per CPU, so worker processes would oversubscribe the cores. The
-    libraries are found in ``/proc/self/maps``; without that file, a library
-    or a setter, this does nothing. The setting is process-wide.
+    one per CPU, so worker processes would oversubscribe the cores. Without a
+    library or a setter (``_openblas_symbols``), this does nothing. The setting
+    is process-wide.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
-                     if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()}
-    except OSError:
-        return
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        setter = next((getattr(lib, name) for name in _BLAS_SETTERS if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+    for _, setter in _openblas_symbols(_BLAS_SETTERS):
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
+def openblas_cores() -> dict:
+    """The core name, such as SkylakeX or Haswell, whose kernels each OpenBLAS loaded in
+    this process runs, keyed by the library's file name up to its first '-' or '.'
+    (``libscipy_openblas64_``); empty if none reports one."""
+    cores = {}
+    for path, getter in _openblas_symbols(_BLAS_CORE_GETTERS):
+        getter.argtypes, getter.restype = [], ctypes.c_char_p
+        name = os.path.basename(path).partition("-")[0].partition(".")[0]
+        cores[name] = (getter() or b"").decode(errors="replace")
+    return cores
 
 
 def worker_count(jobs: int, units: int) -> int:

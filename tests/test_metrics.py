@@ -193,6 +193,33 @@ class TestAggregateCougher:
         out_ids, agg = metrics.aggregate_cougher(probs, ids)
         assert len(out_ids) == 3
 
+    def test_one_array_keeps_its_shapes(self):
+        ids, agg = metrics.aggregate_cougher([0.1, 0.2, 0.3], ["b", "a", "b"])
+        assert ids.shape == agg.shape == (2,)
+        assert agg.dtype == np.float64
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stack_equals_one_call_per_row_in_bytes(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            ids = rng.choice([f"c{i}" for i in range(int(rng.integers(1, 9)))], n)
+            stack = rng.random((k, n))
+            stack[-1] = rng.integers(0, 2, n)  # a row of labels, as _at_level passes
+            uniq, means = metrics.aggregate_cougher(stack, ids)
+            assert means.shape == (k, uniq.size)
+            for row, got in zip(stack, means):
+                want_ids, want = metrics.aggregate_cougher(row, ids)
+                np.testing.assert_array_equal(uniq, want_ids)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values, ids", [
+        ([0.1, 0.2], ["a"]), ([[0.1], [0.2]], ["a", "b"]), ([[[0.1]]], ["a"]),
+        ([0.1, 0.2], [["a", "b"]]), (0.5, ["a"])])
+    def test_unaligned_ids_rejected(self, values, ids):
+        with pytest.raises(ValueError, match="tagged with a cougher id"):
+            metrics.aggregate_cougher(values, ids)
+
 
 class TestCrossModule:
     def test_uar_at_youden_equals_half_one_plus_j(self):

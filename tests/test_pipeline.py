@@ -332,6 +332,27 @@ class TestEvaluateFold:
         assert record["tau_s"] == pytest.approx(tau_s, abs=1e-15)
         assert record["oof_recording_ids"] == oof[2]
 
+    def test_one_cougher_grouping_per_role(self, monkeypatch):
+        calls, aggregate = [], pipeline.metrics.aggregate_cougher
+
+        def counting(values, cougher_ids):
+            calls.append(np.shape(values))
+            return aggregate(values, cougher_ids)
+
+        monkeypatch.setattr(pipeline.metrics, "aggregate_cougher", counting)
+        rng = np.random.default_rng(7)
+
+        def role_rows(prefix, n):
+            cids = np.array([f"{prefix}{i // 2}" for i in range(n)])
+            y = np.repeat(np.arange(n // 2) % 2, 2)
+            return rng.random(n), y, [f"{prefix}r{i}" for i in range(n)], cids
+
+        pipeline.evaluate_fold(role_rows("o", 24), role_rows("c", 8), role_rows("x", 8),
+                               (0.1,))
+        # the calibration role averages (calibrated, labels), the test role
+        # (raw, calibrated, labels)
+        assert calls == [(2, 8), (3, 8)]
+
 
 class TestNoTestDependence:
     @staticmethod
