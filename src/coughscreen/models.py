@@ -27,11 +27,11 @@ with ragged last blocks, 872 of 4,800 score rows changed with the batch width.
 What is guaranteed is that (X, y, candidate list) fix every byte.
 
 The booster builds an additive scorer F_t = F_{t-1} + eta * h_t where each
-h_t is a depth-limited regression tree least-squares fit to the negative
-log-loss gradient. Leaf values are shrunk as sum(residual)/(count + l2),
-rows and features are subsampled per tree, and the initial score is the
-log-odds of the (weighted) prevalence. Everything is deterministic given
-(data, params, seed).
+h_t is a depth-limited least-squares regression tree fit to the negative
+log-loss gradient. A node whose targets are all equal has SSE exactly 0 and
+is a leaf, never searched. Leaf values are sum(residual)/(count + l2), rows
+and features are subsampled per tree, and the initial score is the log-odds
+of the (weighted) prevalence; all is deterministic given (data, params, seed).
 
 Splits are searched over per-fit integer ranks: each fit builds one table
 of dense per-column ranks of X, and every node sorts the small integer
@@ -358,7 +358,8 @@ def _best_split(X, ranks, t, total, rows, feats):
 
 def _fit_tree(X, ranks, targets, rows, feats, depth, l2) -> np.ndarray:
     """The ``NODE`` array of the tree grown on ``rows``, one level at a time. A node
-    is split while depth remains, it has 2 or more rows and their SSE is > 0."""
+    is split only while depth remains and ``t.min() < t.max()``: equal targets, a
+    lone row's included, are a leaf, not split on the rounding noise of their SSE."""
     nodes, level, remaining = [], [rows], depth
     while level:
         first_child, children = len(nodes) + len(level), []
@@ -366,8 +367,7 @@ def _fit_tree(X, ranks, targets, rows, feats, depth, l2) -> np.ndarray:
             t = targets[rows]
             total = t.sum()
             value, split = float(total / (rows.size + l2)), None
-            if remaining > 0 and rows.size >= 2 \
-                    and float(np.sum(t * t) - total * total / rows.size) > 0:
+            if remaining > 0 and t.min() < t.max():
                 # the search's (F, n) arrays are freed before the next node's search
                 split = _best_split(X, ranks, t, total, rows, feats)
             if split is None:
@@ -416,13 +416,13 @@ def fit_gbdt(X, y, params: dict, seed: int = 0) -> GBDTModel:
     rng = np.random.default_rng(seed)
     trees = []
     for _ in range(iterations):
+        if trees:  # no walk after the last tree: nothing reads its scores
+            scores += eta * _predict_tree(trees[-1], X)
         residuals = w * (y - expit(scores))
         # rows are drawn before features
         rows, feats = (np.sort(rng.choice(m, size=max(1, int(round(frac * m))), replace=False))
                        if frac < 1.0 else np.arange(m) for m, frac in ((n, subsample), (d, rsm)))
-        tree = _fit_tree(X, ranks[feats], residuals, rows, feats, depth, l2)
-        trees.append(tree)
-        scores += eta * _predict_tree(tree, X)
+        trees.append(_fit_tree(X, ranks[feats], residuals, rows, feats, depth, l2))
     return GBDTModel(trees=trees, eta=eta, base_score=base_score, feature_dim=d)
 
 

@@ -235,12 +235,11 @@ def reference_fit_tree(X, targets, rows, feats, depth, l2):
     """The per-feature split search: argsort each sampled feature in turn and
     keep the first strictly larger gain. The oracle for ``models._fit_tree``,
     as nested (feature, threshold, value, left, right) tuples, (value,) at a leaf."""
-    leaf = (float(targets[rows].sum() / (rows.size + l2)),)
-    if depth <= 0 or rows.size < 2:
-        return leaf
     t = targets[rows]
     total = t.sum()
-    sse_parent = float(np.sum(t * t) - total * total / rows.size)
+    leaf = (float(total / (rows.size + l2)),)
+    if depth <= 0 or t.min() == t.max():
+        return leaf
     best_gain = 1e-12
     best = None
     for f in feats:
@@ -261,7 +260,7 @@ def reference_fit_tree(X, targets, rows, feats, depth, l2):
         if gain > best_gain:
             best_gain = gain
             best = (f, 0.5 * (sv[j] + sv[j + 1]), order[: j + 1], order[j + 1:])
-    if best is None or sse_parent <= 0:
+    if best is None:
         return leaf
     f, thr, left_idx, right_idx = best
     return (int(f), float(thr), leaf[0],
@@ -382,7 +381,15 @@ class TestGBDT:
                                    for row in X_new]))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
-    def test_deterministic_under_seed(self):
+    def test_deterministic_under_seed(self, monkeypatch):
+        search = models._best_split
+
+        def searched(X, ranks, t, *args):
+            # a node whose targets are all equal is a leaf, never searched
+            assert t.min() < t.max()
+            return search(X, ranks, t, *args)
+
+        monkeypatch.setattr(models, "_best_split", searched)
         rng = np.random.default_rng(6)
         X = rng.standard_normal((60, 4))
         y = (rng.random(60) < 0.5).astype(float)
@@ -403,6 +410,18 @@ class TestGBDT:
         assert pbar == pytest.approx(0.5)
         g = w * (0.5 - y)
         assert g[y == 1].sum() == pytest.approx(-g[y == 0].sum())
+
+    def test_class_pure_nodes_are_leaves(self):
+        # the root splits at the step and each side's residuals are all equal; at
+        # 20,000 rows a side's float SSE is rounding noise above 0, not 0
+        X = np.random.default_rng(0).normal(size=(20000, 2))
+        y = (X[:, 0] > 0.3).astype(int)
+        m = models.fit_gbdt(X, y, gbdt_params(depth=2, iterations=1, l2_leaf_reg=3.0,
+                                              class_weights="balanced"), seed=0)
+        (tree,) = m.trees
+        assert tree.size == 3
+        feature, _, _, (left,), (right,) = nested(tree)
+        assert feature == 0 and left < 0 < right
 
     def test_leaf_regularization_shrinks_values(self):
         X = np.array([[0.0], [1.0]])
