@@ -13,18 +13,16 @@ with SciPy's own settings and stopping rules and therefore the same iterates.
 ``fit_lr_batch`` fits a list of candidates on one (X, y) in lockstep: one
 ``setulb`` state per candidate, and each round evaluates the objectives of all
 candidates that ask for them at once. The products ``Theta[:, 1:] @ X.T``
-(scores) and ``Gz @ X`` (gradient) are one gemm per 64-row block of X (the
-last block padded with zero rows) and per at most 12 candidates, the
-gradient's summed over the blocks in row order, so every BLAS call stays
-below OpenBLAS's threading threshold: fits and predictions are the same bytes
-at any BLAS thread count. A lone candidate is computed beside a copy of
-itself, since numpy would send one row to gemv, which rounds differently from
-gemm. With that, a candidate's fit came out byte-equal alone and in the
-12-grid on every inner fold of the seed-1 ``lr_nested`` benchmark, on numpy's
-OpenBLAS 0.3.31 with its SkylakeX kernels; with its Haswell kernels 100 of those
-1,200 fits differ. That is a property of the BLAS kernels, not a guarantee:
-with ragged last blocks, 872 of 4,800 score rows changed with the batch width.
-What is guaranteed is that (X, y, candidate list) fix every byte.
+(scores) and ``Gz @ X`` (gradient) have one shape whatever the batch: a gemm
+per 64-row block of X (the last block padded with zero rows) and per
+``LR_WIDTH`` candidates (the last chunk filled with zero rows), the
+gradient's summed over the blocks in row order. Every BLAS call stays below
+OpenBLAS's threading threshold, so fits and predictions are the same bytes at
+any BLAS thread count; and no product's shape depends on how many candidates
+share it, so a candidate's fit is the same bytes alone and in any batch: on
+numpy's OpenBLAS 0.3.31 with its SkylakeX, Haswell or Sandybridge kernels, all
+1,200 inner fits of the seed-1 ``lr_nested`` benchmark came out byte-equal
+alone and in the 12-grid, and tier-1 checks the identity on each of the three.
 
 The booster builds an additive scorer F_t = F_{t-1} + eta * h_t where each
 h_t is a depth-limited least-squares regression tree fit to the negative
@@ -65,14 +63,15 @@ _LBFGS_MEMORY = 10
 _LBFGS_MAX_LS = 20
 _LBFGS_MAX_EVALS = 15000
 _LBFGS_FACTR = 1e-15 / np.finfo(float).eps
-# The LR products take LR_BLOCK_ROWS rows of X and at most LR_MAX_WIDTH
-# candidates at a time: 64 * 12 * 277 (the fused width) = 212,736
-# multiply-adds, within the 65,536 * 4 = 2**18 up to which OpenBLAS runs a
-# gemm on the calling thread. Every product is single-threaded, so the fits do
-# not depend on the BLAS thread count, and no woken worker thread starves the
-# caller.
+# Every LR product is one gemm of LR_BLOCK_ROWS rows of X and exactly LR_WIDTH
+# candidates, zero rows filling the last chunk: at most 64 * 4 * 277 (the fused
+# width) = 70,912 multiply-adds, within the 65,536 * 4 = 2**18 up to which
+# OpenBLAS runs a gemm on the calling thread. Every product is single-threaded,
+# so the fits do not depend on the BLAS thread count, and no woken worker
+# thread starves the caller; and every product has one shape, so a candidate's
+# fit does not depend on the batch around it.
 LR_BLOCK_ROWS = 64
-LR_MAX_WIDTH = 12
+LR_WIDTH = 4
 
 # family -> each hyperparameter's documented values, in the grid's nesting order
 GRIDS = {
@@ -140,31 +139,22 @@ def _padded(a, width: int) -> np.ndarray:
     return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, width - a.shape[-1])])
 
 
-def _gemm_rows(A, M, out) -> np.ndarray:
-    """``out[:] = A @ M`` as gemms of 2 to ``LR_MAX_WIDTH`` rows (axis -2) of A.
-
-    The rows are split as evenly as the width allows, and a lone row goes
-    beside a copy of itself: numpy would hand one row to BLAS's gemv, which
-    rounds differently from a gemm.
-    """
+def _gemm_rows(A, M) -> np.ndarray:
+    """``A @ M`` as gemms of exactly ``LR_WIDTH`` rows (axis -2) of A, zero rows
+    filling the last chunk: one batched matmul over (..., chunks, ``LR_WIDTH``, d)."""
     k = A.shape[-2]
-    if k == 1:
-        out[:] = np.matmul(np.repeat(A, 2, axis=-2), M)[..., :1, :]
-        return out
-    n_chunks = -(-k // LR_MAX_WIDTH)
-    bounds = [k * c // n_chunks for c in range(n_chunks + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        np.matmul(A[..., lo:hi, :], M, out=out[..., lo:hi, :])
-    return out
+    padded = np.zeros(A.shape[:-2] + (-(-k // LR_WIDTH) * LR_WIDTH, A.shape[-1]))
+    padded[..., :k, :] = A
+    out = np.matmul(padded.reshape(*A.shape[:-2], -1, LR_WIDTH, A.shape[-1]),
+                    M[..., None, :, :])
+    return out.reshape(*out.shape[:-3], -1, out.shape[-1])[..., :k, :]
 
 
 def _lr_scores(Theta, Xb) -> np.ndarray:
     """The (k, blocks * ``LR_BLOCK_ROWS``) scores ``Theta[:, 1:] @ X.T + Theta[:, :1]``
-    of the row blocks ``Xb``, one gemm per block."""
-    k = Theta.shape[0]
-    Z = np.empty((k, Xb.shape[0], LR_BLOCK_ROWS))
-    _gemm_rows(Theta[:, 1:], Xb.transpose(0, 2, 1), Z.transpose(1, 0, 2))
-    Z = Z.reshape(k, -1)
+    of the row blocks ``Xb``, one gemm per block and ``LR_WIDTH`` candidates."""
+    Z = _gemm_rows(Theta[:, 1:], Xb.transpose(0, 2, 1)).transpose(1, 0, 2)
+    Z = Z.reshape(Theta.shape[0], -1)
     Z += Theta[:, :1]
     return Z
 
@@ -175,7 +165,7 @@ def _lr_objectives(Theta, Xb, y, C, W):
     Row i is candidate i, with penalty C[i] and sample weights W[i]; ``Xb`` is
     ``_row_blocks(X)``, and y and W are zero-padded to its rows, so padding
     rows add exact zeros. The gradient's ``Gz @ X`` is one gemm per block and
-    at most ``LR_MAX_WIDTH`` candidates, summed over the blocks in row order.
+    ``LR_WIDTH`` candidates, summed over the blocks in row order.
     """
     Z = _lr_scores(Theta, Xb)
     # log(1 + e^z) = max(z, 0) + log1p(e^-|z|) and p = expit(z) share e^-|z|,
@@ -188,8 +178,7 @@ def _lr_objectives(Theta, Xb, y, C, W):
     penalty = np.einsum("ij,ij->i", B, B) / (2.0 * C)
     Gz = W * (p - y)
     k = Theta.shape[0]
-    per_block = _gemm_rows(Gz.reshape(k, -1, LR_BLOCK_ROWS).transpose(1, 0, 2), Xb,
-                           np.empty((Xb.shape[0], k, Xb.shape[2])))
+    per_block = _gemm_rows(Gz.reshape(k, -1, LR_BLOCK_ROWS).transpose(1, 0, 2), Xb)
     G = np.empty_like(Theta)
     G[:, 0] = Gz.sum(axis=1)
     G[:, 1:] = per_block.sum(axis=0)  # block by block, in row order

@@ -129,6 +129,18 @@ def lr_problem(seed, n, d, log10_scale=0.0):
     return X * 10.0 ** rng.uniform(-log10_scale, log10_scale, size=d), y
 
 
+# (seed, n, d) of the problems on which a candidate's fit must be the same bytes alone
+# and in any batch (tests/test_kernels.py checks them on other OpenBLAS cores too)
+BYTE_EQUAL_PROBLEMS = [(0, 240, 277), (6, 1000, 277), (7, 130, 20)]
+
+
+def lr_batches(candidates) -> list:
+    """Each candidate alone, then batches that put candidates at other positions of
+    their products: a slice, the grid reversed and the grid twice."""
+    return [*([cand] for cand in candidates), candidates[3:8], candidates[::-1],
+            candidates * 2]
+
+
 class TestLBFGSOracle:
     """``fit_lr`` drives SciPy's L-BFGS-B routine itself: it must reproduce
     ``minimize`` bit for bit, for every C in the grid and both class weights."""
@@ -174,19 +186,27 @@ class TestLRBatch:
             assert alone.converged
             np.testing.assert_allclose(m.theta, alone.theta, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("seed, n, d", [(0, 240, 277), (6, 1000, 277), (7, 130, 20)])
+    @pytest.mark.parametrize("seed, n, d", BYTE_EQUAL_PROBLEMS)
     def test_byte_equal_alone_and_in_any_batch(self, seed, n, d):
-        # measured with OpenBLAS's gemm kernels, not promised by BLAS: padded
-        # 64-row blocks and a lone row beside its copy keep each row's sums
-        # the same whichever rows share its products
+        # every product has LR_WIDTH candidate rows whatever the batch, zero rows
+        # filling its last chunk; the batches move candidates to other positions
         X, y = lr_problem(seed, n, d)
         candidates = models.grid_candidates("LR")
         fitted = models.fit_lr_batch(X, y, candidates)
-        for batch in (candidates[:1], candidates[3:8], candidates[::-1], candidates * 2):
+        for batch in lr_batches(candidates):
             for cand, m in zip(batch, models.fit_lr_batch(X, y, batch)):
                 twin = fitted[candidates.index(cand)]
                 assert np.array_equal(m.theta, twin.theta)
                 assert (m.n_iter, m.converged) == (twin.n_iter, twin.converged)
+
+    def test_every_product_has_lr_width_rows(self, monkeypatch):
+        rows, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b: rows.append(a.shape[-2]) or matmul(a, b))
+        X, y = lr_problem(8, 70, 5)
+        for k in (1, 5, 12):
+            fitted = models.fit_lr_batch(X, y, models.grid_candidates("LR")[:k])
+            models.predict_proba_lr_batch(fitted, X)
+        assert rows and set(rows) == {models.LR_WIDTH}
 
     def test_predictions_match_per_model_predictions(self):
         X, y = lr_problem(3, 200, 30)
@@ -207,11 +227,11 @@ class TestLRBatch:
             models.fit_lr_batch(X, y, [{"C": 0.05}, {"C": 0.0}])
 
     def test_block_products_stay_single_threaded(self):
-        # OpenBLAS runs a gemm on the calling thread when m * n * k <= 65,536 * 4:
-        # a block of rows times the 12 grid candidates at the fused width
+        # OpenBLAS runs a gemm on the calling thread when m * n * k <= 65,536 * 4, and
+        # every LR product is a block of rows times LR_WIDTH candidates at most 277 wide
         width = features.VECTOR_LENGTH + len(data.CLINICAL_FIELDS)
         assert width == 277
-        assert models.LR_BLOCK_ROWS * len(models.grid_candidates("LR")) * width <= 2 ** 18
+        assert models.LR_BLOCK_ROWS * models.LR_WIDTH * width <= 2 ** 18
 
 
 def stump_oracle(x, residuals):
